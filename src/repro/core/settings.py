@@ -82,10 +82,8 @@ class QuestSettings:
             counters surface as ``SearchTrace.steiner_subset_cache``.
         sql_pushdown: when the wrapper's backend supports it, answer the
             backward stage's connectivity prefilter with a recursive CTE
-            over the mirrored edge relation, and size explanations with
-            a bounded ``COUNT(*) ... LIMIT`` probe instead of an exact
-            count; ``False`` keeps everything in-process. Reported
-            results and counts are identical either way.
+            over the mirrored edge relation; ``False`` keeps it
+            in-process. Reported results are identical either way.
         artifact_mmap: open persisted ``.npz`` columnar index artifacts
             memory-mapped (``np.memmap`` views over the artifact file)
             instead of materialising private in-heap copies. Scores are

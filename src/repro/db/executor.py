@@ -2,8 +2,12 @@
 
 The executor implements a straightforward but index-aware strategy:
 
-1. apply local predicates to each FROM occurrence (scan, or index point
-   lookup for equality predicates);
+1. apply local predicates to each FROM occurrence: an equality predicate
+   seeds the candidates from a hash-index point lookup; otherwise, when
+   the caller hands in the full-text postings, CONTAINS predicates seed
+   them from the intersection of their keyword tokens' posting lists;
+   only without either does the occurrence scan. Every predicate is
+   re-checked on the candidates, so the seed only narrows;
 2. join occurrences one at a time, always preferring an occurrence connected
    to the already-joined ones through an equi-join condition, probing hash
    indexes built on the fly;
@@ -19,15 +23,28 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.db.database import Database
 from repro.db.fulltext import tokenize_value
 from repro.db.query import Comparison, JoinCondition, Predicate, SelectQuery
+from repro.db.schema import ColumnRef
 from repro.db.table import Row, Table
 from repro.errors import ExecutionError
 
-__all__ = ["execute", "result_count", "ResultSet", "contains_match", "like_match"]
+__all__ = [
+    "execute",
+    "result_count",
+    "ResultSet",
+    "PostingLookup",
+    "contains_match",
+    "like_match",
+]
+
+#: ``lookup(token, ref)``: the sorted physical row positions whose
+#: ``ref.column`` holds *token* under :func:`tokenize_value`, or ``None``
+#: when ``ref`` is not indexed that way (its CONTAINS predicates scan).
+PostingLookup = Callable[[str, ColumnRef], Sequence[int] | None]
 
 
 class ResultSet:
@@ -156,11 +173,55 @@ def _match(value: Any, predicate: Predicate) -> bool:
     raise ExecutionError(f"unsupported operator: {op}")  # pragma: no cover
 
 
-def _filter_base(table: Table, predicates: list[Predicate]) -> list[Row]:
-    """Rows of *table* satisfying all local *predicates*.
+def _posting_candidates(
+    table: Table, predicates: list[Predicate], postings: PostingLookup | None
+) -> list[Row] | None:
+    """Live rows in every CONTAINS token's posting list, in insertion order.
+
+    A row can satisfy ``CONTAINS(column, keyword)`` only if each of the
+    keyword's tokens occurs in its value, i.e. only if it sits in each
+    token's posting list for that column — so the intersection is a
+    superset of the matches, and the caller's exact re-check makes it
+    exact. ``None`` (scan) without *postings* or when no CONTAINS
+    predicate is on an indexed column.
+    """
+    if postings is None:
+        return None
+    lists: list[Sequence[int]] = []
+    for predicate in predicates:
+        if predicate.op is not Comparison.CONTAINS:
+            continue
+        tokens = _keyword_tokens(str(predicate.value))
+        if not tokens:
+            return []  # a keyword without tokens matches nothing
+        ref = ColumnRef(table.name, predicate.column)
+        for token in dict.fromkeys(tokens):
+            found = postings(token, ref)
+            if found is None:
+                break
+            lists.append(found)
+    if not lists:
+        return None
+    lists.sort(key=len)
+    narrowed = set(lists[0])
+    for found in lists[1:]:
+        narrowed.intersection_update(found)
+    storage = table.storage_rows
+    return [
+        storage[position]
+        for position in sorted(narrowed)
+        if not table.is_deleted(position)
+    ]
+
+
+def _filter_base(
+    table: Table, predicates: list[Predicate], postings: PostingLookup | None
+) -> list[Row]:
+    """Rows of *table* satisfying all local *predicates*, in insertion order.
 
     Equality predicates on indexed values short-circuit through a hash
-    index; everything else scans.
+    index; CONTAINS predicates through the posting lists, when given;
+    everything else scans.
     """
     equality = [p for p in predicates if p.op is Comparison.EQ]
     if equality:
@@ -168,7 +229,8 @@ def _filter_base(table: Table, predicates: list[Predicate]) -> list[Row]:
         candidates = table.lookup(seed.column, seed.value)
         rest = [p for p in predicates if p is not seed]
     else:
-        candidates = table.rows
+        seeded = _posting_candidates(table, predicates, postings)
+        candidates = table.rows if seeded is None else seeded
         rest = predicates
     if not rest:
         return list(candidates)
@@ -180,8 +242,14 @@ def _filter_base(table: Table, predicates: list[Predicate]) -> list[Row]:
     ]
 
 
-def execute(db: Database, query: SelectQuery) -> ResultSet:
-    """Evaluate *query* against *db* and materialise the results."""
+def execute(
+    db: Database, query: SelectQuery, postings: PostingLookup | None = None
+) -> ResultSet:
+    """Evaluate *query* against *db* and materialise the results.
+
+    *postings* is the full-text index's lookup over the same *db* (see
+    :data:`PostingLookup`); without it CONTAINS predicates scan.
+    """
     local: dict[str, list[Predicate]] = {alias: [] for alias in query.aliases}
     for predicate in query.predicates:
         local[predicate.alias].append(predicate)
@@ -190,7 +258,8 @@ def execute(db: Database, query: SelectQuery) -> ResultSet:
         ref.alias: db.table(ref.table) for ref in query.tables
     }
     base_rows: dict[str, list[Row]] = {
-        alias: _filter_base(tables[alias], local[alias]) for alias in query.aliases
+        alias: _filter_base(tables[alias], local[alias], postings)
+        for alias in query.aliases
     }
 
     # Greedy join ordering: start from the most selective occurrence, then

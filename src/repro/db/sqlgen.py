@@ -20,12 +20,20 @@ Two dialects are supported:
   storage encoding. BOOLEAN columns under CONTAINS/LIKE are unwrapped to
   their ``True``/``False`` text rendering via CASE, which is why the
   sqlite dialect accepts an optional schema.
+
+A per-row ``QUEST_CONTAINS`` call is the exact check, not the access
+path: the caller may pass a *narrow* hook whose conjuncts are placed
+ahead of each CONTAINS call. The SQLite backend uses it to restrict the
+predicate's alias to the keyword tokens' posting lists, so the engine
+seeks matching rows through its indexes and runs the exact check only on
+them. What the conjuncts say — the postings relation, its layout — stays
+in the backend; this renderer knows only where they go.
 """
 
 from __future__ import annotations
 
 from datetime import date
-from typing import Any
+from typing import Any, Callable
 
 from repro.db.query import Comparison, SelectQuery
 from repro.db.schema import Schema, TableSchema
@@ -87,15 +95,24 @@ def _text_expr(query: SelectQuery, alias: str, column: str, schema: Schema | Non
     return target
 
 
+#: ``narrow(alias, table, column, keyword)``: extra SQL conjuncts a
+#: backend places ahead of a CONTAINS predicate's exact check.
+ContainsNarrowing = Callable[[str, str, str, Any], list[str]]
+
+
 def render_sql(
-    query: SelectQuery, dialect: str = "standard", schema: Schema | None = None
+    query: SelectQuery,
+    dialect: str = "standard",
+    schema: Schema | None = None,
+    narrow: ContainsNarrowing | None = None,
 ) -> str:
     """Render a :class:`SelectQuery` as a single-line SQL statement.
 
     In the standard dialect, CONTAINS predicates are rendered as
     case-insensitive ``LIKE`` patterns so the output is executable on a
     vanilla SQL engine; the sqlite dialect keeps their exact executor
-    semantics through registered user functions (see module docstring).
+    semantics through registered user functions (see module docstring),
+    preceded by whatever conjuncts *narrow* returns for the predicate.
     """
     select_list = (
         ", ".join(
@@ -131,6 +148,15 @@ def render_sql(
         target = _target(predicate.alias, predicate.column, dialect)
         if predicate.op is Comparison.CONTAINS:
             if dialect == "sqlite":
+                if narrow is not None:
+                    conditions.extend(
+                        narrow(
+                            predicate.alias,
+                            query.table_of(predicate.alias),
+                            predicate.column,
+                            predicate.value,
+                        )
+                    )
                 expr = _text_expr(query, predicate.alias, predicate.column, schema)
                 literal = render_literal(str(predicate.value), dialect)
                 conditions.append(f"QUEST_CONTAINS({expr}, {literal})")

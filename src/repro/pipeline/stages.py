@@ -459,32 +459,20 @@ class ExplainStage(PipelineStage):
     Distinct interpretations can denote the same SQL (e.g. two
     configurations differing only in schema-term kinds); only the
     best-ranked explanation per structural query survives. When the
-    wrapper can execute, empty-result explanations are dropped per
-    ``settings.min_explanation_results``; the count runs backend-side
-    through ``wrapper.result_count`` (a ``COUNT(*)`` pushdown on SQL
-    backends — no result rows cross the storage boundary here).
-
-    With ``settings.sql_pushdown`` and a count-pushdown backend, the
-    drop decision runs as a *bounded* probe first — "are there at least
-    ``min_explanation_results`` rows?" stops scanning at that many —
-    and only surviving explanations pay for the exact count. The probe
-    is decision-equivalent (``bounded < limit`` iff ``exact < limit``),
-    and the user-visible ``result_count`` is always the exact value.
+    wrapper can execute, explanations with fewer than
+    ``settings.min_explanation_results`` rows are dropped; the exact
+    count runs backend-side through ``wrapper.result_count`` (a
+    ``COUNT(*)`` pushdown on SQL backends — no result rows cross the
+    storage boundary here). Both backends narrow every CONTAINS
+    predicate of the count to its keyword's posting lists before the
+    exact per-row check, so a count costs work proportional to the
+    matching postings, not to the table size.
     """
 
     name = "explain"
 
     def run(self, engine: "Quest", context: SearchContext) -> None:
         settings = engine.settings
-        backend = getattr(engine.wrapper, "backend", None)
-        probe_limit = settings.min_explanation_results
-        use_probe = (
-            settings.sql_pushdown
-            and probe_limit > 0
-            and backend is not None
-            and getattr(backend, "supports_count_pushdown", False)
-            and _pushdown_allowed(context, backend)
-        )
         deadline = context.deadline
         explanations: list[Explanation] = []
         seen_queries: set[tuple] = set()
@@ -509,13 +497,7 @@ class ExplainStage(PipelineStage):
             result_count: int | None = None
             if settings.execute_explanations:
                 try:
-                    if use_probe:
-                        probe = engine.wrapper.result_count(query, probe_limit)
-                        if probe < probe_limit:
-                            continue
-                        result_count = engine.wrapper.result_count(query)
-                    else:
-                        result_count = engine.wrapper.result_count(query)
+                    result_count = engine.wrapper.result_count(query)
                 except AccessDeniedError:
                     result_count = None
                 else:

@@ -64,10 +64,6 @@ class StorageBackend(abc.ABC):
     #: both through the shared in-memory implementations.
     supports_graph_pushdown: bool = False
 
-    #: Whether :meth:`result_count` with a *limit* probes engine-side
-    #: (``COUNT(*)`` over a ``LIMIT`` subquery) instead of materialising.
-    supports_count_pushdown: bool = False
-
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self._catalog: Catalog | None = None
@@ -405,18 +401,14 @@ class StorageBackend(abc.ABC):
     def execute(self, query: SelectQuery) -> ResultSet:
         """Evaluate *query* and materialise the results."""
 
-    def result_count(self, query: SelectQuery, limit: int | None = None) -> int:
+    def result_count(self, query: SelectQuery) -> int:
         """Number of rows *query* yields (respecting DISTINCT and LIMIT).
 
-        With *limit*, the count is bounded: the returned value is
-        ``min(exact count, limit)`` — enough to answer "are there at
-        least *limit* rows?" without counting further. Backends that can
-        count without materialising (SQLite's ``COUNT(*)`` pushdown, with
-        a ``LIMIT`` subquery for the bounded form) override this; the
-        default executes and counts.
+        Backends that can count without materialising (SQLite's
+        ``COUNT(*)`` pushdown) override this; the default executes and
+        counts.
         """
-        count = len(self.execute(query))
-        return count if limit is None else min(count, limit)
+        return len(self.execute(query))
 
     # -- schema-graph pushdown ---------------------------------------------
 

@@ -161,5 +161,13 @@ class MemoryBackend(StorageBackend):
 
     # -- execution ---------------------------------------------------------
 
+    def _postings(self, token: str, ref: ColumnRef) -> list[int] | None:
+        # The index tokenises the very values the executor matches, with
+        # the same tokenize_value, over every column it was built for.
+        if ref not in self.fulltext.fields():
+            return None
+        return self.fulltext.matching_row_positions(token, ref)
+
     def execute(self, query: SelectQuery) -> ResultSet:
-        return execute(self.database, query)
+        """Run *query*, narrowing CONTAINS predicates to their postings."""
+        return execute(self.database, query, self._postings)

@@ -31,6 +31,17 @@ backend keeps its own (deterministic) subset; and type-mismatched
 comparison predicates are rejected eagerly for the whole query rather
 than lazily per evaluated row (the engine itself only generates CONTAINS
 predicates, so neither divergence is reachable through a search).
+
+CONTAINS is index-driven: each predicate is preceded by one
+``_quest_pos IN (posting list)`` conjunct per keyword token, and every
+relation indexes ``_quest_pos`` and its foreign-key columns, so SQLite
+seeks the posting rows and joins outward instead of calling
+``QUEST_CONTAINS`` on every row. The postings are maintained in the same
+transaction as every write through the backend; rows written into the
+file behind its back need :meth:`SQLiteBackend.refresh` before CONTAINS
+(like scoring) sees them. Writes are batched: a bulk load, an
+``add_rows`` batch or a single insert stores its rows, posting rows, FTS
+documents and field counters with one ``executemany`` per statement.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import sqlite3
 import threading
 from dataclasses import replace
 from datetime import date
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.db.database import Database
 from repro.db.executor import ResultSet, contains_match, like_match
@@ -51,7 +62,7 @@ from repro.db.fulltext import tokenize_value
 from repro.db.query import Comparison, SelectQuery
 from repro.db.schema import ColumnRef, Schema, TableSchema
 from repro.forksafe import register_lock_holder
-from repro.db.sqlgen import quote_identifier, render_sql
+from repro.db.sqlgen import quote_identifier, render_literal, render_sql
 from repro.db.table import Row, normalise_row
 from repro.db.types import DataType, coerce
 from repro.errors import (
@@ -118,7 +129,6 @@ class SQLiteBackend(StorageBackend):
 
     name = "sqlite"
     supports_graph_pushdown = True
-    supports_count_pushdown = True
 
     def __init__(
         self,
@@ -173,6 +183,9 @@ class SQLiteBackend(StorageBackend):
             self._fts_enabled = self._table_exists("_quest_fts")
             self._has_meta = self._table_exists("_quest_meta")
             self._load_state()
+        # On open, a file built before these indexes existed gains them
+        # here, once; CONTAINS narrowing is exact without them, just slower.
+        self._create_indexes()
 
     def _connect(self) -> sqlite3.Connection:
         connection = sqlite3.connect(self.path, check_same_thread=False)
@@ -287,6 +300,39 @@ class SQLiteBackend(StorageBackend):
         parts.append(f"UNIQUE ({keys})")
         return f"CREATE TABLE {quote_identifier(table.name)} ({', '.join(parts)})"
 
+    def _create_indexes(self) -> None:
+        """Index ``_quest_pos`` and the foreign-key columns of every relation.
+
+        ``_quest_pos`` lets a CONTAINS predicate's posting-list conjuncts
+        (see :meth:`_narrow_contains`) seek rows instead of scanning the
+        relation; the foreign-key indexes let the joins that follow seek
+        too. A column leading the primary key is skipped: its ``UNIQUE``
+        constraint already indexes it. Created with the (empty) relations
+        and maintained by SQLite from then on — measured no slower than
+        building them after a bulk load; ``IF NOT EXISTS`` makes this a
+        no-op on a file that has them.
+        """
+        columns = {(table.name, _POSITION_COLUMN) for table in self.schema.tables}
+        for fk in self.schema.foreign_keys:
+            columns.add((fk.table, fk.column))
+            columns.add((fk.ref_table, fk.ref_column))
+        with self._lock:
+            cursor = self._connection.cursor()
+            cursor.execute("BEGIN")
+            try:
+                for table, column in sorted(columns):
+                    if self.schema.table(table).primary_key[0] == column:
+                        continue
+                    name = quote_identifier(f"_quest_idx_{table}_{column}")
+                    cursor.execute(
+                        f"CREATE INDEX IF NOT EXISTS {name} "
+                        f"ON {quote_identifier(table)} ({quote_identifier(column)})"
+                    )
+                cursor.execute("COMMIT")
+            except BaseException:
+                cursor.execute("ROLLBACK")
+                raise
+
     def _create_fts(self) -> bool:
         try:
             self._connection.execute('DROP TABLE IF EXISTS "_quest_fts"')
@@ -324,8 +370,7 @@ class SQLiteBackend(StorageBackend):
             cursor.execute("BEGIN")
             try:
                 for table in database.tables:
-                    for row in table.rows:
-                        self._insert_row(cursor, table.schema, row)
+                    self._insert_rows(cursor, table.schema, table.rows)
                 cursor.execute("COMMIT")
             except BaseException:
                 cursor.execute("ROLLBACK")
@@ -356,7 +401,7 @@ class SQLiteBackend(StorageBackend):
             cursor = self._connection.cursor()
             cursor.execute("BEGIN")
             try:
-                self._insert_row(cursor, table_schema, row)
+                self._insert_rows(cursor, table_schema, [row])
                 cursor.execute("COMMIT")
             except BaseException:
                 cursor.execute("ROLLBACK")
@@ -389,7 +434,7 @@ class SQLiteBackend(StorageBackend):
     def _reload_counters(self) -> None:
         """Restore the in-memory mirrors from SQL after a rollback.
 
-        ``_insert_row`` advances ``_positions``/``_field_sizes`` as it
+        ``_insert_rows`` advances ``_positions``/``_field_sizes`` as it
         goes; when its transaction rolls back, the stored tables are the
         only truth, so the mirrors are re-read from them.
         """
@@ -412,65 +457,90 @@ class SQLiteBackend(StorageBackend):
         ):
             self._field_sizes[ColumnRef(tbl, col)] = int(indexed)
 
-    def _insert_row(
-        self, cursor: sqlite3.Cursor, table: TableSchema, row: Row
+    def _insert_rows(
+        self, cursor: sqlite3.Cursor, table: TableSchema, rows: Sequence[Row]
     ) -> None:
-        """Store one already-normalised row and index its tokens."""
-        position = self._positions[table.name]
+        """Store already-normalised rows and index their tokens.
+
+        One ``executemany`` per statement for the whole batch: rows take
+        consecutive positions from ``_positions`` in the order given.
+        """
+        first = self._positions[table.name]
         column_list = ", ".join(
             [quote_identifier(column.name) for column in table.columns]
             + [quote_identifier(_POSITION_COLUMN)]
         )
         placeholders = ", ".join(["?"] * (len(table.columns) + 1))
         try:
-            cursor.execute(
+            cursor.executemany(
                 f"INSERT INTO {quote_identifier(table.name)} ({column_list}) "
                 f"VALUES ({placeholders})",
-                [_encode(value) for value in row] + [position],
+                (
+                    [_encode(value) for value in row] + [position]
+                    for position, row in enumerate(rows, first)
+                ),
             )
         except sqlite3.IntegrityError as exc:
             raise IntegrityError(f"{table.name}: {exc}") from None
-        for column, value in zip(table.columns, row):
-            tokens = tokenize_value(value)
-            if not tokens:
-                continue
-            self._index_tokens(cursor, table.name, column.name, position, tokens)
-            cursor.execute(
-                'UPDATE "_quest_fields" SET indexed = indexed + 1, '
-                "tokens = tokens + ? WHERE tbl = ? AND col = ?",
-                (len(tokens), table.name, column.name),
-            )
-            self._field_sizes[ColumnRef(table.name, column.name)] += 1
-        self._positions[table.name] = position + 1
+        self._index_tokens(
+            cursor,
+            table.name,
+            (
+                (column.name, position, tokenize_value(value))
+                for position, row in enumerate(rows, first)
+                for column, value in zip(table.columns, row)
+            ),
+        )
+        self._positions[table.name] = first + len(rows)
 
     def _index_tokens(
         self,
         cursor: sqlite3.Cursor,
         table: str,
-        column: str,
-        position: int,
-        tokens: list[str],
+        streams: Iterable[tuple[str, int, list[str]]],
     ) -> None:
-        """Record one value's token stream in the postings (and FTS mirror).
+        """Record ``(column, position, tokens)`` streams of one relation in
+        the postings, the FTS mirror and the per-attribute counters.
 
         The single indexing path for both the insert route and the
         ``refresh`` rebuild — the bit-parity guarantee depends on the two
-        never diverging.
+        never diverging. Empty token streams are not indexed.
         """
+        postings: list[tuple[str, str, str, int, int]] = []
+        documents: list[tuple[str, str, int, str]] = []
+        indexed: Counter = Counter()
+        totals: Counter = Counter()
+        for column, position, tokens in streams:
+            if not tokens:
+                continue
+            if len(tokens) == 1:  # most values; skips building a Counter
+                postings.append((tokens[0], table, column, position, 1))
+            else:
+                postings.extend(
+                    (term, table, column, position, tf)
+                    for term, tf in Counter(tokens).items()
+                )
+            if self._fts_enabled:
+                documents.append((table, column, position, " ".join(tokens)))
+            indexed[column] += 1
+            totals[column] += len(tokens)
         cursor.executemany(
             'INSERT INTO "_quest_postings" (term, tbl, col, pos, tf) '
             "VALUES (?, ?, ?, ?, ?)",
-            [
-                (term, table, column, position, tf)
-                for term, tf in Counter(tokens).items()
-            ],
+            postings,
         )
-        if self._fts_enabled:
-            cursor.execute(
-                'INSERT INTO "_quest_fts" (tbl, col, pos, doc) '
-                "VALUES (?, ?, ?, ?)",
-                (table, column, position, " ".join(tokens)),
+        if documents:
+            cursor.executemany(
+                'INSERT INTO "_quest_fts" (tbl, col, pos, doc) VALUES (?, ?, ?, ?)',
+                documents,
             )
+        cursor.executemany(
+            'UPDATE "_quest_fields" SET indexed = indexed + ?, '
+            "tokens = tokens + ? WHERE tbl = ? AND col = ?",
+            [(indexed[column], totals[column], table, column) for column in indexed],
+        )
+        for column, count in indexed.items():
+            self._field_sizes[ColumnRef(table, column)] += count
 
     def refresh(self) -> None:
         """Rebuild the inverted index from the stored relations.
@@ -510,27 +580,19 @@ class SQLiteBackend(StorageBackend):
     def _index_column(
         self, cursor: sqlite3.Cursor, table: TableSchema, column: str
     ) -> None:
-        ref = ColumnRef(table.name, column)
         dtype = table.column(column).dtype
         rows = cursor.execute(
             f"SELECT {quote_identifier(_POSITION_COLUMN)}, {quote_identifier(column)} "
             f"FROM {quote_identifier(table.name)} ORDER BY {quote_identifier(_POSITION_COLUMN)}"
         ).fetchall()
-        indexed = 0
-        tokens_total = 0
-        for position, stored in rows:
-            tokens = tokenize_value(coerce(stored, dtype))
-            if not tokens:
-                continue
-            indexed += 1
-            tokens_total += len(tokens)
-            self._index_tokens(cursor, table.name, column, position, tokens)
-        cursor.execute(
-            'UPDATE "_quest_fields" SET indexed = ?, tokens = ? '
-            "WHERE tbl = ? AND col = ?",
-            (indexed, tokens_total, table.name, column),
+        self._index_tokens(
+            cursor,
+            table.name,
+            (
+                (column, position, tokenize_value(coerce(stored, dtype)))
+                for position, stored in rows
+            ),
         )
-        self._field_sizes[ref] = indexed
 
     # -- batched, journaled mutation ---------------------------------------
 
@@ -561,8 +623,7 @@ class SQLiteBackend(StorageBackend):
             cursor = self._connection.cursor()
             cursor.execute("BEGIN")
             try:
-                for row in rows:
-                    self._insert_row(cursor, table_schema, row)
+                self._insert_rows(cursor, table_schema, rows)
                 # The applied sequence number commits with the rows: a
                 # crash either keeps both or neither, so replay resumes
                 # at exactly the right record.
@@ -580,7 +641,7 @@ class SQLiteBackend(StorageBackend):
         """Delete rows and unindex their tokens, one transaction.
 
         The stored row is read back first so its token streams can be
-        removed symmetrically to how :meth:`_insert_row` added them —
+        removed symmetrically to how :meth:`_insert_rows` added them —
         posting rows deleted by position, ``_quest_fields`` counters
         decremented per tokenised column — keeping scores bit-identical
         to the memory backend's tombstone unindexing. Positions are
@@ -998,6 +1059,34 @@ class SQLiteBackend(StorageBackend):
 
     # -- execution ---------------------------------------------------------
 
+    def _narrow_contains(
+        self, alias: str, table: str, column: str, keyword: Any
+    ) -> list[str]:
+        """Conjuncts restricting a CONTAINS predicate to its posting lists.
+
+        One ``_quest_pos IN (posting list)`` per distinct keyword token:
+        a row can contain the keyword only if it holds every token, so
+        the conjuncts only narrow and ``QUEST_CONTAINS`` stays the exact
+        check. With ``_quest_pos`` indexed, SQLite drives the alias from
+        the posting rows instead of scanning it. The postings tokenise
+        the very values ``QUEST_CONTAINS`` sees (booleans through the
+        renderer's ``True``/``False`` unwrapping), with the same
+        ``tokenize_value``; a column outside the index gets no conjunct
+        and keeps the scan.
+        """
+        if ColumnRef(table, column) not in self._field_sizes:
+            return []
+        tokens = tokenize_value(str(keyword))
+        if not tokens:
+            return ["0"]  # a keyword without tokens matches nothing
+        target = f"{quote_identifier(alias)}.{quote_identifier(_POSITION_COLUMN)}"
+        field = f"tbl = {render_literal(table)} AND col = {render_literal(column)}"
+        return [
+            f'{target} IN (SELECT pos FROM "_quest_postings" '
+            f"WHERE term = {render_literal(token)} AND {field})"
+            for token in dict.fromkeys(tokens)
+        ]
+
     def _prepare(self, query: SelectQuery) -> tuple[str, tuple[tuple[str, DataType], ...]]:
         """Validate, expand and render *query* for SQLite execution."""
         for predicate in query.predicates:
@@ -1040,7 +1129,10 @@ class SQLiteBackend(StorageBackend):
             )
             for alias, column in targets
         )
-        return render_sql(prepared, dialect="sqlite", schema=self.schema), dtypes
+        sql = render_sql(
+            prepared, dialect="sqlite", schema=self.schema, narrow=self._narrow_contains
+        )
+        return sql, dtypes
 
     def execute(self, query: SelectQuery) -> ResultSet:
         sql, columns = self._prepare(query)
@@ -1057,19 +1149,10 @@ class SQLiteBackend(StorageBackend):
         ]
         return ResultSet(tuple(name for name, _dtype in columns), rows)
 
-    def result_count(self, query: SelectQuery, limit: int | None = None) -> int:
-        """Count results engine-side — no rows cross the boundary.
-
-        With *limit*, the scan stops after that many rows (``COUNT(*)``
-        over a ``LIMIT`` subquery): the bounded probe behind the explain
-        stage's "at least N rows?" filter, where stopping at N beats
-        counting a large result exactly.
-        """
+    def result_count(self, query: SelectQuery) -> int:
+        """Count results engine-side — no rows cross the boundary."""
         sql, _columns = self._prepare(query)
-        if limit is not None:
-            counted = f"SELECT COUNT(*) FROM (SELECT * FROM ({sql}) LIMIT {int(limit)})"
-        else:
-            counted = f"SELECT COUNT(*) FROM ({sql})"
+        counted = f"SELECT COUNT(*) FROM ({sql})"
 
         def fetch():
             with self._lock:

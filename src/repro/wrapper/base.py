@@ -218,15 +218,9 @@ class SourceWrapper(abc.ABC):
         endpoint at all raise :class:`~repro.errors.AccessDeniedError`.
         """
 
-    def result_count(self, query: SelectQuery, limit: int | None = None) -> int:
-        """Number of rows *query* yields (default: execute and count).
-
-        With *limit*, the answer is ``min(exact count, limit)`` — the
-        bounded probe behind "at least N results?" checks, which backends
-        with count pushdown stop early on.
-        """
-        count = len(self.execute(query))
-        return count if limit is None else min(count, limit)
+    def result_count(self, query: SelectQuery) -> int:
+        """Number of rows *query* yields (default: execute and count)."""
+        return len(self.execute(query))
 
     def __repr__(self) -> str:
         access = "full" if self.has_instance_access else "hidden"

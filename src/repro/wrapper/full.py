@@ -199,6 +199,6 @@ class FullAccessWrapper(SourceWrapper):
     def execute(self, query: SelectQuery) -> ResultSet:
         return self._backend.execute(query)
 
-    def result_count(self, query: SelectQuery, limit: int | None = None) -> int:
+    def result_count(self, query: SelectQuery) -> int:
         """Count backend-side: SQLite answers with ``COUNT(*)``, no rows move."""
-        return self._backend.result_count(query, limit)
+        return self._backend.result_count(query)

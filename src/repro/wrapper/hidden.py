@@ -111,10 +111,10 @@ class HiddenSourceWrapper(SourceWrapper):
             )
         return self._remote.execute(query)
 
-    def result_count(self, query: SelectQuery, limit: int | None = None) -> int:
+    def result_count(self, query: SelectQuery) -> int:
         """Count through the endpoint (backend-side when it can)."""
         if self._remote is None:
             raise AccessDeniedError(
                 f"source {self.schema.name!r} has no query endpoint"
             )
-        return self._remote.result_count(query, limit)
+        return self._remote.result_count(query)

@@ -500,7 +500,17 @@ class TestStorageChaos:
             assert _ranking(got) == _ranking(want), query
             assert not got.trace.degraded  # answers are full, not partial
         assert breaker.state == "open"  # successes alone must not close it
-        context = degraded.search_context(query=_QUERY)
+        # The backward stage's CTE connectivity prefilter is the optional
+        # pushdown surface left; it runs only with the in-process
+        # batched/cached shortest paths off.
+        cte_routed = Quest(
+            FullAccessWrapper(backend),
+            QuestSettings(batched_shortest_paths=False, steiner_plan_cache=False),
+        )
+        context = cte_routed.search_context(query=_QUERY)
+        assert _ranking(context) == _ranking(
+            reference.search_context(query=_QUERY)
+        )
         assert any("pushdown bypassed" in note for note in context.trace.notes)
 
 

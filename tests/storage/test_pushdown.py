@@ -6,15 +6,15 @@ implementation on the same mondial data:
 * ``connected_nodes`` — recursive reachability CTE vs BFS;
 * ``join_path_candidates`` — bounded recursive CTE enumeration vs the
   in-memory ``enumerate_join_paths`` (orderings and costs included);
-* bounded ``result_count(query, limit)`` — the Explain stage's probe
-  must make the same keep/drop decision the exact count would.
+* ``result_count(query)`` — the Explain stage's ``COUNT(*)`` must equal
+  the in-memory count.
 """
 
 import itertools
 
 import pytest
 
-from repro.core import Quest, QuestSettings
+from repro.core import Quest
 from repro.datasets import mondial
 from repro.steiner.weights import build_schema_graph
 from repro.storage import create_backend
@@ -33,9 +33,7 @@ def pushdown_pair():
 def test_sqlite_advertises_pushdown(pushdown_pair):
     _db, memory, sqlite, _graph = pushdown_pair
     assert sqlite.supports_graph_pushdown
-    assert sqlite.supports_count_pushdown
     assert not memory.supports_graph_pushdown
-    assert not memory.supports_count_pushdown
 
 
 def test_connected_nodes_cte_matches_bfs(pushdown_pair):
@@ -83,7 +81,7 @@ def test_graph_sync_tracks_mutations(pushdown_pair):
     assert before <= after  # reachability only grows with an extra edge
 
 
-# -- bounded counting ------------------------------------------------------
+# -- counting ----------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -100,37 +98,7 @@ def explain_queries(pushdown_pair):
     return queries
 
 
-@pytest.mark.parametrize("limit", [1, 2, 5])
-def test_bounded_count_decision_equivalence(pushdown_pair, explain_queries, limit):
-    """``probe < limit`` iff ``exact < limit`` — the Explain drop rule."""
-    _db, memory, sqlite, _graph = pushdown_pair
-    for query in explain_queries:
-        exact = memory.result_count(query)
-        for backend in (memory, sqlite):
-            probe = backend.result_count(query, limit)
-            assert probe == min(exact, limit)
-            assert (probe < limit) == (exact < limit)
-
-
 def test_unbounded_count_unchanged(pushdown_pair, explain_queries):
     _db, memory, sqlite, _graph = pushdown_pair
     for query in explain_queries:
         assert sqlite.result_count(query) == memory.result_count(query)
-
-
-def test_explain_probe_preserves_reported_counts(pushdown_pair):
-    """With the probe on, survivors still report their exact counts."""
-    db, _memory, _sqlite, _graph = pushdown_pair
-    texts = [q.text for q in mondial.workload(db, queries_per_kind=1, seed=31)]
-    probed = Quest(
-        FullAccessWrapper(create_backend("sqlite", db)),
-        QuestSettings(min_explanation_results=1),
-    )
-    unprobed = Quest(
-        FullAccessWrapper(create_backend("sqlite", db)),
-        QuestSettings(min_explanation_results=1, sql_pushdown=False),
-    )
-    for text in texts:
-        fast = [(e.sql, e.probability, e.result_count) for e in probed.search(text)]
-        slow = [(e.sql, e.probability, e.result_count) for e in unprobed.search(text)]
-        assert fast == slow
