@@ -141,26 +141,28 @@ def evaluate_batch(
 ) -> EvaluationResult:
     """Evaluate a QUEST engine through its batch tier.
 
-    The whole workload goes through ``Quest.search_many`` in one go, so
-    the emission and Steiner caches warm across queries exactly as they
-    would under production traffic; per-query timings come from each run's
-    :class:`~repro.pipeline.context.SearchTrace` rather than an outer
-    stopwatch. Queries that fail (``context.error`` set) score as misses,
-    matching :func:`evaluate`.
+    The whole workload goes through ``Quest.search_many_contexts`` in one
+    go, so the emission and Steiner caches warm across queries exactly as
+    they would under production traffic; per-query timings come from each
+    run's own :class:`~repro.pipeline.context.SearchTrace` rather than an
+    outer stopwatch — never from the engine's shared ``batch_traces``
+    mirror, which another batch may overwrite in between. Queries that
+    fail (``context.error`` set) score as misses, matching
+    :func:`evaluate`.
     """
     workload_name = workload.name if isinstance(workload, Workload) else "ad-hoc"
     queries = list(workload)
-    batches = quest.search_many(
+    contexts = quest.search_many_contexts(
         [query.text for query in queries], k=k, strict=False
     )
     result = EvaluationResult(engine_name=engine_name, workload_name=workload_name)
-    for query, explanations, trace in zip(queries, batches, quest.batch_traces):
-        ranked = [explanation.query for explanation in explanations]
+    for query, context in zip(queries, contexts):
+        ranked = [explanation.query for explanation in context.explanations]
         result.outcomes.append(
             QueryOutcome(
                 query=query,
                 hits=tuple(hit_list(ranked, query.gold_query)),
-                seconds=trace.total_seconds,
+                seconds=context.trace.total_seconds,
             )
         )
     return result

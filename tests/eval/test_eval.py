@@ -85,6 +85,38 @@ class TestHarness:
         assert result.success_at(5) == 0.0
         assert result.query_count == len(imdb_workload)
 
+    def test_evaluate_batch_ignores_batches_published_in_between(
+        self, imdb_db, imdb_workload
+    ):
+        """Another batch on the same engine must not leak into the result.
+
+        A one-query batch published right after the evaluated one used to
+        overwrite the engine's shared ``batch_traces`` mirror, so the
+        harness dropped every outcome but the first.
+        """
+        from repro.core import Quest
+        from repro.eval import evaluate_batch, quest_engine
+        from repro.wrapper import FullAccessWrapper
+
+        from tests.conftest import backend_for
+
+        engine = Quest(FullAccessWrapper(backend_for(imdb_db)))
+        workload = imdb_workload.subset(4)
+        run_batch = engine.search_many_contexts
+
+        def interleaved(*args, **kwargs):
+            contexts = run_batch(*args, **kwargs)
+            run_batch([workload.queries[0].text])  # a concurrent caller
+            return contexts
+
+        engine.search_many_contexts = interleaved
+        result = evaluate_batch(engine, workload, k=5)
+        assert result.query_count == len(workload)
+        reference = evaluate(quest_engine(engine), workload, k=5)
+        assert [o.hits for o in result.outcomes] == [
+            o.hits for o in reference.outcomes
+        ]
+
     def test_outcome_rank(self, imdb_workload):
         def const(text, k):
             return []
