@@ -74,16 +74,15 @@ class QuestSettings:
             the compact graph instead of one Dijkstra per terminal;
             ``False`` selects the per-source reference. The cached rows
             are bit-identical either way — same identical-results
-            contract as the kernel flags.
+            contract as the kernel flags. With this flag or
+            ``steiner_plan_cache`` on, the backward stage answers
+            connectivity for all of a run's configurations in one
+            prefilter; with both off, each Steiner call checks its own.
         steiner_plan_cache: reuse Dreyfus-Wagner subset tables (and the
             backward stage's per-terminal distance rows) across queries
             through the schema graph's revision-stamped plan cache;
             ``False`` recomputes every row from scratch. Hit/miss
             counters surface as ``SearchTrace.steiner_subset_cache``.
-        sql_pushdown: when the wrapper's backend supports it, answer the
-            backward stage's connectivity prefilter with a recursive CTE
-            over the mirrored edge relation; ``False`` keeps it
-            in-process. Reported results are identical either way.
         artifact_mmap: open persisted ``.npz`` columnar index artifacts
             memory-mapped (``np.memmap`` views over the artifact file)
             instead of materialising private in-heap copies. Scores are
@@ -131,7 +130,6 @@ class QuestSettings:
     columnar_index: bool = True
     batched_shortest_paths: bool = True
     steiner_plan_cache: bool = True
-    sql_pushdown: bool = True
     artifact_mmap: bool = True
     default_deadline_ms: float | None = None
     batch_workers: int = 1
@@ -153,7 +151,6 @@ class QuestSettings:
             "columnar_index": False,
             "batched_shortest_paths": False,
             "steiner_plan_cache": False,
-            "sql_pushdown": False,
         }
         flags.update(changes)
         return cls(**flags)  # type: ignore[arg-type]

@@ -123,20 +123,6 @@ class DeadlineExceededError(QuestError):
         self.budget_ms = budget_ms
 
 
-class CircuitOpenError(QuestError):
-    """A circuit breaker refused a call because its circuit is open.
-
-    Raised by :class:`repro.resilience.CircuitBreaker` guarded call sites
-    while the breaker is shedding load after repeated failures. Optional
-    fast paths (SQL pushdown) treat it as "take the in-process route";
-    the serving tier treats it like a storage failure and falls back to
-    revision-stale cache entries.
-    """
-
-    def __init__(self, name: str) -> None:
-        super().__init__(f"circuit {name!r} is open")
-        self.name = name
-
 
 class FaultInjectedError(QuestError):
     """An error deliberately raised by the fault-injection harness.

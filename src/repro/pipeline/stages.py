@@ -47,24 +47,6 @@ __all__ = [
 ]
 
 
-def _pushdown_allowed(context: SearchContext, backend: object) -> bool:
-    """Whether the backend's optional SQL pushdown surfaces may be used.
-
-    When the backend carries a circuit breaker and it refuses the call,
-    the stage transparently takes the in-process route instead — the
-    bit-identical fallback the parity flags guarantee — and records the
-    decision in the trace. The run is *not* marked degraded: answers are
-    unaffected, only the route changed.
-    """
-    breaker = getattr(backend, "breaker", None)
-    if breaker is None or breaker.allow():
-        return True
-    note = f"sql pushdown bypassed: circuit {breaker.name!r} {breaker.state}"
-    if note not in context.trace.notes:
-        context.trace.notes.append(note)
-    return False
-
-
 class PipelineStage(abc.ABC):
     """One step of the search pipeline."""
 
@@ -184,23 +166,20 @@ class BackwardStage(PipelineStage):
     (across configurations and across queries) are answered without
     re-running the tree search.
 
-    The connectivity prefilter is answered once per run for *all*
-    configurations, through whichever capability the settings enable:
+    Connectivity is decided in one place, over the in-memory compact
+    graph, in one of two modes:
 
-    - ``batched_shortest_paths`` / ``steiner_plan_cache``: per-terminal
-      distance rows come from one vectorised multi-source pass (reusing
-      rows already in the plan cache), and connectivity is a finite-ness
-      check on them;
-    - else ``sql_pushdown`` (and a backend with graph pushdown):
-      reachable component sets come from recursive CTEs over the
-      backend's mirrored edge relation, one per distinct component
-      touched;
-    - neither: each ``top_k_steiner_trees`` call checks for itself, as
-      the reference kernels always did.
+    - ``batched_shortest_paths`` / ``steiner_plan_cache`` (the default):
+      one prefilter answers *all* configurations of the run —
+      per-terminal distance rows come from one vectorised multi-source
+      pass (reusing rows already in the plan cache), and connectivity is
+      a finite-ness check on them;
+    - both off (:meth:`QuestSettings.reference_kernels`, the test
+      oracle): each ``top_k_steiner_trees`` call checks for itself.
 
-    Whichever mode answers, the surviving configurations — and the trees
-    enumerated for them — are identical: connectivity has one answer, and
-    the Steiner call is told ``assume_connected`` only when the prefilter
+    Either way the surviving configurations — and the trees enumerated
+    for them — are identical: connectivity has one answer, and the
+    Steiner call is told ``assume_connected`` only when the prefilter
     has already established it.
     """
 
@@ -213,17 +192,10 @@ class BackwardStage(PipelineStage):
             (configuration, sorted(configuration.terminals(engine.schema), key=str))
             for configuration in context.configurations
         ]
-        terminal_sets = [terminals for _configuration, terminals in configs]
-        backend = getattr(engine.wrapper, "backend", None)
         if settings.batched_shortest_paths or settings.steiner_plan_cache:
-            connected = self._prefilter_batched(engine, terminal_sets)
-        elif (
-            settings.sql_pushdown
-            and backend is not None
-            and getattr(backend, "supports_graph_pushdown", False)
-            and _pushdown_allowed(context, backend)
-        ):
-            connected = self._prefilter_pushdown(engine, backend, terminal_sets)
+            connected = self._prefilter_batched(
+                engine, [terminals for _configuration, terminals in configs]
+            )
         else:
             connected = [None] * len(configs)
 
@@ -268,37 +240,6 @@ class BackwardStage(PipelineStage):
                     Interpretation(configuration, tree, tree_score(tree.weight))
                 )
         context.interpretations = interpretations
-
-    @staticmethod
-    def _prefilter_pushdown(
-        engine: "Quest", backend, terminal_sets: list[list]
-    ) -> list[bool | None]:
-        """Per-configuration connectivity via backend reachability CTEs.
-
-        Component sets are fetched once per distinct component touched
-        this run (every member indexes the same set afterwards), so the
-        number of round-trips is bounded by the number of components, not
-        configurations. ``None`` marks sets the Steiner call must judge
-        itself (empty, or containing unknown terminals).
-        """
-        graph = engine.schema_graph
-        component_of: dict = {}
-        verdicts: list[bool | None] = []
-        for terminals in terminal_sets:
-            if not terminals or any(t not in graph for t in terminals):
-                verdicts.append(None)
-                continue
-            if len(terminals) == 1:
-                verdicts.append(True)
-                continue
-            first = terminals[0]
-            component = component_of.get(first)
-            if component is None:
-                component = backend.connected_nodes(graph, first)
-                for node in component:
-                    component_of[node] = component
-            verdicts.append(all(t in component for t in terminals))
-        return verdicts
 
     @staticmethod
     def _prefilter_batched(

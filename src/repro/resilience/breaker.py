@@ -1,19 +1,20 @@
-"""A failure-rate circuit breaker with seeded half-open probes.
+"""A failure-rate circuit breaker that records and reports.
 
-Classic three-state machine guarding a dependency (here: the SQLite
-backend and the columnar artifact loader):
+Classic three-state machine over the outcomes of calls to one dependency
+(here: the SQLite backend's reads). It refuses nothing — every call
+still runs — so its job is to say whether the dependency is healthy:
+its state feeds the service's degraded-mode reporting (``/readyz``,
+``QuestService.degradation``).
 
-* **closed** — calls flow; outcomes land in a sliding window. When the
-  window holds at least ``min_calls`` outcomes and the failure rate
-  reaches ``failure_threshold``, the breaker trips open.
-* **open** — optional fast paths (:meth:`CircuitBreaker.allow`) are
-  refused outright for ``reset_timeout_s`` so a wedged dependency is not
-  hammered. Mandatory calls keep recording outcomes — their successes
-  also heal the breaker.
-* **half-open** — after the timeout, up to ``half_open_probes`` trial
-  calls are admitted. All probes succeeding closes the circuit; any
-  probe failing re-opens it with a seeded-jittered timeout so a fleet of
-  workers does not re-probe a shared dependency in lockstep.
+* **closed** — outcomes land in a sliding window. When the window holds
+  at least ``min_calls`` outcomes and the failure rate reaches
+  ``failure_threshold``, the breaker trips open.
+* **open** — the dependency is reported unhealthy for
+  ``reset_timeout_s``; calls keep recording outcomes meanwhile.
+* **half-open** — after the timeout, ``half_open_probes`` consecutive
+  successes close the circuit; a failure re-opens it with a
+  seeded-jittered timeout so a fleet of workers does not recover a
+  shared dependency in lockstep.
 
 The clock and the jitter RNG are injectable, so chaos tests drive the
 whole state machine deterministically.
@@ -34,7 +35,7 @@ from repro.forksafe import register_lock_holder
 def _reset_breaker_lock(breaker: "CircuitBreaker") -> None:
     breaker._lock = threading.Lock()
 
-from repro.errors import CircuitOpenError, QuestError
+from repro.errors import QuestError
 
 __all__ = ["BreakerSettings", "CircuitBreaker"]
 
@@ -54,7 +55,7 @@ class BreakerSettings:
         min_calls: outcomes required in the window before the rate is
             meaningful — a single early failure must not trip the circuit.
         reset_timeout_s: how long the circuit stays open before probing.
-        half_open_probes: trial calls admitted in the half-open state.
+        half_open_probes: successes that close a half-open circuit.
         jitter: fraction of ``reset_timeout_s`` added as seeded random
             jitter each time the circuit (re-)opens.
     """
@@ -110,7 +111,6 @@ class CircuitBreaker:
         self._state = CLOSED
         self._opened_at = 0.0
         self._open_for = 0.0
-        self._probes_in_flight = 0
         self._probe_successes = 0
 
     # -- state -------------------------------------------------------------
@@ -130,7 +130,6 @@ class CircuitBreaker:
             self._clock() - self._opened_at >= self._open_for
         ):
             self._state = HALF_OPEN
-            self._probes_in_flight = 0
             self._probe_successes = 0
         return self._state
 
@@ -140,31 +139,6 @@ class CircuitBreaker:
         self._open_for = self.settings.reset_timeout_s * (
             1.0 + self.settings.jitter * self._rng.random()
         )
-
-    # -- admission ---------------------------------------------------------
-
-    def allow(self) -> bool:
-        """Whether an *optional* call should be attempted right now.
-
-        Closed: yes. Open: no. Half-open: yes for the first
-        ``half_open_probes`` askers (they become the trial calls), no for
-        the rest — record the outcome of every allowed call.
-        """
-        with self._lock:
-            state = self._state_locked()
-            if state == CLOSED:
-                return True
-            if state == OPEN:
-                return False
-            if self._probes_in_flight < self.settings.half_open_probes:
-                self._probes_in_flight += 1
-                return True
-            return False
-
-    def check(self) -> None:
-        """Like :meth:`allow` but raises :class:`CircuitOpenError` on refusal."""
-        if not self.allow():
-            raise CircuitOpenError(self.name)
 
     # -- outcome recording -------------------------------------------------
 
@@ -178,7 +152,6 @@ class CircuitBreaker:
                 if self._probe_successes >= self.settings.half_open_probes:
                     self._state = CLOSED
                     self._outcomes.clear()
-                    self._probes_in_flight = 0
                     self._probe_successes = 0
 
     def record_failure(self) -> None:
@@ -187,7 +160,7 @@ class CircuitBreaker:
             state = self._state_locked()
             self._outcomes.append(False)
             if state == HALF_OPEN:
-                # One failed probe ends the trial immediately.
+                # One failure during the trial re-opens immediately.
                 self._trip_locked()
                 return
             if state == OPEN:

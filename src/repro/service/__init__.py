@@ -16,14 +16,13 @@ artifact. See :mod:`repro.service.http` and
 Cutting across all three is the resilience tier
 (:mod:`repro.resilience`): per-request deadlines propagated down to the
 Steiner search (``X-Quest-Deadline-Ms`` → 504 or degraded best-so-far
-answers), a circuit breaker over SQLite that sheds only the optional
-pushdown surfaces (rankings stay bit-identical), revision-stale serving
-when storage fails outright, and jittered-exponential worker respawn
-backoff — all testable deterministically through :mod:`repro.faults`.
+answers), a circuit breaker that records SQLite read outcomes and
+reports degraded storage through ``/readyz`` (it refuses no call, so
+rankings never depend on it), revision-stale serving when storage fails
+outright, and jittered-exponential worker respawn backoff — all testable deterministically through :mod:`repro.faults`.
 """
 
 from repro.errors import (
-    CircuitOpenError,
     DeadlineExceededError,
     QuotaExceededError,
     ServiceError,
@@ -53,7 +52,6 @@ __all__ = [
     "AdmissionController",
     "BreakerSettings",
     "CircuitBreaker",
-    "CircuitOpenError",
     "Deadline",
     "DeadlineExceededError",
     "HttpServerSettings",

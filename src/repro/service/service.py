@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
-    CircuitOpenError,
     DeadlineExceededError,
     ExecutionError,
     QuestError,
@@ -76,7 +75,7 @@ class ServiceSettings:
         result_cache_size: rankings retained (LRU beyond that).
         metrics_window: completed requests kept for quantiles/QPS.
         serve_stale: when the engine fails on a *storage* error
-            (:class:`ExecutionError`, :class:`CircuitOpenError`), answer
+            (:class:`ExecutionError`), answer
             from the long-TTL stale cache — rankings from an earlier
             engine revision — instead of failing the request. Stale
             responses carry ``source="stale"`` (the HTTP tier adds a
@@ -264,9 +263,8 @@ class QuestService:
         queueing time included. On expiry the pipeline degrades to
         best-so-far answers (``response.degraded``) or, with nothing
         salvageable, raises :class:`DeadlineExceededError` (HTTP 504).
-        A storage failure (:class:`ExecutionError` /
-        :class:`CircuitOpenError`) falls back to the revision-stale cache
-        when ``settings.serve_stale`` allows.
+        A storage failure (:class:`ExecutionError`) falls back to the
+        revision-stale cache when ``settings.serve_stale`` allows.
         """
         start = self._clock()
         self._metrics.record_request()
@@ -328,7 +326,7 @@ class QuestService:
                     computed, shared = self._flights.do(key, compute)
                 else:
                     computed, shared = compute(), False
-            except (ExecutionError, CircuitOpenError):
+            except ExecutionError:
                 entry = self._stale_lookup(keywords, k)
                 if entry is None:
                     raise

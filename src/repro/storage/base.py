@@ -58,12 +58,6 @@ class StorageBackend(abc.ABC):
     #: Registry name of the backend ("memory", "sqlite", ...).
     name: str = "backend"
 
-    #: Whether the backend can evaluate schema-graph reachability and
-    #: join-path enumeration engine-side (see :meth:`connected_nodes` /
-    #: :meth:`join_path_candidates`). Backends without it still answer
-    #: both through the shared in-memory implementations.
-    supports_graph_pushdown: bool = False
-
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self._catalog: Catalog | None = None
@@ -409,51 +403,6 @@ class StorageBackend(abc.ABC):
         counts.
         """
         return len(self.execute(query))
-
-    # -- schema-graph pushdown ---------------------------------------------
-
-    def connected_nodes(self, graph: Any, start: Any) -> set:
-        """Every schema-graph node reachable from *start*.
-
-        The backward stage's connectivity prefilter. The default runs the
-        shared in-memory traversal; backends with graph pushdown
-        (:attr:`supports_graph_pushdown`) answer with a recursive CTE
-        over an edge relation instead. Either way the returned set is
-        identical — reachability has one answer.
-        """
-        compact = graph.compact()
-        start_index = compact.index.get(start)
-        if start_index is None:
-            return set()
-        seen = {start_index}
-        frontier = [start_index]
-        neighbors = compact.neighbors
-        while frontier:
-            current = frontier.pop()
-            for neighbour, _weight, _edge in neighbors[current]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return {compact.nodes[i] for i in seen}
-
-    def join_path_candidates(
-        self,
-        graph: Any,
-        pairs: Sequence[tuple[ColumnRef, ColumnRef]],
-        k: int,
-        max_hops: int,
-    ) -> list[list[tuple[tuple[str, ...], float]]]:
-        """Up to *k* cheapest acyclic join paths per (source, target) pair.
-
-        The candidate-enumeration contract of
-        :mod:`repro.steiner.paths`: backends with graph pushdown push the
-        enumeration into a bounded recursive CTE; the default delegates
-        to the in-memory enumerator. Both orderings and costs are
-        required to be identical (tested pair for pair on both backends).
-        """
-        from repro.steiner.paths import enumerate_join_paths
-
-        return enumerate_join_paths(graph, pairs, k, max_hops)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""SQLite storage backend: persistent relations, SQL pushdown, FTS scoring.
+"""SQLite storage backend: persistent relations, SQL execution, FTS scoring.
 
 Relations live in a SQLite database (a file or ``:memory:``); generated
 :class:`~repro.db.query.SelectQuery` plans are rendered to SQLite SQL by
@@ -65,12 +65,7 @@ from repro.forksafe import register_lock_holder
 from repro.db.sqlgen import quote_identifier, render_literal, render_sql
 from repro.db.table import Row, normalise_row
 from repro.db.types import DataType, coerce
-from repro.errors import (
-    CircuitOpenError,
-    ExecutionError,
-    IntegrityError,
-    UnknownTableError,
-)
+from repro.errors import ExecutionError, IntegrityError, UnknownTableError
 from repro import faults
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.storage.base import StorageBackend
@@ -128,7 +123,6 @@ class SQLiteBackend(StorageBackend):
     """Relations persisted to SQLite; search and execution pushed down."""
 
     name = "sqlite"
-    supports_graph_pushdown = True
 
     def __init__(
         self,
@@ -140,12 +134,10 @@ class SQLiteBackend(StorageBackend):
     ) -> None:
         super().__init__(schema)
         self.path = str(path)
-        #: Records the outcome of every read-path SQL call. Open, the
-        #: *optional* pushdown surfaces (connected_nodes,
-        #: join_path_candidates) fast-fail so the pipeline routes around
-        #: a sick database via its in-process kernels; mandatory reads
-        #: keep executing (with bounded retry) and their successes drive
-        #: half-open recovery.
+        #: Records the outcome of every read-path SQL call; its state
+        #: feeds the service's degraded-mode reporting. It refuses
+        #: nothing: reads keep executing (with bounded retry) while it
+        #: is open, and their successes drive half-open recovery.
         self.breaker = breaker or CircuitBreaker(f"sqlite:{path}")
         #: Bounded jittered-exponential retry for transient
         #: OperationalError (busy/locked under WAL writer contention).
@@ -170,9 +162,6 @@ class SQLiteBackend(StorageBackend):
             for column in table.columns
         }
         self._n_fields = len(self._field_sizes)
-        #: (graph identity, topology revision) currently mirrored into the
-        #: ``_quest_graph_edges`` relation (see :meth:`sync_schema_graph`).
-        self._graph_sync: tuple[int, int] | None = None
         if initialize:
             self._create_tables()
             self._fts_enabled = self._create_fts()
@@ -752,8 +741,8 @@ class SQLiteBackend(StorageBackend):
         ``sqlite3.OperationalError`` is retried on the bounded
         jittered-exponential schedule, and every final outcome lands in
         the circuit breaker — failures push it toward open, successes
-        (including half-open probes) heal it. Non-transient SQLite errors
-        are wrapped into :class:`ExecutionError` as before.
+        heal it. Non-transient SQLite errors are wrapped into
+        :class:`ExecutionError`.
         """
 
         def attempt():
@@ -771,18 +760,6 @@ class SQLiteBackend(StorageBackend):
             raise ExecutionError(f"sqlite error {label}: {exc}") from exc
         self.breaker.record_success()
         return result
-
-    def _check_pushdown_circuit(self) -> None:
-        """Fast-fail an *optional* pushdown surface while the circuit is open.
-
-        The pipeline normally routes around an open breaker before ever
-        calling these surfaces (see ``_pushdown_allowed`` in the stages);
-        this guard covers direct callers. It reads the state without
-        consuming a half-open probe slot — probes are admitted by the
-        pipeline's ``allow()`` call.
-        """
-        if self.breaker.state == "open":
-            raise CircuitOpenError(self.breaker.name)
 
     def attribute_scores(self, keyword: str) -> dict[ColumnRef, float]:
         """TF-IDF relevance per attribute, from SQL-aggregated counts."""
@@ -918,144 +895,6 @@ class SQLiteBackend(StorageBackend):
     def fts_enabled(self) -> bool:
         """Whether the FTS5 retrieval accelerator is active."""
         return self._fts_enabled
-
-    # -- schema-graph pushdown ---------------------------------------------
-
-    def sync_schema_graph(self, graph: Any) -> None:
-        """Mirror *graph* into the ``_quest_graph_edges`` relation.
-
-        One row per edge direction — ``(src, dst, weight)`` with nodes
-        keyed by ``str(ColumnRef)`` — so reachability and path
-        enumeration run as plain SQL over an adjacency relation. The
-        mirror is keyed on (graph identity, topology revision) and
-        rebuilt only when either moves; re-syncing an unchanged graph is
-        one tuple comparison. The mirror is derived state: refreshing it
-        does NOT bump :attr:`version` (no instance data changed).
-        """
-        key = (id(graph), getattr(graph, "version", 0))
-        with self._lock:
-            if self._graph_sync == key:
-                return
-            rows = [
-                (str(edge.left), str(edge.right), float(edge.weight))
-                for edge in graph.edges
-            ]
-            cursor = self._connection.cursor()
-            cursor.execute("BEGIN")
-            try:
-                cursor.execute(
-                    'CREATE TABLE IF NOT EXISTS "_quest_graph_edges" ('
-                    "src TEXT NOT NULL, dst TEXT NOT NULL, "
-                    "weight REAL NOT NULL, PRIMARY KEY (src, dst))"
-                )
-                cursor.execute('DELETE FROM "_quest_graph_edges"')
-                cursor.executemany(
-                    'INSERT INTO "_quest_graph_edges" (src, dst, weight) '
-                    "VALUES (?, ?, ?)",
-                    rows + [(dst, src, weight) for src, dst, weight in rows],
-                )
-                cursor.execute("COMMIT")
-            except BaseException:
-                cursor.execute("ROLLBACK")
-                raise
-            self._graph_sync = key
-
-    def connected_nodes(self, graph: Any, start: Any) -> set:
-        """Reachable nodes by recursive CTE over the mirrored edges."""
-        compact = graph.compact()
-        if start not in compact.index:
-            return set()
-        self._check_pushdown_circuit()
-        self.sync_schema_graph(graph)
-
-        def fetch():
-            with self._lock:
-                return self._connection.execute(
-                    "WITH RECURSIVE reach(node) AS ("
-                    "  SELECT ?"
-                    "  UNION"
-                    '  SELECT e.dst FROM "_quest_graph_edges" e'
-                    "  JOIN reach r ON e.src = r.node"
-                    ") SELECT node FROM reach",
-                    (str(start),),
-                ).fetchall()
-
-        fetched = self._read_sql(fetch, "computing reachability")
-        by_name = {str(node): node for node in compact.nodes}
-        return {by_name[name] for (name,) in fetched if name in by_name}
-
-    def join_path_candidates(
-        self,
-        graph: Any,
-        pairs: Sequence[tuple[ColumnRef, ColumnRef]],
-        k: int,
-        max_hops: int,
-    ) -> list[list[tuple[tuple[str, ...], float]]]:
-        """Candidate join paths by bounded recursive CTE + window ranking.
-
-        Same contract (and identical output, cost for cost) as
-        :func:`repro.steiner.paths.enumerate_join_paths`: the recursion
-        accumulates ``p.cost + e.weight`` — the contract's left-to-right
-        IEEE-754 fold — the visited-set is the ``/a/b/`` path string, and
-        ``ROW_NUMBER() OVER (PARTITION BY pair ORDER BY cost, path)``
-        keeps the k cheapest per pair engine-side.
-        """
-        from repro.errors import SteinerError
-        from repro.steiner.paths import decode_path
-
-        if k <= 0:
-            raise SteinerError(f"k must be positive, got {k}")
-        if max_hops < 0:
-            raise SteinerError(f"max_hops must be non-negative, got {max_hops}")
-        compact = graph.compact()
-        for source, target in pairs:
-            if source not in compact.index or target not in compact.index:
-                missing = source if source not in compact.index else target
-                raise SteinerError(f"unknown node: {missing}")
-        if not pairs:
-            return []
-        self.sync_schema_graph(graph)
-        endpoint_rows = ", ".join(["(?, ?, ?)"] * len(pairs))
-        parameters: list[Any] = []
-        for pair_id, (source, target) in enumerate(pairs):
-            parameters.extend((pair_id, str(source), str(target)))
-        sql = (
-            "WITH RECURSIVE"
-            f" endpoints(pair_id, src, dst) AS (VALUES {endpoint_rows}),"
-            " paths(pair_id, dst, node, path, cost, hops) AS ("
-            "  SELECT pair_id, dst, src, '/' || src || '/', 0.0, 0"
-            "  FROM endpoints"
-            "  UNION ALL"
-            "  SELECT p.pair_id, p.dst, e.dst, p.path || e.dst || '/',"
-            "         p.cost + e.weight, p.hops + 1"
-            '  FROM paths p JOIN "_quest_graph_edges" e ON e.src = p.node'
-            "  WHERE p.hops < ?"
-            "    AND instr(p.path, '/' || e.dst || '/') = 0"
-            " ),"
-            " ranked AS ("
-            "  SELECT pair_id, path, cost,"
-            "         ROW_NUMBER() OVER ("
-            "           PARTITION BY pair_id ORDER BY cost, path"
-            "         ) AS rank"
-            "  FROM paths WHERE node = dst"
-            " )"
-            " SELECT pair_id, path, cost FROM ranked"
-            " WHERE rank <= ? ORDER BY pair_id, rank"
-        )
-        parameters.extend((max_hops, k))
-        self._check_pushdown_circuit()
-
-        def fetch():
-            with self._lock:
-                return self._connection.execute(sql, parameters).fetchall()
-
-        fetched = self._read_sql(fetch, "enumerating join paths")
-        results: list[list[tuple[tuple[str, ...], float]]] = [
-            [] for _ in pairs
-        ]
-        for pair_id, path, cost in fetched:
-            results[int(pair_id)].append((decode_path(path), float(cost)))
-        return results
 
     # -- execution ---------------------------------------------------------
 

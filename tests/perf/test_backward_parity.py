@@ -8,8 +8,8 @@ Three independent claims, each bit-exact:
   across a random sequence of terminal sets with interleaved graph
   mutations — returns the same trees as the cold dict reference;
 * the staged pipeline returns identical rankings whichever of the new
-  settings flags (``batched_shortest_paths``, ``steiner_plan_cache``,
-  ``sql_pushdown``) is enabled, on both storage backends.
+  settings flags (``batched_shortest_paths``, ``steiner_plan_cache``) is
+  enabled, on both storage backends.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.wrapper import FullAccessWrapper
 from tests.perf.test_steiner_parity import _random_graph
 
 BACKENDS = ("memory", "sqlite")
-NEW_FLAGS = ("batched_shortest_paths", "steiner_plan_cache", "sql_pushdown")
+NEW_FLAGS = ("batched_shortest_paths", "steiner_plan_cache")
 
 
 # -- kernel-level parity ---------------------------------------------------
@@ -142,9 +142,6 @@ def test_new_flags_preserve_rankings(small_mondial, backend: str):
     for flag in NEW_FLAGS:
         flipped = QuestSettings.reference_kernels(**{flag: True})
         assert _rankings(db, texts, backend, flipped) == reference, flag
-    # SQL-prefilter-only configuration (batched paths off, pushdown on).
-    sql_only = QuestSettings(batched_shortest_paths=False, steiner_plan_cache=False)
-    assert _rankings(db, texts, backend, sql_only) == reference
 
 
 def test_reference_kernels_disable_new_flags():

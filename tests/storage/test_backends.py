@@ -429,6 +429,20 @@ class TestSearchParity:
         }
         assert summaries["memory"] == summaries["sqlite"]
 
+    def test_unbounded_count_unchanged(self, mondial_setup):
+        """Every query a full search generates counts alike on both backends."""
+        db, texts = mondial_setup
+        memory, sqlite = (create_backend(name, db) for name in BACKENDS)
+        engine = Quest(FullAccessWrapper(memory))
+        queries = [
+            explanation.query
+            for text in texts
+            for explanation in engine.search(text)
+        ]
+        assert queries
+        for query in queries:
+            assert sqlite.result_count(query) == memory.result_count(query)
+
     def test_workload_derivable_from_any_backend(self, mondial_setup):
         db, _texts = mondial_setup
         backend = create_backend("sqlite", db)
