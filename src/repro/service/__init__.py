@@ -19,7 +19,8 @@ Steiner search (``X-Quest-Deadline-Ms`` → 504 or degraded best-so-far
 answers), a circuit breaker that records SQLite read outcomes and
 reports degraded storage through ``/readyz`` (it refuses no call, so
 rankings never depend on it), revision-stale serving when storage fails
-outright, and jittered-exponential worker respawn backoff — all testable deterministically through :mod:`repro.faults`.
+outright, and jittered-exponential worker respawn backoff — all testable
+deterministically through :mod:`repro.faults`.
 """
 
 from repro.errors import (

@@ -75,11 +75,11 @@ class ServiceSettings:
         result_cache_size: rankings retained (LRU beyond that).
         metrics_window: completed requests kept for quantiles/QPS.
         serve_stale: when the engine fails on a *storage* error
-            (:class:`ExecutionError`), answer
-            from the long-TTL stale cache — rankings from an earlier
-            engine revision — instead of failing the request. Stale
-            responses carry ``source="stale"`` (the HTTP tier adds a
-            ``Warning`` header) and count in ``metrics().stale_served``.
+            (:class:`ExecutionError`), answer from the long-TTL stale
+            cache — rankings from an earlier engine revision — instead
+            of failing the request. Stale responses carry
+            ``source="stale"`` (the HTTP tier adds a ``Warning`` header)
+            and count in ``metrics().stale_served``.
         stale_ttl_s: seconds a ranking stays eligible for stale serving.
         stale_cache_size: stale rankings retained (LRU beyond that).
     """

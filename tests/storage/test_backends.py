@@ -432,7 +432,7 @@ class TestSearchParity:
     def test_unbounded_count_unchanged(self, mondial_setup):
         """Every query a full search generates counts alike on both backends."""
         db, texts = mondial_setup
-        memory, sqlite = (create_backend(name, db) for name in BACKENDS)
+        memory, sqlite = create_backend("memory", db), create_backend("sqlite", db)
         engine = Quest(FullAccessWrapper(memory))
         queries = [
             explanation.query
