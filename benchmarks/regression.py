@@ -14,9 +14,6 @@ kernels; ``reference`` = the retained pure-Python paths via
   ``fulltext-load`` (re-attaching the saved ``.npz`` artifact, the
   warm-process path that skips the build). The artifact lives in
   ``--index-cache`` so CI can carry it between steps/runs.
-* **batch_throughput** — ``search_many`` wall time serial vs forked
-  process-pool (``workers-N``), with queries/sec. Recorded, not gated:
-  the win depends on the runner's core count (reported alongside).
 * **service_throughput** — concurrent ``QuestService`` wall time over a
   warm engine: N threads replaying the workload with request coalescing
   off vs on (an identical-query storm collapses onto one pipeline run
@@ -108,11 +105,6 @@ NOISE_FLOOR_S = 0.002
 #: Scale of the index-lifecycle measurements: large enough that the
 #: build-vs-load gap reflects real row counts, small enough for CI.
 INDEX_SCALE = {"movies": 1000, "seed": 7}
-#: Fork width of the parallel batch-throughput entry. At least 2 so the
-#: fork machinery is always exercised and honestly timed — on a 1-cpu
-#: machine that records a slowdown, which is the truth of the matter
-#: (the entry reports the cpu count alongside and is never gated).
-BATCH_WORKERS = max(2, min(4, os.cpu_count() or 1))
 #: Thread count of the service-throughput storm (the acceptance
 #: criterion's ">= 8 concurrent callers" scenario).
 SERVICE_THREADS = 8
@@ -282,41 +274,6 @@ def _index_measurements(repeats: int, cache_dir: Path) -> dict[str, dict[str, di
         kernelset: {"entries": kernel_entries}
         for kernelset, kernel_entries in entries.items()
     }
-
-
-def _batch_throughput(sc, repeats: int, columnar: bool) -> dict:
-    """Serial vs forked-process ``search_many`` wall time (not gated).
-
-    Fresh engine per run (cold caches both sides — the forked pool cannot
-    share cache warm-up across workers, so a warm serial engine would be
-    an unfair baseline). Whether the fork wins depends on the runner's
-    cores; the count is recorded so readers can interpret the numbers.
-    """
-    texts = [q.text for q in sc.workload]
-    modes = {"workers-1": 1, f"workers-{BATCH_WORKERS}": BATCH_WORKERS}
-    runs: dict[str, list[float]] = {mode: [] for mode in modes}
-    for _ in range(repeats):
-        for mode, workers in modes.items():
-            engine = Quest(
-                FullAccessWrapper(create_backend("memory", sc.db)),
-                _settings(True, columnar),
-            )
-            start = time.perf_counter()
-            engine.search_many(texts, workers=workers)
-            runs[mode].append(time.perf_counter() - start)
-    report: dict[str, object] = {
-        "cpus": os.cpu_count(),
-        "queries": len(texts),
-    }
-    for mode, times in runs.items():
-        report[mode] = {
-            **_stats_of(times),
-            "queries_per_second": len(texts) / statistics.median(times),
-        }
-    serial = statistics.median(runs["workers-1"])
-    parallel = statistics.median(runs[f"workers-{BATCH_WORKERS}"])
-    report["parallel_speedup"] = serial / parallel
-    return report
 
 
 def _service_throughput(sc, repeats: int, columnar: bool) -> dict:
@@ -850,7 +807,7 @@ def run_suite(
     index_cache: Path | None = None,
 ) -> dict:
     """Measure kernels (once), per-backend cold searches, the index
-    lifecycle and batch throughput."""
+    lifecycle, the service and serving tiers."""
     sc = scenario("mondial")
     print("-- measuring kernels (interleaved kernel sets) ...", flush=True)
     kernel_entries: dict[str, dict[str, dict]] = {
@@ -874,8 +831,6 @@ def run_suite(
     else:
         index_cache.mkdir(parents=True, exist_ok=True)
         index = _index_measurements(repeats, index_cache)
-    print("-- measuring batch throughput ...", flush=True)
-    batch = _batch_throughput(sc, repeats, columnar)
     print("-- measuring service throughput ...", flush=True)
     service = _service_throughput(sc, repeats, columnar)
     print("-- measuring degraded mode (10% storage flakes) ...", flush=True)
@@ -902,7 +857,6 @@ def run_suite(
         "kernels": kernels,
         "cold_search": cold_search,
         "index": index,
-        "batch_throughput": batch,
         "service_throughput": service,
         "degraded_mode": degraded,
         "mixed_workload": mixed_section,
@@ -1058,18 +1012,6 @@ def speedup_report(current: dict, baseline: dict | None) -> str:
             f"{load['median_s'] * 1e3:.1f}ms load "
             f"({build['median_s'] / load['median_s']:.1f}x faster warm start)"
         )
-    batch = current.get("batch_throughput", {})
-    if batch:
-        parallel_mode = f"workers-{BATCH_WORKERS}"
-        serial = batch.get("workers-1", {})
-        parallel = batch.get(parallel_mode, {})
-        if serial and parallel:
-            lines.append(
-                f"  batch throughput ({batch.get('cpus')} cpus): "
-                f"{serial['queries_per_second']:.1f} q/s serial, "
-                f"{parallel['queries_per_second']:.1f} q/s {parallel_mode} "
-                f"({batch.get('parallel_speedup', 0.0):.2f}x)"
-            )
     serving = current.get("serving_storm", {})
     if serving and serving.get("requests"):
         lines.append(

@@ -1,4 +1,4 @@
-"""fork-safety: every instance-held lock must register with repro.forksafe.
+"""fork-safety: every lock must be re-created in forked children.
 
 PR 5's fork story: ``os.fork`` copies a lock in whatever state a sibling
 thread left it, so a child that inherits a *held* lock deadlocks the
@@ -11,10 +11,10 @@ registration mechanical: any class that assigns a
 this codebase is a module-level resetter plus a
 ``register_lock_holder(self, _reset_x)`` call in ``__init__``).
 
-Module-level locks are exempt: they are rebuilt per-process on import in
-forked *spawn* children and reset explicitly where it matters
-(``core/batch.py``); the fork-deadlock bugs PR 5 chased all involved
-instance state captured by a live engine.
+Module-level locks follow the same rule one level up: a module that
+creates a ``threading.Lock``/``RLock``/``Condition`` at import time must
+call ``os.register_at_fork`` to replace it in the child, as
+``repro.forksafe`` does for its own registry lock.
 """
 
 from __future__ import annotations
@@ -38,6 +38,23 @@ LOCK_CONSTRUCTORS = {
 RULE = "fork-safety"
 
 
+def _lock_binding(
+    module: ModuleInfo, node: ast.AST
+) -> tuple[list[ast.expr], str] | None:
+    """``(targets, kind)`` when *node* assigns a new threading lock."""
+    if isinstance(node, ast.Assign):
+        targets: list[ast.expr] = node.targets
+        value: ast.expr | None = node.value
+    elif isinstance(node, ast.AnnAssign):
+        targets, value = [node.target], node.value
+    else:
+        return None
+    if not isinstance(value, ast.Call):
+        return None
+    kind = LOCK_CONSTRUCTORS.get(resolved_call_name(module, value) or "")
+    return None if kind is None else (targets, kind)
+
+
 def self_lock_assignments(
     module: ModuleInfo, cls: ast.ClassDef
 ) -> list[tuple[ast.AST, str, str]]:
@@ -49,25 +66,46 @@ def self_lock_assignments(
     """
     found: list[tuple[ast.AST, str, str]] = []
     for node in ast.walk(cls):
-        if isinstance(node, ast.Assign):
-            targets: list[ast.expr] = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
+        binding = _lock_binding(module, node)
+        if binding is None:
             continue
-        if not isinstance(value, ast.Call):
-            continue
-        resolved = resolved_call_name(module, value)
-        kind = LOCK_CONSTRUCTORS.get(resolved or "")
-        if kind is None:
-            continue
+        targets, kind = binding
         for target in targets:
             if is_self_attribute(target):
                 assert isinstance(target, ast.Attribute)
                 found.append((node, target.attr, kind))
     return found
+
+
+def _module_lock_assignments(module: ModuleInfo) -> list[tuple[ast.AST, str, str]]:
+    """``(node, name, kind)`` for each lock bound at module level.
+
+    Walks the module body and its compound statements (``if``/``try``/
+    ``with``), but not function or class bodies.
+    """
+    found: list[tuple[ast.AST, str, str]] = []
+    pending: list[ast.AST] = list(module.tree.body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        binding = _lock_binding(module, node)
+        if binding is None:
+            pending.extend(ast.iter_child_nodes(node))
+            continue
+        targets, kind = binding
+        for target in targets:
+            if isinstance(target, ast.Name):
+                found.append((node, target.id, kind))
+    return found
+
+
+def _registers_at_fork(module: ModuleInfo) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and resolved_call_name(module, node) == "os.register_at_fork"
+        for node in ast.walk(module.tree)
+    )
 
 
 def _registers_forksafe(module: ModuleInfo, cls: ast.ClassDef) -> bool:
@@ -84,7 +122,9 @@ class ForkSafetyChecker(Checker):
     rule = RULE
     description = (
         "threading locks assigned to self.* must register with "
-        "repro.forksafe.register_lock_holder so forked children reset them"
+        "repro.forksafe.register_lock_holder, and a module holding a "
+        "module-level lock must call os.register_at_fork, so forked "
+        "children reset them"
     )
 
     def check_module(self, module: ModuleInfo) -> list[Finding]:
@@ -104,6 +144,18 @@ class ForkSafetyChecker(Checker):
                         f"self, but {node.name} never calls "
                         "repro.forksafe.register_lock_holder — a fork while "
                         "a sibling thread holds it deadlocks the child",
+                    )
+                )
+        if not _registers_at_fork(module):
+            for assign, name, kind in _module_lock_assignments(module):
+                findings.append(
+                    module.finding(
+                        RULE,
+                        assign,
+                        f"module-level {name} is a threading.{kind}, but "
+                        "this module never calls os.register_at_fork to "
+                        "replace it in a forked child — a fork while a "
+                        "sibling thread holds it deadlocks the child",
                     )
                 )
         return findings

@@ -164,7 +164,7 @@ class LRUCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        # The batch tier forks while sibling threads may sit inside this
+        # PreforkServer forks while sibling threads may sit inside this
         # lock; forked children get a fresh one (see repro.forksafe).
         register_lock_holder(self, _reset_cache_lock)
 

@@ -21,22 +21,19 @@ Diagnostics are *returned*, not parked on the engine: ``search_context``
 per-stage timings, candidate counts and exact cache hit/miss deltas for
 that one run. This is what makes one shared engine safe for concurrent
 callers — nothing about a query's result or its diagnostics lives in
-shared mutable engine state. :attr:`Quest.last_trace` and
-:attr:`Quest.batch_traces` survive as deprecated, lock-guarded mirrors
-for single-threaded callers; ``search_many`` batches a workload through
-the same pipeline so the emission and Steiner caches amortise repeated
-work across queries.
+shared mutable engine state. ``search_many`` batches a workload through
+the same pipeline, in process, so the emission and Steiner caches
+amortise repeated work across queries; multi-core serving forks whole
+engines instead (:class:`~repro.service.prefork.PreforkServer`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.batch import fork_available, in_worker, payload, run_forked
 from repro.core.configuration import Configuration, KeywordMapping
 from repro.core.explanation import Explanation
 from repro.core.interpretation import Interpretation
@@ -56,7 +53,7 @@ from repro.steiner.weights import build_schema_graph
 from repro.wrapper.base import SourceWrapper
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.pipeline.context import SearchContext, SearchTrace
+    from repro.pipeline.context import SearchContext
     from repro.pipeline.runner import SearchPipeline
 
 __all__ = ["Quest"]
@@ -102,52 +99,16 @@ class Quest:
             mutual_information=self.settings.mutual_information_weights,
         )
         self.pipeline = pipeline if pipeline is not None else SearchPipeline()
-        #: Guards the deprecated trace mirrors and the feedback revision.
+        #: Guards the feedback model and its revision; re-created in a
+        #: forked child (a sibling thread may hold it across the fork).
         self._state_lock = threading.Lock()
         register_lock_holder(self, _reset_engine_lock)
-        self._last_trace: "SearchTrace | None" = None
-        self._batch_traces: list["SearchTrace"] = []
         #: Bumped on every feedback-model change; part of :attr:`version`.
         self._feedback_revision = 0
         if feedback_model is not None:
             # Through the setter, so the constructor cannot bypass the
             # foreign-state-space validation.
             self.set_feedback_model(feedback_model)
-
-    # -- trace mirrors (deprecated) ------------------------------------------
-
-    @property
-    def last_trace(self) -> "SearchTrace | None":
-        """Diagnostics of the most recent full search (``None`` before any).
-
-        .. deprecated:: Shared mutable state — under concurrent callers
-           this is whichever search finished last. Use the trace on the
-           :class:`~repro.pipeline.context.SearchContext` returned by
-           :meth:`search_context` instead; the mirror is kept (lock
-           guarded) for single-threaded API compatibility.
-        """
-        with self._state_lock:
-            return self._last_trace
-
-    @property
-    def batch_traces(self) -> list["SearchTrace"]:
-        """Traces of the most recent ``search_many`` batch (a copy).
-
-        .. deprecated:: Same caveat as :attr:`last_trace` — prefer the
-           contexts returned by :meth:`search_many_contexts`.
-        """
-        with self._state_lock:
-            return list(self._batch_traces)
-
-    def _publish_trace(self, trace: "SearchTrace") -> None:
-        with self._state_lock:
-            self._last_trace = trace
-
-    def _publish_batch(self, traces: Sequence["SearchTrace"]) -> None:
-        with self._state_lock:
-            self._batch_traces = list(traces)
-            if traces:
-                self._last_trace = traces[-1]
 
     # -- feedback plumbing ---------------------------------------------------
 
@@ -315,9 +276,7 @@ class Quest:
         explanations, intermediate stage products and the exact
         :class:`~repro.pipeline.context.SearchTrace` — comes back on the
         returned context, owned solely by the caller. Any number of
-        threads may call this on one shared engine; the deprecated
-        :attr:`last_trace` mirror is still refreshed (under a lock) for
-        old single-threaded callers.
+        threads may call this on one shared engine.
 
         *deadline* (or, when absent, ``settings.default_deadline_ms``)
         bounds the run: stages degrade cooperatively to best-so-far
@@ -330,11 +289,9 @@ class Quest:
         # The kwarg is passed only when a budget exists, so pipeline
         # stand-ins predating deadlines keep working unbounded.
         extra = {} if deadline is None else {"deadline": deadline}
-        context = self.pipeline.run(
+        return self.pipeline.run(
             self, query=query, keywords=keywords, k=k, **extra
         )
-        self._publish_trace(context.trace)
-        return context
 
     def search(self, query: str, k: int | None = None) -> list[Explanation]:
         """Answer a keyword query with the top-k explanations.
@@ -361,23 +318,13 @@ class Quest:
         queries: Sequence[str],
         k: int | None = None,
         strict: bool = True,
-        workers: int | None = None,
     ) -> list[list[Explanation]]:
         """Answer a workload of queries, amortising work across them.
 
         Queries run back to back through the pipeline while the wrapper's
         emission cache and the schema graph's Steiner cache persist, so a
         workload with repeated keywords or terminal sets skips the
-        corresponding recomputation. Per-query diagnostics land in
-        :attr:`batch_traces`.
-
-        With *workers* > 1 (default: ``settings.batch_workers``) the
-        queries fan out over that many forked processes instead — the
-        CPU-bound batch-throughput mode. Workers inherit the engine by
-        fork (nothing is pickled but queries and results) and their
-        caches warm independently, so answers stay element-wise identical
-        to the sequential run; platforms without ``fork`` fall back to
-        sequential execution.
+        corresponding recomputation.
 
         Args:
             queries: raw query texts.
@@ -385,45 +332,15 @@ class Quest:
             strict: when ``False``, a query that raises (a
                 :class:`QuestError` or any wrapper failure) yields an
                 empty result list instead of aborting the batch.
-            workers: process-pool width for this batch, overriding
-                ``settings.batch_workers``.
 
         Returns:
             One ranked explanation list per query, in input order —
             element-wise identical to calling :meth:`search` per query.
         """
-        note: str | None = None
-        if workers is None:
-            workers = self.settings.batch_workers
-            # An implicit pool width degrades to sequential on a 1-CPU
-            # host: forking buys no parallelism without a second core,
-            # and the fork itself costs a copy-on-write address space
-            # per worker. An explicit ``workers=`` argument is honoured
-            # as given (benchmarks measure the pool itself).
-            if workers > 1 and os.cpu_count() == 1:
-                note = (
-                    f"batch fan-out degraded to sequential: "
-                    f"settings.batch_workers={workers} on a single-CPU host"
-                )
-                workers = 1
-        if (
-            workers > 1
-            and len(queries) > 1
-            and fork_available()
-            and not in_worker()
-        ):
-            items = [(query, k, strict) for query in queries]
-            results = run_forked(self, _forked_search_one, items, workers)
-            if results is not None:
-                self._publish_batch([trace for _explanations, trace in results])
-                return [explanations for explanations, _trace in results]
-            # A sibling thread's forked batch holds the fork machinery:
-            # degrade to the sequential loop instead of blocking on it.
-        contexts = self.search_many_contexts(queries, k=k, strict=strict)
-        if note is not None:
-            for context in contexts:
-                context.trace.notes.append(note)
-        return [context.explanations for context in contexts]
+        return [
+            context.explanations
+            for context in self.search_many_contexts(queries, k=k, strict=strict)
+        ]
 
     def search_many_contexts(
         self,
@@ -433,15 +350,11 @@ class Quest:
     ) -> list["SearchContext"]:
         """``search_many`` returning one :class:`SearchContext` per query.
 
-        The concurrency-safe batch entry point (always in-process and
-        sequential — contexts carry every intermediate product, which is
-        more than the forked tier ships back): callers own the returned
+        The concurrency-safe batch entry point: callers own the returned
         contexts outright, and each context's trace is exact for its
-        query. The deprecated mirrors are refreshed under the lock.
+        query.
         """
-        contexts = self.pipeline.run_many(self, queries, k=k, strict=strict)
-        self._publish_batch([context.trace for context in contexts])
-        return contexts
+        return self.pipeline.run_many(self, queries, k=k, strict=strict)
 
     # -- diagnostics --------------------------------------------------------
 
@@ -466,13 +379,3 @@ class Quest:
 def _reset_engine_lock(engine: "Quest") -> None:
     engine._state_lock = threading.Lock()
 
-
-def _forked_search_one(
-    item: tuple[str, int | None, bool],
-) -> tuple[list[Explanation], object]:
-    """One query of a forked ``search_many`` batch (module-level so it
-    crosses the process boundary by name; the engine arrives by fork)."""
-    query, k, strict = item
-    engine: Quest = payload()
-    context = engine.pipeline.run_many(engine, [query], k=k, strict=strict)[0]
-    return context.explanations, context.trace

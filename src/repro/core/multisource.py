@@ -25,7 +25,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Sequence
 
-from repro.core.batch import fork_available, in_worker, payload, run_forked
 from repro.core.engine import Quest
 from repro.core.explanation import Explanation
 from repro.dst.belief import rank_hypotheses
@@ -61,10 +60,6 @@ class MultiSourceQuest:
             fully sequential execution (useful for debugging and for
             differential tests against the threaded path). Defaults to
             one thread per source, capped at ``DEFAULT_MAX_WORKERS``.
-        batch_workers: process-pool width for :meth:`search_many` —
-            queries of a workload fan out over forked processes (each of
-            which still threads its per-source searches). ``None``/``1``
-            keeps the sequential per-query loop.
     """
 
     def __init__(
@@ -72,19 +67,13 @@ class MultiSourceQuest:
         engines: dict[str, Quest],
         ignorance: dict[str, float] | None = None,
         max_workers: int | None = None,
-        batch_workers: int | None = None,
     ) -> None:
         if not engines:
             raise QuestError("multi-source search needs at least one source")
         if max_workers is not None and max_workers <= 0:
             raise QuestError(f"max_workers must be positive, got {max_workers}")
-        if batch_workers is not None and batch_workers <= 0:
-            raise QuestError(
-                f"batch_workers must be positive, got {batch_workers}"
-            )
         self.engines = dict(engines)
         self.max_workers = max_workers
-        self.batch_workers = batch_workers
         #: Lazily created and reused across searches so a workload pays
         #: one thread-pool spin-up, not one per query. Creation is guarded
         #: by a lock: concurrent first searches must not race two pools
@@ -306,51 +295,12 @@ class MultiSourceQuest:
         return ranked
 
     def search_many(
-        self, queries: Sequence[str], k: int = 10, workers: int | None = None
+        self, queries: Sequence[str], k: int = 10
     ) -> list[list[tuple[str, Explanation]]]:
         """Answer a workload of queries, one merged ranking per query.
 
         Queries run back to back, so each source engine's emission and
         Steiner caches warm across the workload exactly as in
-        :meth:`Quest.search_many`. With *workers* > 1 (default:
-        ``batch_workers`` from the constructor) the queries fan out over
-        forked processes instead; each worker re-threads its per-source
-        searches, and the merged rankings stay element-wise identical to
-        the sequential loop.
+        :meth:`Quest.search_many`.
         """
-        if workers is None:
-            workers = self.batch_workers or 1
-        if (
-            workers > 1
-            and len(queries) > 1
-            and fork_available()
-            and not in_worker()
-        ):
-            # Thread pools do not survive a fork: the prefork hook
-            # releases the shared executor once the fork is actually
-            # happening (it is lazily recreated on the next threaded
-            # search, in the parent and in every worker) — a contended
-            # attempt that degrades to the sequential loop must not
-            # tear down and rebuild the pool for nothing.
-            results = run_forked(
-                self,
-                _forked_multi_search_one,
-                [(query, k) for query in queries],
-                workers,
-                prefork=self.close,
-            )
-            if results is not None:
-                return results
-            # A sibling thread's forked batch owns the fork machinery:
-            # degrade to the sequential loop instead of blocking on it.
         return [self.search(query, k) for query in queries]
-
-
-def _forked_multi_search_one(
-    item: tuple[str, int],
-) -> list[tuple[str, Explanation]]:
-    """One query of a forked multi-source batch (module-level so it
-    crosses the process boundary by name; the engines arrive by fork)."""
-    query, k = item
-    quest: MultiSourceQuest = payload()
-    return quest.search(query, k)

@@ -83,16 +83,6 @@ class QuestSettings:
             through the schema graph's revision-stamped plan cache;
             ``False`` recomputes every row from scratch. Hit/miss
             counters surface as ``SearchTrace.steiner_subset_cache``.
-        artifact_mmap: open persisted ``.npz`` columnar index artifacts
-            memory-mapped (``np.memmap`` views over the artifact file)
-            instead of materialising private in-heap copies. Scores are
-            bit-identical either way; the flag exists for deployment
-            shape — N preforked serving workers mapping one artifact
-            share a single set of physical pages through the OS page
-            cache, so worker warm start costs an open+validate instead
-            of a rebuild. Consumed by the serving tier's engine
-            factories (:mod:`repro.service.prefork`); in-process engines
-            that never load artifacts ignore it.
         default_deadline_ms: per-request time budget applied when the
             caller supplies none (HTTP requests without an
             ``X-Quest-Deadline-Ms`` header, direct ``QuestService.search``
@@ -100,16 +90,6 @@ class QuestSettings:
             pipeline returns best-so-far results with ``trace.degraded``
             set, or raises :class:`repro.errors.DeadlineExceededError`
             (HTTP 504) when nothing salvageable exists yet.
-        batch_workers: process-pool width for ``search_many`` batch
-            fan-out. ``1`` (the default) runs queries sequentially in
-            process; ``N > 1`` forks N workers for CPU-bound multi-query
-            throughput (results stay element-wise identical — per-query
-            answers never depend on cross-query cache state). Requires
-            the ``fork`` start method; platforms without it fall back to
-            sequential execution. On single-CPU hosts an implicit width
-            from this setting degrades to sequential (forking buys
-            nothing without a second core); an explicit ``workers=``
-            argument to ``search_many`` is honoured as given.
     """
 
     k: int = 10
@@ -130,9 +110,7 @@ class QuestSettings:
     columnar_index: bool = True
     batched_shortest_paths: bool = True
     steiner_plan_cache: bool = True
-    artifact_mmap: bool = True
     default_deadline_ms: float | None = None
-    batch_workers: int = 1
 
     @classmethod
     def reference_kernels(cls, **changes: object) -> "QuestSettings":
@@ -173,10 +151,6 @@ class QuestSettings:
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise QuestError(
                 f"default_deadline_ms must be positive, got {self.default_deadline_ms}"
-            )
-        if self.batch_workers <= 0:
-            raise QuestError(
-                f"batch_workers must be positive, got {self.batch_workers}"
             )
 
     def updated(self, **changes: object) -> "QuestSettings":

@@ -635,7 +635,7 @@ class FullTextIndex:
         # never searches) costs nothing.
         self._built_version = -1
         self._lock = threading.RLock()
-        # The batch tier forks while sibling searches may sit inside
+        # PreforkServer forks while sibling searches may sit inside
         # this lock (every columnar read enters it); forked children get
         # a fresh one (see repro.forksafe).
         register_lock_holder(self, _reset_fulltext_lock)

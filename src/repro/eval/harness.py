@@ -145,10 +145,8 @@ def evaluate_batch(
     go, so the emission and Steiner caches warm across queries exactly as
     they would under production traffic; per-query timings come from each
     run's own :class:`~repro.pipeline.context.SearchTrace` rather than an
-    outer stopwatch — never from the engine's shared ``batch_traces``
-    mirror, which another batch may overwrite in between. Queries that
-    fail (``context.error`` set) score as misses, matching
-    :func:`evaluate`.
+    outer stopwatch. Queries that fail (``context.error`` set) score as
+    misses, matching :func:`evaluate`.
     """
     workload_name = workload.name if isinstance(workload, Workload) else "ad-hoc"
     queries = list(workload)

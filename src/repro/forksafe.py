@@ -1,11 +1,11 @@
 """Fork-safety: library locks re-initialised in forked children.
 
-The batch tier (:mod:`repro.core.batch`) forks worker processes while
-sibling threads may be mid-search on the shared engine — and a ``fork``
-copies every lock in whatever state the instant snapshot caught it. A
-lock held by a thread that does not exist in the child would deadlock
-the first worker that touches it (the emission cache, the trace
-mirrors, ...).
+The serving tier (:class:`repro.service.prefork.PreforkServer`) forks
+worker processes off a parent whose sibling threads may be mid-search on
+a shared engine — and a ``fork`` copies every lock in whatever state the
+instant snapshot caught it. A lock held by a thread that does not exist
+in the child would deadlock the first worker that touches it (the
+emission cache, the full-text index, the engine's feedback state, ...).
 
 The cure: lock *holders* register here at construction, and an
 ``os.register_at_fork`` child hook hands every registered holder a

@@ -1,11 +1,9 @@
 """Preforked multi-worker serving: N processes, one shared artifact.
 
-The GIL denies threads real multi-core search throughput, and the
-fork-per-batch tier loses outright on small machines because every pool
-rebuilds engine state from scratch (``BENCH_e7.json``'s
-``batch_throughput.parallel_speedup`` < 1 on one CPU). This module is
-the production answer: fork the workers **once**, make their warm start
-nearly free, and let each one run its own event loop and engine.
+The GIL denies threads real multi-core search throughput. This module
+is the library's one process-parallel tier: fork the workers **once**,
+make their warm start nearly free, and let each one run its own event
+loop and engine.
 
 The accept model, in order of events:
 
@@ -164,9 +162,10 @@ def shared_artifact_engine(
     *prepare* runs once in the parent before forking: it builds (or
     validates) the ``.npz`` columnar artifact on disk, paying the index
     build exactly once per deployment. *factory* runs in each worker
-    after the fork: it re-attaches the artifact read-only — memory-mapped
-    when ``settings.artifact_mmap`` holds (the default) — and wires a
-    fresh :class:`Quest` over it. Workers never write the artifact.
+    after the fork: it re-attaches the artifact read-only and
+    memory-mapped — N workers share one set of physical pages through the
+    OS page cache — and wires a fresh :class:`Quest` over it. Workers
+    never write the artifact.
 
     The built engine exposes an ``artifact_reload()`` callable: a pinned
     reader's republish hook. It peeks the published artifact generation
@@ -198,7 +197,7 @@ def shared_artifact_engine(
             index = FullTextIndex.load_or_build(
                 artifact_path,
                 db,
-                mmap=engine_settings.artifact_mmap,
+                mmap=True,
                 readonly=True,
             )
         except Exception as exc:
@@ -225,9 +224,7 @@ def shared_artifact_engine(
                 if journal_path is not None and published > backend.applied_seq:
                     with MutationJournal(journal_path, readonly=True) as follow:
                         backend.replay_journal(follow, up_to_seq=published)
-                if not backend.maybe_reload_index(
-                    artifact_path, mmap=engine_settings.artifact_mmap
-                ):
+                if not backend.maybe_reload_index(artifact_path, mmap=True):
                     return False
             except Exception:
                 # Mid-republish torn reads, a journal not yet caught up,
@@ -470,8 +467,8 @@ class PreforkServer:
 
         Polls each known worker pid individually — a ``waitpid(-1)``
         would steal exit notifications from unrelated children of this
-        process (the batch tier's process pools live in the same
-        parent). Replacements respect the per-slot backoff schedule:
+        process (the embedding application may fork its own).
+        Replacements respect the per-slot backoff schedule:
         a reaped slot is queued with a respawn time and forked only
         once that time passes.
         """

@@ -205,8 +205,7 @@ class SQLiteBackend(StorageBackend):
         """The live connection, reopened after a fork for file-backed stores.
 
         SQLite forbids carrying a connection across ``fork()`` — workers
-        of the forked batch tier and the preforked serving tier would
-        otherwise share the parent's open file description (and its
+        of the preforked serving tier would otherwise share the parent's open file description (and its
         POSIX locks, which fork silently drops). The guard is keyed on
         pid: the first statement a forked child runs opens its own
         connection, which re-applies the WAL/busy_timeout pragmas.

@@ -62,12 +62,46 @@ def test_fork_safety_accepts_registered_lock(tmp_path):
     assert run_checker(tmp_path, ForkSafetyChecker(), {"good.py": GOOD_FORK}) == []
 
 
-def test_fork_safety_ignores_module_level_locks(tmp_path):
-    source = """
-        import threading
+BAD_MODULE_LOCK = """
+    import threading
+
+    if True:
         _LOCK = threading.Lock()
-    """
-    assert run_checker(tmp_path, ForkSafetyChecker(), {"mod.py": source}) == []
+
+    def _helper():
+        local = threading.Lock()  # a function local, not module state
+        return local
+"""
+
+GOOD_MODULE_LOCK = """
+    import os as _os
+    from threading import RLock
+
+    _LOCK: RLock = RLock()
+
+    def _reset():
+        global _LOCK
+        _LOCK = RLock()
+
+    _os.register_at_fork(after_in_child=_reset)
+"""
+
+
+def test_fork_safety_flags_module_lock_without_at_fork_hook(tmp_path):
+    findings = run_checker(
+        tmp_path, ForkSafetyChecker(), {"mod.py": BAD_MODULE_LOCK}
+    )
+    assert len(findings) == 1
+    assert findings[0].rule == "fork-safety"
+    assert "module-level _LOCK" in findings[0].message
+    assert "register_at_fork" in findings[0].message
+
+
+def test_fork_safety_accepts_module_lock_reset_at_fork(tmp_path):
+    assert (
+        run_checker(tmp_path, ForkSafetyChecker(), {"mod.py": GOOD_MODULE_LOCK})
+        == []
+    )
 
 
 def test_fork_safety_sees_aliased_imports(tmp_path):

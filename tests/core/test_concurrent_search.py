@@ -5,11 +5,16 @@ queries on a single shared ``Quest`` must produce rankings identical to
 sequential runs, every returned context must carry its *own* exact trace
 (no shared-counter attribution, no cross-talk), and the serving tier
 (``QuestService``) must keep that identity while demonstrably coalescing
-identical in-flight requests — plus the satellite fixes: the forked batch
-tier degrading (not blocking) under sibling contention and the
-``FeedbackStore`` staying safe under concurrent append/iterate.
+identical in-flight requests — plus the satellite fixes: a forked child
+of a busy engine not deadlocking on a lock a sibling thread held at the
+fork, and the ``FeedbackStore`` staying safe under concurrent
+append/iterate.
 """
 
+import json
+import os
+import select
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,12 +22,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import MultiSourceQuest, Quest
-from repro.core.batch import fork_available
 from repro.datasets import mondial
 from repro.errors import ServiceOverloadedError
 from repro.feedback import FeedbackStore
 from repro.pipeline.runner import SearchPipeline
 from repro.service import QuestService, ServiceSettings
+from repro.service.http import explanation_payload
 from repro.wrapper import FullAccessWrapper, HiddenSourceWrapper
 
 from tests.conftest import backend_for
@@ -260,94 +265,117 @@ class TestServiceConcurrency:
         assert list(refreshed.explanations) == list(first.explanations)
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-class TestForkedBatchContention:
-    def test_run_forked_yields_under_contention(self):
-        from repro.core import batch
+#: Upper bound on one forked child's ``search_many``; a child that
+#: inherited a held lock never finishes and is killed at this deadline.
+FORK_TIMEOUT_S = 60.0
 
-        assert batch._PAYLOAD_LOCK.acquire(timeout=5)
+
+def _rankings(results):
+    return json.dumps([explanation_payload(tuple(r)) for r in results])
+
+
+def _search_many_in_forked_child(engine, texts):
+    """``search_many`` run in a plain ``os.fork`` child of this process.
+
+    The child works on the engine it inherited, writes its rankings to a
+    pipe and ``os._exit``s. The parent fails the test (killing the child)
+    if no answer arrives within :data:`FORK_TIMEOUT_S`.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        status = 1
         try:
-            assert (
-                batch.run_forked(object(), _identity_worker, [1, 2, 3], 2)
-                is None
-            )
+            os.close(read_fd)
+            with os.fdopen(write_fd, "w") as pipe:
+                pipe.write(_rankings(engine.search_many(texts)))
+            status = 0
         finally:
-            batch._PAYLOAD_LOCK.release()
+            os._exit(status)
+    os.close(write_fd)
+    chunks = []
+    deadline = time.monotonic() + FORK_TIMEOUT_S
+    try:
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([read_fd], [], [], remaining)[0]:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail(f"forked search_many gave no answer in {FORK_TIMEOUT_S}s")
+            chunk = os.read(read_fd, 1 << 16)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    finally:
+        os.close(read_fd)
+        _, wait_status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(wait_status) == 0
+    return b"".join(chunks).decode()
+
+
+def _held_by_sibling(lock):
+    """Start a thread that holds *lock*; returns the event that frees it."""
+    held = threading.Event()
+    release = threading.Event()
+
+    def holder():
+        with lock:
+            held.set()
+            release.wait(120)
+
+    sibling = threading.Thread(target=holder, daemon=True)
+    sibling.start()
+    assert held.wait(5)
+    return release, sibling
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedBatchContention:
+    """A fork while a sibling thread holds an engine lock must not leave
+    the child deadlocked: :mod:`repro.forksafe` re-creates every
+    registered lock in the child (the posture ``PreforkServer`` relies
+    on when it forks workers off a live parent)."""
 
     def test_forked_batch_survives_sibling_holding_a_cache_lock(
         self, stress_engine, stress_texts
     ):
-        # A sibling thread may sit inside a cache lock at the instant the
-        # batch tier forks; the child would inherit the lock in a locked
-        # state with no owner. repro.forksafe re-initialises registered
-        # locks post-fork, so the workers must complete regardless.
-        expected = stress_engine.search_many(stress_texts[:4])
-        lock = stress_engine.wrapper.emission_cache._lock
-        assert lock.acquire(timeout=5)
+        # Warm first, so the child's batch reads the emission cache.
+        expected = _rankings(stress_engine.search_many(stress_texts[:4]))
+        release, sibling = _held_by_sibling(
+            stress_engine.wrapper.emission_cache._lock
+        )
         try:
-            results = stress_engine.search_many(stress_texts[:4], workers=2)
+            rankings = _search_many_in_forked_child(stress_engine, stress_texts[:4])
         finally:
-            lock.release()
-        assert results == expected
+            release.set()
+            sibling.join(5)
+        assert rankings == expected
 
     def test_forked_batch_survives_sibling_inside_the_fulltext_lock(
         self, stress_db, stress_texts
     ):
         # Every columnar read enters FullTextIndex._lock, so a COLD
-        # engine's forked workers must not inherit it held. An RLock is
+        # engine's forked child must not inherit it held. An RLock is
         # reentrant for the forking thread, so the holder has to be a
         # sibling thread for this to bite.
-        from repro.core import Quest
         from repro.errors import QuestError
-        from repro.wrapper import FullAccessWrapper
 
-        expected = Quest(FullAccessWrapper(backend_for(stress_db))).search_many(
-            stress_texts[:4]
+        expected = _rankings(
+            Quest(FullAccessWrapper(backend_for(stress_db))).search_many(
+                stress_texts[:4]
+            )
         )
         cold = Quest(FullAccessWrapper(backend_for(stress_db)))
         try:
             lock = cold.wrapper.fulltext._lock
         except QuestError:
             pytest.skip("backend has no in-process full-text index")
-        held = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with lock:
-                held.set()
-                release.wait(120)
-
-        sibling = threading.Thread(target=holder)
-        sibling.start()
-        assert held.wait(5)
+        release, sibling = _held_by_sibling(lock)
         try:
-            results = cold.search_many(stress_texts[:4], workers=2)
+            rankings = _search_many_in_forked_child(cold, stress_texts[:4])
         finally:
             release.set()
             sibling.join(5)
-        assert results == expected
-
-    def test_search_many_degrades_to_sequential_under_contention(
-        self, stress_engine, stress_texts
-    ):
-        from repro.core import batch
-
-        expected = stress_engine.search_many(stress_texts[:4])
-        assert batch._PAYLOAD_LOCK.acquire(timeout=5)
-        try:
-            start = time.perf_counter()
-            results = stress_engine.search_many(stress_texts[:4], workers=2)
-            elapsed = time.perf_counter() - start
-        finally:
-            batch._PAYLOAD_LOCK.release()
-        assert results == expected
-        # It ran (sequentially) instead of parking on the sibling's lock.
-        assert elapsed < 60.0
-        assert len(stress_engine.batch_traces) == 4
-
-
-def _identity_worker(item):  # pragma: no cover - never reached (lock held)
-    return item
+        assert rankings == expected
 
 
 class TestFeedbackStoreConcurrency:

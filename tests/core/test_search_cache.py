@@ -183,7 +183,10 @@ class TestSearchMany:
         sequential = [mondial_engine.search(text) for text in mondial_texts]
         batched = mondial_engine.search_many(mondial_texts)
         assert batched == sequential
-        assert len(mondial_engine.batch_traces) == len(mondial_texts)
+        contexts = mondial_engine.search_many_contexts(mondial_texts)
+        assert len(contexts) == len(mondial_texts)
+        assert [c.explanations for c in contexts] == sequential
+        assert [c.trace.query for c in contexts] == mondial_texts
 
     def test_search_many_strict_raises(self, mini_engine):
         with pytest.raises(QuestError):

@@ -90,9 +90,9 @@ class TestHarness:
     ):
         """Another batch on the same engine must not leak into the result.
 
-        A one-query batch published right after the evaluated one
-        overwrites the engine's shared ``batch_traces`` mirror; a harness
-        zipping with that mirror keeps one outcome instead of four.
+        A one-query batch run on the same engine right after the
+        evaluated one must not change the outcomes: the harness reads
+        timings from the contexts its own batch returned.
         """
         from repro.core import Quest
         from repro.eval import evaluate_batch, quest_engine

@@ -164,27 +164,3 @@ def test_subset_cache_counters_visible_in_trace(small_mondial, backend: str):
     assert warm.trace.steiner_subset_cache.size == len(engine.schema_graph.plan_cache)
     assert "subsets[" in warm.trace.summary()
 
-
-# -- the single-CPU batch degrade ------------------------------------------
-
-
-def test_single_cpu_degrades_implicit_fork_pool(small_mondial, monkeypatch):
-    db, texts = small_mondial
-    monkeypatch.setattr("repro.core.engine.os.cpu_count", lambda: 1)
-    engine = Quest(
-        FullAccessWrapper(create_backend("memory", db)),
-        QuestSettings(batch_workers=4),
-    )
-    fast = engine.search_many(texts[:2], strict=False)
-    assert len(fast) == 2
-    for trace in engine.batch_traces:
-        assert any("single-CPU" in note for note in trace.notes)
-
-
-def test_single_cpu_honours_explicit_workers(small_mondial, monkeypatch):
-    db, texts = small_mondial
-    monkeypatch.setattr("repro.core.engine.os.cpu_count", lambda: 1)
-    engine = Quest(FullAccessWrapper(create_backend("memory", db)))
-    engine.search_many(texts[:2], strict=False, workers=1)
-    for trace in engine.batch_traces:
-        assert not trace.notes

@@ -12,9 +12,6 @@ Three contracts, each asserted as *bit identity*:
   but their per-position rows preserved;
 - a save -> load round trip of the ``.npz`` artifact serves identical
   searches, and a stale artifact is refused (never silently served).
-
-Plus the batch tier: a forked ``search_many`` must return element-wise
-identical rankings to the sequential loop.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Quest, QuestSettings
-from repro.core.batch import fork_available
 from repro.datasets import mondial
 from repro.db import Column, Database, Schema, TableSchema
 from repro.db.fulltext import FullTextIndex, tokenize_value
@@ -465,27 +461,3 @@ def test_mmap_search_rankings_bit_identical(mondial_db, tmp_path):
         for answers in from_heap
     ]
 
-
-# -- forked batch tier -------------------------------------------------------
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-def test_forked_search_many_matches_sequential(mondial_db):
-    workload = mondial.workload(mondial_db, queries_per_kind=2, seed=31)
-    texts = [q.text for q in workload][:6]
-    sequential = Quest(FullAccessWrapper(MemoryBackend(mondial_db)))
-    forked = Quest(
-        FullAccessWrapper(MemoryBackend(mondial_db)),
-        QuestSettings(batch_workers=2),
-    )
-    expected = sequential.search_many(texts, strict=False)
-    actual = forked.search_many(texts, strict=False)
-    assert [
-        [(e.sql, e.probability, e.result_count) for e in answers]
-        for answers in expected
-    ] == [
-        [(e.sql, e.probability, e.result_count) for e in answers]
-        for answers in actual
-    ]
-    assert len(forked.batch_traces) == len(texts)
-    assert forked.last_trace is not None

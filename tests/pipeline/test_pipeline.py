@@ -74,8 +74,7 @@ class TestStageWrappers:
 
 class TestTrace:
     def test_search_records_trace(self, engine):
-        engine.search("kubrick movies")
-        trace = engine.last_trace
+        trace = engine.search_context("kubrick movies").trace
         assert trace is not None
         assert [report.stage for report in trace.stages] == [
             "forward",
@@ -93,10 +92,8 @@ class TestTrace:
         )
 
     def test_trace_counts_cache_deltas(self, engine):
-        engine.search("kubrick movies")
-        first = engine.last_trace
-        engine.search("kubrick movies")
-        second = engine.last_trace
+        first = engine.search_context("kubrick movies").trace
+        second = engine.search_context("kubrick movies").trace
         # Cold run computes every emission vector; warm run hits for all.
         assert first.emission_cache.misses >= 1
         assert second.emission_cache.misses == 0
@@ -105,9 +102,9 @@ class TestTrace:
         assert "emissions" in second.summary()
 
     def test_unknown_stage_lookup_raises(self, engine):
-        engine.search("kubrick movies")
+        trace = engine.search_context("kubrick movies").trace
         with pytest.raises(KeyError):
-            engine.last_trace.stage("nonexistent")
+            trace.stage("nonexistent")
 
 
 class TestPipelineComposition:
