@@ -42,10 +42,15 @@ present the harness compares and exits non-zero on regression:
   ``--tolerance`` (meaningful when baseline and current run on the same
   machine);
 * ``--relative`` mode (CI): an entry regresses when its *speedup ratio*
-  (reference / optimized, computed from per-entry **minimums** — the
-  noise-robust estimator) falls more than ``--tolerance`` below the
-  baseline's ratio. Ratios cancel machine speed, minimums cancel runner
-  jitter; a missing baseline is a hard error here, never a green gate.
+  falls more than ``--tolerance`` below the baseline's ratio. The ratio
+  is the **median of the paired per-repetition ratios** (reference run
+  *i* / optimized run *i*; the two kernel sets are timed back to back in
+  every repetition). Ratios cancel machine speed, pairing cancels load
+  transients that hit both sides of one repetition, and the median
+  ignores a single lucky or unlucky repetition — which a ratio of
+  per-side minimums does not: one fast optimized repetition alone moved
+  it by a third. A missing baseline is a hard error here, never a green
+  gate.
 
 It also reports the headline number the optimisation PR is accountable
 for: the cold-query speedup of the current optimized run against the
@@ -868,7 +873,7 @@ def _stage_entry(entry: dict | None, stage: str) -> dict | None:
     """A per-stage pseudo-entry derived from a cold-search entry.
 
     ``stage_seconds`` carries the stage's per-repetition statistics, so
-    the relative gate compares minimums exactly as it does for the
+    the relative gate pairs its repetitions exactly as it does for the
     whole-query entry; ``queries`` is copied so the workload-size
     comparability guard applies to stages too.
     """
@@ -924,6 +929,26 @@ def _stat(entry: dict | None, key: str) -> float | None:
     return float(value) if value else None
 
 
+def paired_speedup(entries: dict) -> float:
+    """Median over repetitions of reference run *i* / optimized run *i*.
+
+    Raises ``ValueError`` when the runs are not pairs: a side lacks
+    per-repetition runs, the two counts differ (a stage that did not run
+    in some repetition records fewer runs), or an optimized run is zero.
+    """
+    fast = (entries.get("optimized") or {}).get("runs")
+    slow = (entries.get("reference") or {}).get("runs")
+    if not fast or not slow:
+        raise ValueError("no per-repetition runs on both kernel sets")
+    if len(fast) != len(slow):
+        raise ValueError(
+            f"{len(fast)} optimized vs {len(slow)} reference runs are not pairs"
+        )
+    if not all(fast):
+        raise ValueError("an optimized run took zero time")
+    return statistics.median(s / f for s, f in zip(slow, fast))
+
+
 def compare(
     current: dict, baseline: dict, tolerance: float, relative: bool
 ) -> list[str]:
@@ -941,18 +966,22 @@ def compare(
         if now_queries != base_queries:
             continue
         if relative:
-            # Ratio of minimums: machine speed cancels in the ratio,
-            # runner jitter cancels in the min.
-            now_fast = _stat(entries.get("optimized"), "min_s")
+            # Median of paired per-repetition ratios: machine speed
+            # cancels in each ratio, one outlier repetition in the median.
+            # Runs that are missing or not pairs fail the gate rather than
+            # drop the entry from it; only the noise floor exempts one.
             now_slow = _stat(entries.get("reference"), "min_s")
-            base_fast = _stat(base_entries.get("optimized"), "min_s")
             base_slow = _stat(base_entries.get("reference"), "min_s")
-            if None in (now_fast, now_slow, base_fast, base_slow):
-                continue
-            if now_slow < NOISE_FLOOR_S or base_slow < NOISE_FLOOR_S:
+            if (now_slow is not None and now_slow < NOISE_FLOOR_S) or (
+                base_slow is not None and base_slow < NOISE_FLOOR_S
+            ):
                 continue  # ratio of noise is noise
-            current_ratio = now_slow / now_fast
-            baseline_ratio = base_slow / base_fast
+            try:
+                current_ratio = paired_speedup(entries)
+                baseline_ratio = paired_speedup(base_entries)
+            except ValueError as error:
+                problems.append(f"{label}: cannot gate the speedup ratio: {error}")
+                continue
             if current_ratio < baseline_ratio * (1.0 - tolerance):
                 problems.append(
                     f"{label}: speedup ratio {current_ratio:.2f}x fell below "
@@ -1092,9 +1121,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--relative",
         action="store_true",
-        help="compare optimized/reference speedup ratios (of per-entry "
-        "minimums) instead of absolute medians — use on machines unlike "
-        "the baseline's",
+        help="compare optimized/reference speedup ratios (the median of "
+        "paired per-repetition ratios) instead of absolute medians — use "
+        "on machines unlike the baseline's",
     )
     parser.add_argument(
         "--update-baseline",

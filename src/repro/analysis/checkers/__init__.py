@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis.checkers.base import Checker, ModuleInfo
+from repro.analysis.checkers.cachedhash import CachedHashChecker
 from repro.analysis.checkers.cachekeys import CacheRevisionChecker
 from repro.analysis.checkers.clocks import ClockDisciplineChecker
 from repro.analysis.checkers.faultpoints import FaultPointChecker
@@ -20,6 +21,7 @@ def all_checkers() -> list[Checker]:
         JournalDisciplineChecker(),
         FaultPointChecker(),
         ClockDisciplineChecker(),
+        CachedHashChecker(),
     ]
 
 
@@ -27,6 +29,7 @@ __all__ = [
     "Checker",
     "ModuleInfo",
     "all_checkers",
+    "CachedHashChecker",
     "CacheRevisionChecker",
     "ClockDisciplineChecker",
     "FaultPointChecker",

@@ -2,12 +2,13 @@
 
 A configuration is the forward step's output — one database term (HMM
 state) per keyword, with a confidence score. Configurations are hashable so
-they can serve as Dempster-Shafer hypotheses directly.
+they can serve as Dempster-Shafer hypotheses directly; their hash is
+computed once, at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.db.schema import ColumnRef, Schema
 from repro.hmm.states import State, StateKind
@@ -39,18 +40,33 @@ class Configuration:
     It is excluded from identity: two configurations with the same mappings
     are the *same hypothesis* regardless of who scored them, which is what
     lets Dempster's rule intersect evidence from the two operating modes.
+
+    Identity is computed once: the hash of ``mappings`` is stored at
+    construction (like :class:`~repro.db.schema.ColumnRef`'s), carried
+    over by :meth:`with_score`, recomputed on unpickle (string hashes are
+    salted per process), and lets ``__eq__`` reject unequal hashes before
+    comparing mappings.
     """
 
     mappings: tuple[KeywordMapping, ...]
     score: float = 0.0
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.mappings))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.mappings == other.mappings
+        return self._hash == other._hash and self.mappings == other.mappings
 
     def __hash__(self) -> int:
-        return hash(self.mappings)
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Configuration, (self.mappings, self.score))
 
     # -- accessors -----------------------------------------------------------
 
@@ -105,8 +121,12 @@ class Configuration:
         return frozenset(terminals)
 
     def with_score(self, score: float) -> "Configuration":
-        """The same hypothesis re-scored."""
-        return Configuration(self.mappings, score)
+        """The same hypothesis re-scored (its stored hash is copied)."""
+        clone = object.__new__(Configuration)
+        object.__setattr__(clone, "mappings", self.mappings)
+        object.__setattr__(clone, "score", score)
+        object.__setattr__(clone, "_hash", self._hash)
+        return clone
 
     def __str__(self) -> str:
         body = ", ".join(str(m) for m in self.mappings)

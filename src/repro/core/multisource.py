@@ -236,11 +236,14 @@ class MultiSourceQuest:
         if not any(per_source.values()):
             return []
 
-        # One body of evidence per source over the union frame of answers.
-        frame = frozenset(
-            (name, explanation.query.signature())
-            for name, explanations in per_source.items()
-            for explanation in explanations
+        # One body of evidence per source over the union frame of answers,
+        # in source-then-rank order (not a hash-salted set's order).
+        frame = list(
+            dict.fromkeys(
+                (name, explanation.query.signature())
+                for name, explanations in per_source.items()
+                for explanation in explanations
+            )
         )
         # One shared interning for the whole combination chain (no
         # per-combine re-encoding). The bitmask loop runs only when every

@@ -27,7 +27,9 @@ class ColumnRef:
     adjacency, shortest-path maps, full-text postings — so the hash of the
     two-string tuple is computed once at construction and cached rather
     than recomputed per lookup. The cached value equals what the generated
-    dataclass ``__hash__`` would return.
+    dataclass ``__hash__`` would return. String hashes are salted per
+    process, so unpickling rebuilds the object (and its hash) from the two
+    names instead of restoring the stored integer.
     """
 
     table: str
@@ -39,6 +41,9 @@ class ColumnRef:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (ColumnRef, (self.table, self.column))
 
     def __str__(self) -> str:
         return f"{self.table}.{self.column}"

@@ -15,8 +15,10 @@ focal sets were built.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable, Iterable
 
+from repro.bits import iter_bits
 from repro.dst.mass import MassFunction
 
 __all__ = ["belief", "plausibility", "pignistic", "rank_hypotheses"]
@@ -44,12 +46,31 @@ def plausibility(
 
 def pignistic(mass_function: MassFunction) -> dict[Hashable, float]:
     """Smets' pignistic probability: mass spread uniformly inside focals."""
-    probabilities: dict[Hashable, float] = {}
-    iter_hypotheses = mass_function.interning.iter_hypotheses
+    hypothesis = mass_function.interning.hypothesis
+    return {
+        hypothesis(bit): probability
+        for bit, probability in _pignistic_bits(mass_function).items()
+    }
+
+
+def _pignistic_bits(mass_function: MassFunction) -> dict[int, float]:
+    """:func:`pignistic` keyed on bit positions (no hypothesis is hashed).
+
+    Keys appear in first-reached order (focals in assignment order, bits
+    ascending within a focal) and each probability sums its shares in
+    that order, so mapping the keys back to hypotheses gives exactly the
+    hypothesis-keyed dictionary.
+    """
+    probabilities: dict[int, float] = {}
+    get = probabilities.get
     for focal, mass in mass_function.mask_items():
+        if not focal & (focal - 1):  # a singleton: its whole mass, unsplit
+            bit = focal.bit_length() - 1
+            probabilities[bit] = get(bit, 0.0) + mass
+            continue
         share = mass / focal.bit_count()
-        for hypothesis in iter_hypotheses(focal):
-            probabilities[hypothesis] = probabilities.get(hypothesis, 0.0) + share
+        for bit in iter_bits(focal):
+            probabilities[bit] = get(bit, 0.0) + share
     return probabilities
 
 
@@ -60,7 +81,27 @@ def rank_hypotheses(
 
     Ties break on the string rendering of the hypothesis so rankings are
     deterministic across runs. Returns at most *k* entries when given.
+
+    The order is exactly ``sorted(items, key=(-p, str(h)))``, but ``str``
+    is only computed inside runs of equal probability (and only for runs
+    that start inside the top *k*): Python's sort is stable, so sorting
+    by probability first and then each tied run by string gives the same
+    sequence while skipping the renderings that cannot matter.
     """
-    scored = pignistic(mass_function)
-    ordered = sorted(scored.items(), key=lambda item: (-item[1], str(item[0])))
-    return ordered if k is None else ordered[:k]
+    hypothesis = mass_function.interning.hypothesis
+    ordered = sorted(
+        _pignistic_bits(mass_function).items(), key=itemgetter(1), reverse=True
+    )
+    limit = len(ordered if k is None else ordered[:k])
+    start = 0
+    while start < limit:
+        probability = ordered[start][1]
+        stop = start + 1
+        while stop < len(ordered) and ordered[stop][1] == probability:
+            stop += 1
+        if stop - start > 1:
+            ordered[start:stop] = sorted(
+                ordered[start:stop], key=lambda item: str(hypothesis(item[0]))
+            )
+        start = stop
+    return [(hypothesis(bit), p) for bit, p in ordered[:limit]]

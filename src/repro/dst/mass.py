@@ -20,7 +20,7 @@ callers observe exactly the pre-bitmask behaviour.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.bits import iter_bits
 from repro.errors import CombinationError
@@ -29,6 +29,13 @@ __all__ = ["FrameInterning", "MassFunction"]
 
 Hypothesis = Hashable
 FocalElement = frozenset
+
+
+def _check_scores(scores: Iterable[float], ignorance: float) -> None:
+    if not 0.0 <= ignorance <= 1.0:
+        raise CombinationError(f"ignorance must be in [0, 1], got {ignorance}")
+    if any(s < 0.0 for s in scores):
+        raise CombinationError("scores must be non-negative")
 
 
 class FrameInterning:
@@ -41,6 +48,13 @@ class FrameInterning:
     order and never reassigned, so existing masks stay valid as the
     interning grows. Sharing one interning across threads is safe only for
     read access; QUEST's pipelines build their internings per query.
+
+    The pipeline builds its internings from *ordered* lists, never from a
+    ``frozenset`` (whose iteration order follows the per-process string
+    hash salt): the combine stage interns its interpretations in list
+    order through :class:`~repro.core.interpretation.InterpretationFrame`,
+    so bit ``i`` is interpretation id ``i`` and focal masks are built by
+    OR-ing bits, without looking a hypothesis up again.
     """
 
     __slots__ = ("_index", "_hypotheses", "_members")
@@ -107,11 +121,9 @@ class FrameInterning:
             self._members[mask] = cached
         return cached
 
-    def iter_hypotheses(self, mask: int) -> Iterator[Hypothesis]:
-        """Iterate a bitmask's hypotheses in bit (first-interned) order."""
-        hypotheses = self._hypotheses
-        for bit in iter_bits(mask):
-            yield hypotheses[bit]
+    def hypothesis(self, bit: int) -> Hypothesis:
+        """The hypothesis interned at bit position *bit*."""
+        return self._hypotheses[bit]
 
 
 class MassFunction:
@@ -126,6 +138,8 @@ class MassFunction:
         interning: the hypothesis interning to encode against; pass one
             shared instance when several mass functions will be combined
             (see :class:`FrameInterning`), else a private one is created.
+        frame_mask: the frame as a bitmask already encoded against
+            *interning* (joined with *frame* when both are given).
     """
 
     __slots__ = ("_interning", "_frame_mask", "_masses")
@@ -135,14 +149,15 @@ class MassFunction:
         masses: Mapping[frozenset, float] | None = None,
         frame: Iterable[Hypothesis] | None = None,
         interning: FrameInterning | None = None,
+        frame_mask: int = 0,
     ) -> None:
         self._interning = interning if interning is not None else FrameInterning()
         #: masks keyed by focal bitmask, in assignment order (matching the
         #: insertion order the frozenset-keyed dict used to have).
         self._masses: dict[int, float] = {}
-        self._frame_mask: int = (
-            self._interning.mask_of(frame) if frame is not None else 0
-        )
+        self._frame_mask: int = frame_mask
+        if frame is not None:
+            self._frame_mask |= self._interning.mask_of(frame)
         if masses:
             for focal, mass in masses.items():
                 self.assign(frozenset(focal), mass)
@@ -166,32 +181,55 @@ class MassFunction:
         defaults to the scored hypotheses but is typically the *union* of
         both sources' candidates.
         """
-        if not 0.0 <= ignorance <= 1.0:
-            raise CombinationError(f"ignorance must be in [0, 1], got {ignorance}")
-        positive = {h: s for h, s in scores.items() if s > 0.0}
-        if any(s < 0.0 for s in scores.values()):
-            raise CombinationError("scores must be non-negative")
+        _check_scores(scores.values(), ignorance)
         mass_function = cls(frame=frame, interning=interning)
-        encode = mass_function._interning
-        frame_mask = mass_function._frame_mask
-        for hypothesis in positive:
-            frame_mask |= 1 << encode.intern(hypothesis)
-        mass_function._frame_mask = frame_mask
-        total = sum(positive.values())
+        intern = mass_function._interning.intern
+        return mass_function._commit_scores(
+            [(1 << intern(h), s) for h, s in scores.items() if s > 0.0],
+            ignorance,
+        )
+
+    @classmethod
+    def from_bit_scores(
+        cls,
+        scores: Sequence[float],
+        ignorance: float,
+        interning: FrameInterning,
+    ) -> "MassFunction":
+        """:meth:`from_scores` for hypotheses already interned in order.
+
+        ``scores[i]`` is the score of the hypothesis at bit ``i`` of
+        *interning*, and the frame is bits ``0 .. len(scores) - 1``. No
+        hypothesis is looked up: this is the combine stage's path, whose
+        hypotheses were numbered when it interned them.
+        """
+        _check_scores(scores, ignorance)
+        mass_function = cls(interning=interning, frame_mask=(1 << len(scores)) - 1)
+        return mass_function._commit_scores(
+            [(1 << bit, s) for bit, s in enumerate(scores) if s > 0.0], ignorance
+        )
+
+    def _commit_scores(
+        self, positive: list[tuple[int, float]], ignorance: float
+    ) -> "MassFunction":
+        """Singleton masses from ``(bit mask, score > 0)`` pairs, plus Θ."""
+        frame_mask = self._frame_mask
+        for mask, _score in positive:
+            frame_mask |= mask
+        self._frame_mask = frame_mask
+        total = sum(score for _mask, score in positive)
         if total <= 0.0:
             # No committed evidence at all: total ignorance.
             if not frame_mask:
                 raise CombinationError("cannot build evidence over an empty frame")
-            mass_function._assign_mask(frame_mask, 1.0)
-            return mass_function
+            self._assign_mask(frame_mask, 1.0)
+            return self
         budget = 1.0 - ignorance
-        for hypothesis, score in positive.items():
-            mass_function._assign_mask(
-                1 << encode.intern(hypothesis), budget * score / total
-            )
+        for mask, score in positive:
+            self._assign_mask(mask, budget * score / total)
         if ignorance > 0.0:
-            mass_function._assign_mask(frame_mask, ignorance)
-        return mass_function
+            self._assign_mask(frame_mask, ignorance)
+        return self
 
     @classmethod
     def vacuous(
@@ -212,15 +250,17 @@ class MassFunction:
         """Add *mass* to a focal element (accumulating)."""
         if mass < 0.0:
             raise CombinationError(f"negative mass {mass} on {set(focal)}")
-        mask = self._interning.mask_of(focal)
+        self.assign_mask(self._interning.mask_of(focal), mass)
+
+    def assign_mask(self, mask: int, mass: float) -> None:
+        """:meth:`assign` for a focal element already encoded as a bitmask."""
+        if mass < 0.0:
+            raise CombinationError(f"negative mass {mass} on focal mask {mask:#x}")
         if not mask:
             if mass > 0.0:
                 raise CombinationError("the empty set cannot carry mass")
             return
-        if mass == 0.0:
-            return
-        self._frame_mask |= mask
-        self._masses[mask] = self._masses.get(mask, 0.0) + mass
+        self._assign_mask(mask, mass)
 
     def _assign_mask(self, mask: int, mass: float) -> None:
         """Accumulate *mass* on an already-encoded non-empty focal bitmask."""

@@ -26,7 +26,11 @@ from typing import TYPE_CHECKING
 
 from repro.core.configuration import Configuration
 from repro.core.explanation import Explanation
-from repro.core.interpretation import Interpretation, tree_score
+from repro.core.interpretation import (
+    Interpretation,
+    InterpretationFrame,
+    tree_score,
+)
 from repro.core.query_builder import build_query
 from repro.dst.belief import rank_hypotheses
 from repro.dst.combine import dempster_combine
@@ -127,12 +131,13 @@ class ForwardStage(PipelineStage):
         k: int,
     ) -> list[Configuration]:
         """DST combination of the a-priori and feedback decoders."""
-        frame = frozenset(c.with_score(0.0) for c in apriori + feedback)
+        frame = [c.with_score(0.0) for c in apriori + feedback]
         apriori_scores = {c.with_score(0.0): c.score for c in apriori}
         feedback_scores = {c.with_score(0.0): c.score for c in feedback}
         # One shared interning: both bodies and their combination encode
         # focal bitmasks against the same hypothesis->bit mapping, so the
-        # combine never re-interns a frame mid-flight.
+        # combine never re-interns a frame mid-flight. Bits follow the
+        # decoders' order, not a hash-salted set's.
         interning = FrameInterning(frame)
         apriori_mass = MassFunction.from_scores(
             apriori_scores,
@@ -323,6 +328,14 @@ class CombineStage(PipelineStage):
     backward evidence commits mass to individual interpretations. The
     Dempster intersection concentrates belief on join paths that both a
     likely configuration and a short informative tree support.
+
+    The stage first numbers the interpretations with per-query integer
+    ids, in list order (:class:`~repro.core.interpretation.InterpretationFrame`;
+    one dictionary lookup each, on the hash stored at construction). Id
+    ``i`` is bit ``i`` of the shared interning, a forward focal is the OR
+    of its configuration's bits and the backward body is built from the
+    per-id scores, so no hash is recomputed and no ``frozenset`` is built
+    on the default (bitmask) path.
     """
 
     name = "combine"
@@ -339,41 +352,34 @@ class CombineStage(PipelineStage):
         k = context.rank_k
         if k is None:
             k = max(context.pool, len(interpretations))
-        frame = frozenset(interpretations)
+        frame = InterpretationFrame(context.configurations, interpretations)
         # Shared hypothesis interning for both evidence bodies (see
-        # ForwardStage._combine_modes).
-        interning = FrameInterning(frame)
+        # ForwardStage._combine_modes): bit i is interpretation id i.
+        interning = frame.interning
+        frame_mask = (1 << len(interning)) - 1
 
-        forward_mass = MassFunction(frame=frame, interning=interning)
-        by_configuration: dict[Configuration, set[Interpretation]] = {}
-        for interpretation in interpretations:
-            by_configuration.setdefault(
-                interpretation.configuration, set()
-            ).add(interpretation)
+        forward_mass = MassFunction(interning=interning, frame_mask=frame_mask)
+        group_masks = frame.group_masks
         supported = [
-            c
-            for c in context.configurations
-            if c in by_configuration and c.score > 0.0
+            (c, group_masks[group])
+            for c, group in zip(context.configurations, frame.config_groups)
+            if group in group_masks and c.score > 0.0
         ]
-        total_score = sum(c.score for c in supported)
+        total_score = sum(c.score for c, _mask in supported)
+        uncertainty = engine.settings.uncertainty_forward
         if total_score > 0.0:
-            budget = 1.0 - engine.settings.uncertainty_forward
-            for configuration in supported:
-                forward_mass.assign(
-                    frozenset(by_configuration[configuration]),
-                    budget * configuration.score / total_score,
+            budget = 1.0 - uncertainty
+            for configuration, mask in supported:
+                forward_mass.assign_mask(
+                    mask, budget * configuration.score / total_score
                 )
-            if engine.settings.uncertainty_forward > 0.0:
-                forward_mass.assign(frame, engine.settings.uncertainty_forward)
+            if uncertainty > 0.0:
+                forward_mass.assign_mask(frame_mask, uncertainty)
         else:
-            forward_mass = MassFunction.vacuous(frame, interning=interning)
+            forward_mass.assign_mask(frame_mask, 1.0)
 
-        backward_scores = {i: i.score for i in interpretations}
-        backward_mass = MassFunction.from_scores(
-            backward_scores,
-            engine.settings.uncertainty_backward,
-            frame,
-            interning=interning,
+        backward_mass = MassFunction.from_bit_scores(
+            frame.scores, engine.settings.uncertainty_backward, interning
         )
 
         try:

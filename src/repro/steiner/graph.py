@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,11 +64,16 @@ class SchemaEdge:
     weight: float
     kind: str  # "intra" (pk-to-attribute) or "join" (pk-fk pair)
     foreign_key: ForeignKey | None = None
+    _key: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", frozenset((self.left, self.right)))
 
     @property
     def key(self) -> frozenset:
-        """Order-insensitive identity of the edge."""
-        return frozenset((self.left, self.right))
+        """Order-insensitive identity of the edge (computed once: every
+        tree signature over this edge shares the one frozenset)."""
+        return self._key
 
     def other(self, node: ColumnRef) -> ColumnRef:
         """The endpoint opposite *node*."""

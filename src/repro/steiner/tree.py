@@ -26,6 +26,11 @@ class SteinerTree:
     tree per configuration, so the per-instance ``__dict__`` is worth
     dropping on this hot path.
 
+    The node set and the :meth:`signature` are computed once, at
+    construction: trees come out of the cross-query Steiner cache and are
+    re-read by every query that reuses them, and the signature is half of
+    every interpretation's identity.
+
     Attributes:
         terminals: the attributes the tree was required to connect.
         edges: the tree edges (may be empty when all terminals coincide).
@@ -36,6 +41,7 @@ class SteinerTree:
     edges: frozenset
     weight: float
     _nodes: frozenset = field(init=False, repr=False, compare=False, hash=False)
+    _signature: frozenset = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         nodes: set[ColumnRef] = set(self.terminals)
@@ -43,6 +49,9 @@ class SteinerTree:
             nodes.add(edge.left)
             nodes.add(edge.right)
         object.__setattr__(self, "_nodes", frozenset(nodes))
+        object.__setattr__(
+            self, "_signature", frozenset(edge.key for edge in self.edges)
+        )
 
     # -- structure -----------------------------------------------------------
 
@@ -76,8 +85,12 @@ class SteinerTree:
         return tuple(keys)
 
     def signature(self) -> frozenset:
-        """Order-insensitive identity: the set of edge keys."""
-        return frozenset(edge.key for edge in self.edges)
+        """Order-insensitive identity: the set of edge keys.
+
+        Computed once at construction; ``frozenset`` caches its own hash,
+        so hashing the returned value again is free.
+        """
+        return self._signature
 
     # -- validation -----------------------------------------------------------
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from repro.analysis import analyze_paths
 from repro.analysis.checkers import (
+    CachedHashChecker,
     CacheRevisionChecker,
     ClockDisciplineChecker,
     FaultPointChecker,
@@ -452,6 +453,69 @@ def test_clock_discipline_flags_from_import_alias(tmp_path):
         tmp_path, ClockDisciplineChecker(), {"pipeline/mod.py": source}
     )
     assert len(findings) == 1
+
+
+# -- cached-hash -----------------------------------------------------------
+
+
+BAD_CACHED_HASH = """
+    from dataclasses import dataclass, field
+
+    @dataclass(frozen=True)
+    class Ref:
+        name: str
+        _hash: int = field(init=False, repr=False, compare=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "_hash", hash(self.name))
+
+        def __hash__(self):
+            return self._hash
+"""
+
+GOOD_CACHED_HASH = BAD_CACHED_HASH + """
+        def __reduce__(self):
+            return (Ref, (self.name,))
+"""
+
+
+def test_cached_hash_flags_hash_restored_by_pickle(tmp_path):
+    findings = run_checker(
+        tmp_path, CachedHashChecker(), {"mod.py": BAD_CACHED_HASH}
+    )
+    assert len(findings) == 1
+    assert "Ref.__hash__ returns self._hash" in findings[0].message
+
+
+def test_cached_hash_accepts_rebuild_on_unpickle(tmp_path):
+    assert (
+        run_checker(tmp_path, CachedHashChecker(), {"mod.py": GOOD_CACHED_HASH})
+        == []
+    )
+
+
+def test_cached_hash_accepts_setstate_that_recomputes(tmp_path):
+    source = BAD_CACHED_HASH + """
+        def __setstate__(self, state):
+            object.__setattr__(self, "name", state["name"])
+            self.__post_init__()
+    """
+    assert run_checker(tmp_path, CachedHashChecker(), {"mod.py": source}) == []
+
+
+def test_cached_hash_ignores_hash_computed_per_call(tmp_path):
+    source = """
+        class Ref:
+            def __init__(self, name):
+                self.name = name
+
+            def __post_init__(self):
+                self.label = self.name.upper()
+
+            def __hash__(self):
+                return hash(self.name)
+    """
+    assert run_checker(tmp_path, CachedHashChecker(), {"mod.py": source}) == []
 
 
 # -- whole-tree self-gate --------------------------------------------------

@@ -144,6 +144,7 @@ def test_list_rules_names_all_six():
     for rule in (
         "fork-safety", "lock-order", "cache-revision",
         "journal-discipline", "fault-points", "clock-discipline",
+        "cached-hash",
     ):
         assert rule in text
 

@@ -9,13 +9,18 @@ paths or on the retained pure-Python references.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import Quest, QuestSettings
 from repro.datasets import mondial
 from repro.wrapper import FullAccessWrapper
 
-from tests.conftest import backend_for
+from tests.conftest import TEST_BACKEND, backend_for
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +84,49 @@ def test_stage_products_identical(mondial_pair):
     slow_ranked = reference.combine(slow_configurations, slow_interpretations)
     assert fast_ranked == slow_ranked
     assert [i.score for i in fast_ranked] == [i.score for i in slow_ranked]
+
+
+#: One process's rankings of a mondial gold subset, as JSON on stdout:
+#: per query the full ``ranked`` list (``str`` and ``repr`` of the score)
+#: and the explanation payload the serving tier sends.
+_RANK_IN_PROCESS = """
+import json, sys
+from repro.core import Quest
+from repro.datasets import mondial
+from repro.service.http import explanation_payload
+from repro.storage import create_backend
+from repro.wrapper import FullAccessWrapper
+
+db = mondial.generate(countries=12, seed=29)
+gold = list(mondial.workload(db, queries_per_kind=3, seed=31))[:12]
+engine = Quest(FullAccessWrapper(create_backend(sys.argv[1], db)))
+out = []
+for query in gold:
+    context = engine.search_context(query.text)
+    out.append({
+        "ranked": [[str(i), repr(i.score)] for i in context.ranked],
+        "explanations": explanation_payload(tuple(context.explanations)),
+    })
+sys.stdout.write(json.dumps(out))
+"""
+
+
+def _rank_under_hash_seed(seed: int) -> bytes:
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _RANK_IN_PROCESS, TEST_BACKEND],
+        capture_output=True,
+        env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src),
+        timeout=300,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+def test_rankings_do_not_depend_on_the_hash_seed():
+    """Hypothesis bits follow creation order, not a salted set's order:
+    two processes with different string-hash salts rank byte-identically."""
+    first = _rank_under_hash_seed(1)
+    assert b'"ranked": [["Interpretation(' in first
+    assert _rank_under_hash_seed(2) == first
