@@ -1,8 +1,8 @@
 """Perf-regression harness over the E7 micro workload.
 
-Measures two groups per kernel set (``optimized`` = the default numeric
-kernels; ``reference`` = the retained pure-Python paths via
-``QuestSettings.reference_kernels()``):
+Measures two groups per kernel set (``optimized`` = the engine's numeric
+kernels; ``reference`` = their retained pure-Python twins, called directly
+or, for whole searches, swapped in by ``tests.oracle.reference_kernels()``):
 
 * **kernels** — List Viterbi, top-k Steiner, Dreyfus-Wagner, KMB and
   Dempster combination micro-timings. These are storage-backend
@@ -56,6 +56,11 @@ It also reports the headline number the optimisation PR is accountable
 for: the cold-query speedup of the current optimized run against the
 committed baseline's reference kernels.
 
+The paired sections (kernels, cold_search, index) are timed with the
+process pinned to its lowest CPU, so both kernel sets of a pair run on the
+same core; the original affinity is restored before the service and
+serving sections start their threads and forked workers.
+
 Usage::
 
     python benchmarks/regression.py                   # measure + compare
@@ -66,6 +71,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import json
 import os
@@ -82,21 +88,24 @@ for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
         sys.path.insert(0, entry)
 
 from benchmarks._common import scenario  # noqa: E402
-from repro.core import Quest, QuestSettings  # noqa: E402
+from repro.core import Quest  # noqa: E402
 from repro.datasets import imdb  # noqa: E402
 from repro.db import Catalog, ColumnRef  # noqa: E402
 from repro.db.fulltext import FullTextIndex  # noqa: E402
-from repro.dst import combine_scores  # noqa: E402
-from repro.hmm import list_viterbi  # noqa: E402
+from repro.dst import combine_scores, rank_hypotheses  # noqa: E402
+from repro.dst.combine import dempster_combine_reference, evidence_bodies  # noqa: E402
+from repro.hmm import list_viterbi, list_viterbi_reference  # noqa: E402
 from repro.pipeline.context import SearchContext  # noqa: E402
 from repro.steiner import (  # noqa: E402
     approximate_steiner_tree,
     build_schema_graph,
     exact_steiner_tree,
     top_k_steiner_trees,
+    top_k_steiner_trees_reference,
 )
 from repro.storage import create_backend  # noqa: E402
 from repro.wrapper import FullAccessWrapper  # noqa: E402
+from tests.oracle import reference_kernels  # noqa: E402
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_e7.json"
 KERNELSETS = ("optimized", "reference")
@@ -115,10 +124,20 @@ INDEX_SCALE = {"movies": 1000, "seed": 7}
 SERVICE_THREADS = 8
 
 
-def _settings(optimized: bool, columnar: bool = True) -> QuestSettings:
-    if not optimized:
-        return QuestSettings.reference_kernels()
-    return QuestSettings(columnar_index=columnar)
+@contextlib.contextmanager
+def _pinned_to_one_cpu():
+    """Pin this process to its lowest CPU; restore the affinity on exit.
+
+    Both kernel sets of a pair then share one core's caches and clock,
+    and the scheduler cannot migrate one side mid-run. Only this
+    process's own affinity changes.
+    """
+    original = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(original)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, original)
 
 
 def _stats_of(runs: list[float]) -> dict[str, object]:
@@ -174,7 +193,8 @@ def _kernel_measurements(sc) -> dict[str, dict[str, object]]:
 
     def cold_topk(optimized: bool):
         graph.steiner_cache.clear()
-        top_k_steiner_trees(graph, terminals, 10, interned=optimized)
+        topk = top_k_steiner_trees if optimized else top_k_steiner_trees_reference
+        topk(graph, terminals, 10)
 
     def cold_exact(optimized: bool):
         graph.reset_derived_caches()
@@ -218,25 +238,32 @@ def _kernel_measurements(sc) -> dict[str, dict[str, object]]:
             for kernelset in KERNELSETS
         }
 
+    def ds_combine(size: int, optimized: bool):
+        if optimized:
+            combine_scores(*frames[size], 0.3, 0.3, k=10)
+        else:
+            rank_hypotheses(
+                dempster_combine_reference(
+                    *evidence_bodies(*frames[size], 0.3, 0.3)
+                ),
+                10,
+            )
+
     return {
         "list-viterbi T=5 k=30": variants(
-            lambda optimized: list_viterbi(
-                model, emissions, 30, vectorized=optimized
-            )
+            lambda optimized: (
+                list_viterbi if optimized else list_viterbi_reference
+            )(model, emissions, 30)
         ),
         "top-k-steiner k=10": variants(cold_topk),
         "exact-steiner t=3": variants(cold_exact),
         "exact-steiner warm-overlap": variants(warm_overlap),
         "kmb-approx t=3 steady": variants(steady_kmb),
         "ds-combine frame=100": variants(
-            lambda optimized: combine_scores(
-                *frames[100], 0.3, 0.3, k=10, bitmask=optimized
-            )
+            lambda optimized: ds_combine(100, optimized)
         ),
         "ds-combine frame=400": variants(
-            lambda optimized: combine_scores(
-                *frames[400], 0.3, 0.3, k=10, bitmask=optimized
-            )
+            lambda optimized: ds_combine(400, optimized)
         ),
     }
 
@@ -281,7 +308,7 @@ def _index_measurements(repeats: int, cache_dir: Path) -> dict[str, dict[str, di
     }
 
 
-def _service_throughput(sc, repeats: int, columnar: bool) -> dict:
+def _service_throughput(sc, repeats: int) -> dict:
     """Concurrent ``QuestService`` storm, coalescing off vs on (not gated).
 
     One engine, warmed over the workload first (this measures the
@@ -297,10 +324,7 @@ def _service_throughput(sc, repeats: int, columnar: bool) -> dict:
     from repro.service import QuestService, ServiceSettings
 
     texts = [q.text for q in sc.workload]
-    engine = Quest(
-        FullAccessWrapper(create_backend("memory", sc.db)),
-        _settings(True, columnar),
-    )
+    engine = Quest(FullAccessWrapper(create_backend("memory", sc.db)))
     engine.search_many(texts)  # warm the emission/Steiner caches
     jobs = [text for text in texts for _ in range(SERVICE_THREADS)]
     report: dict[str, object] = {
@@ -346,7 +370,7 @@ DEGRADED_FLAKE_RATE = 0.10
 DEGRADED_FAULT_SEED = 17
 
 
-def _degraded_mode(sc, repeats: int, columnar: bool) -> dict:
+def _degraded_mode(sc, repeats: int) -> dict:
     """Service throughput under a 10% storage-flake rate (not gated).
 
     One SQLite-backed engine (the ``storage.query`` fault point fires
@@ -370,7 +394,7 @@ def _degraded_mode(sc, repeats: int, columnar: bool) -> dict:
 
     texts = [q.text for q in sc.workload]
     backend = SQLiteBackend.from_database(sc.db)
-    engine = Quest(FullAccessWrapper(backend), _settings(True, columnar))
+    engine = Quest(FullAccessWrapper(backend))
     engine.search_many(texts)  # warm the emission/Steiner caches
     jobs = [text for text in texts for _ in range(SERVICE_THREADS)]
     service = QuestService(
@@ -451,7 +475,7 @@ MIXED_SEED = 11
 MIXED_PROFILES = ("ecommerce", "oltp")
 
 
-def _mixed_workload(repeats: int, columnar: bool) -> dict:
+def _mixed_workload(repeats: int) -> dict:
     """Search latency while writers churn (the live-mutation section).
 
     One memory-backed engine per profile over a *private* mondial
@@ -493,9 +517,7 @@ def _mixed_workload(repeats: int, columnar: bool) -> dict:
                     Path(scratch) / f"{profile}-{repeat}.journal"
                 )
                 backend.attach_journal(journal)
-                engine = Quest(
-                    FullAccessWrapper(backend), _settings(True, columnar)
-                )
+                engine = Quest(FullAccessWrapper(backend))
                 ops = mixed.generate_ops(
                     db, MIXED_OPS, profile=profile, seed=MIXED_SEED
                 )
@@ -553,7 +575,7 @@ def _quantile(sorted_values: list[float], q: float) -> float:
 
 
 def _serving_storm(
-    repeats: int, columnar: bool, cache_dir: Path
+    repeats: int, cache_dir: Path
 ) -> tuple[dict, list[str]]:
     """The preforked HTTP tier under a concurrent client storm.
 
@@ -578,8 +600,7 @@ def _serving_storm(
     sc = scenario("mondial")
     texts = [q.text for q in sc.workload][:STORM_QUERIES]
     artifact = cache_dir / "mondial-serving.npz"
-    settings = _settings(True, columnar)
-    prepare, factory = shared_artifact_engine(sc.db, artifact, settings)
+    prepare, factory = shared_artifact_engine(sc.db, artifact)
     prepare()
 
     # Per-worker warm start: what one forked worker pays to become
@@ -707,13 +728,10 @@ def _serving_storm(
     return report, failures
 
 
-def profile_cold_query(backend: str, columnar: bool) -> None:
+def profile_cold_query(backend: str) -> None:
     """Per-stage cProfile of one cold query (top 20 by cumulative time)."""
     sc = scenario("mondial")
-    engine = Quest(
-        FullAccessWrapper(create_backend(backend, sc.db)),
-        _settings(True, columnar),
-    )
+    engine = Quest(FullAccessWrapper(create_backend(backend, sc.db)))
     text = next(iter(sc.workload)).text
     keywords = engine.keywords_of(text)
     settings = engine.settings
@@ -735,7 +753,7 @@ def profile_cold_query(backend: str, columnar: bool) -> None:
 
 
 def _cold_search(
-    sc, backend: str, repeats: int, queries: int, columnar: bool = True
+    sc, backend: str, repeats: int, queries: int
 ) -> dict[str, dict[str, object]]:
     """Fresh-engine batch search per kernelset (cold caches, interleaved).
 
@@ -754,15 +772,18 @@ def _cold_search(
     details: dict[str, dict] = {kernelset: {} for kernelset in KERNELSETS}
     for _ in range(repeats):
         for kernelset in KERNELSETS:
-            engine = Quest(
-                FullAccessWrapper(create_backend(backend, sc.db)),
-                _settings(kernelset == "optimized", columnar),
+            engine = Quest(FullAccessWrapper(create_backend(backend, sc.db)))
+            kernels = (
+                contextlib.nullcontext()
+                if kernelset == "optimized"
+                else reference_kernels()
             )
-            start = time.perf_counter()
-            contexts = engine.search_many_contexts(texts)
-            per_query[kernelset].append(
-                (time.perf_counter() - start) / len(texts)
-            )
+            with kernels:
+                start = time.perf_counter()
+                contexts = engine.search_many_contexts(texts)
+                per_query[kernelset].append(
+                    (time.perf_counter() - start) / len(texts)
+                )
             stage_seconds: dict[str, float] = {}
             for context in contexts:
                 for report in context.trace.stages:
@@ -808,48 +829,46 @@ def run_suite(
     repeats: int,
     queries: int,
     smoke: bool,
-    columnar: bool = True,
     index_cache: Path | None = None,
 ) -> dict:
     """Measure kernels (once), per-backend cold searches, the index
     lifecycle, the service and serving tiers."""
     sc = scenario("mondial")
-    print("-- measuring kernels (interleaved kernel sets) ...", flush=True)
-    kernel_entries: dict[str, dict[str, dict]] = {
-        kernelset: {} for kernelset in KERNELSETS
-    }
-    for name, variants in _kernel_measurements(sc).items():
-        for kernelset, stats in _measure_pair(variants, repeats).items():
-            kernel_entries[kernelset][name] = stats
-    kernels = {
-        kernelset: {"entries": entries}
-        for kernelset, entries in kernel_entries.items()
-    }
-    cold_search: dict[str, dict] = {}
-    for backend in backends:
-        print(f"-- measuring cold-search {backend} ...", flush=True)
-        cold_search[backend] = _cold_search(sc, backend, repeats, queries, columnar)
-    print("-- measuring index build/load ...", flush=True)
-    if index_cache is None:
-        with tempfile.TemporaryDirectory() as scratch:
-            index = _index_measurements(repeats, Path(scratch))
-    else:
-        index_cache.mkdir(parents=True, exist_ok=True)
-        index = _index_measurements(repeats, index_cache)
+    with _pinned_to_one_cpu():
+        print("-- measuring kernels (interleaved kernel sets) ...", flush=True)
+        kernel_entries: dict[str, dict[str, dict]] = {
+            kernelset: {} for kernelset in KERNELSETS
+        }
+        for name, variants in _kernel_measurements(sc).items():
+            for kernelset, stats in _measure_pair(variants, repeats).items():
+                kernel_entries[kernelset][name] = stats
+        kernels = {
+            kernelset: {"entries": entries}
+            for kernelset, entries in kernel_entries.items()
+        }
+        cold_search: dict[str, dict] = {}
+        for backend in backends:
+            print(f"-- measuring cold-search {backend} ...", flush=True)
+            cold_search[backend] = _cold_search(sc, backend, repeats, queries)
+        print("-- measuring index build/load ...", flush=True)
+        if index_cache is None:
+            with tempfile.TemporaryDirectory() as scratch:
+                index = _index_measurements(repeats, Path(scratch))
+        else:
+            index_cache.mkdir(parents=True, exist_ok=True)
+            index = _index_measurements(repeats, index_cache)
     print("-- measuring service throughput ...", flush=True)
-    service = _service_throughput(sc, repeats, columnar)
+    service = _service_throughput(sc, repeats)
     print("-- measuring degraded mode (10% storage flakes) ...", flush=True)
-    degraded = _degraded_mode(sc, repeats, columnar)
+    degraded = _degraded_mode(sc, repeats)
     print("-- measuring mixed read/write workload ...", flush=True)
-    mixed_section = _mixed_workload(repeats, columnar)
+    mixed_section = _mixed_workload(repeats)
     print("-- measuring serving storm (preforked HTTP tier) ...", flush=True)
     if index_cache is None:
         with tempfile.TemporaryDirectory() as scratch:
-            serving, serving_failures = _serving_storm(
-                repeats, columnar, Path(scratch)
-            )
+            serving, serving_failures = _serving_storm(repeats, Path(scratch))
     else:
-        serving, serving_failures = _serving_storm(repeats, columnar, index_cache)
+        serving, serving_failures = _serving_storm(repeats, index_cache)
     for failure in serving_failures:
         print(f"SERVING STORM FAILURE: {failure}")
     serving["failures"] = serving_failures
@@ -858,7 +877,6 @@ def run_suite(
         "smoke": smoke,
         "repeats": repeats,
         "queries": queries,
-        "columnar_index": columnar,
         "kernels": kernels,
         "cold_search": cold_search,
         "index": index,
@@ -1131,12 +1149,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write this run to --baseline and skip the comparison",
     )
     parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="run the optimized kernelset with columnar_index disabled "
-        "(CI matrix leg proving the per-keyword emission path stays healthy)",
-    )
-    parser.add_argument(
         "--index-cache",
         type=Path,
         default=None,
@@ -1202,13 +1214,11 @@ def main(argv: list[str] | None = None) -> int:
     queries = args.queries
 
     if args.profile:
-        profile_cold_query(backends[0], not args.no_columnar)
+        profile_cold_query(backends[0])
         return 0
 
     if args.service_only:
-        service = _service_throughput(
-            scenario("mondial"), repeats, not args.no_columnar
-        )
+        service = _service_throughput(scenario("mondial"), repeats)
         print(json.dumps(service, indent=2, sort_keys=True))
         coalesced = service["coalesced"]
         # The smoke's one hard claim: the storm coalesced — identical
@@ -1226,14 +1236,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.serving_only:
         if args.index_cache is not None:
             args.index_cache.mkdir(parents=True, exist_ok=True)
-            serving, failures = _serving_storm(
-                repeats, not args.no_columnar, args.index_cache
-            )
+            serving, failures = _serving_storm(repeats, args.index_cache)
         else:
             with tempfile.TemporaryDirectory() as scratch:
-                serving, failures = _serving_storm(
-                    repeats, not args.no_columnar, Path(scratch)
-                )
+                serving, failures = _serving_storm(repeats, Path(scratch))
         serving["failures"] = failures
         print(json.dumps(serving, indent=2, sort_keys=True))
         print(
@@ -1265,7 +1271,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.degraded_only:
-        degraded = _degraded_mode(scenario("mondial"), repeats, not args.no_columnar)
+        degraded = _degraded_mode(scenario("mondial"), repeats)
         print(json.dumps(degraded, indent=2, sort_keys=True))
         flaky = degraded["degraded"]
         print(
@@ -1299,7 +1305,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.mixed_only:
-        mixed_section = _mixed_workload(repeats, not args.no_columnar)
+        mixed_section = _mixed_workload(repeats)
         print(json.dumps(mixed_section, indent=2, sort_keys=True))
         for profile, entry in sorted(mixed_section["profiles"].items()):
             fresh = entry.get("fresh_read", {}).get("median_s")
@@ -1340,9 +1346,8 @@ def main(argv: list[str] | None = None) -> int:
         sc = scenario("mondial")
         failed = False
         for backend in backends:
-            result = _cold_search(
-                sc, backend, repeats, queries, not args.no_columnar
-            )
+            with _pinned_to_one_cpu():
+                result = _cold_search(sc, backend, repeats, queries)
             backward = {
                 kernelset: result[kernelset]["stage_seconds"].get("backward")
                 for kernelset in KERNELSETS
@@ -1377,7 +1382,6 @@ def main(argv: list[str] | None = None) -> int:
         repeats,
         queries,
         args.smoke,
-        columnar=not args.no_columnar,
         index_cache=args.index_cache,
     )
 

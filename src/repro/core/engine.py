@@ -171,16 +171,11 @@ class Quest:
         *emissions* lets the forward stage decode the a-priori and
         feedback models from one shared emission matrix (the matrix
         depends only on the provider and the state space, not on model
-        parameters); when omitted it is computed here, batched per
-        ``settings.columnar_index``.
+        parameters); when omitted it is computed here.
         """
         if emissions is None:
-            emissions = model.emission_matrix(
-                keywords, self.wrapper, batched=self.settings.columnar_index
-            )
-        paths = list_viterbi(
-            model, emissions, k, vectorized=self.settings.vectorized_viterbi
-        )
+            emissions = model.emission_matrix(keywords, self.wrapper)
+        paths = list_viterbi(model, emissions, k)
         if not paths:
             return []
         log_probs = np.array([p.log_probability for p in paths])
@@ -243,18 +238,8 @@ class Quest:
         """
         if not keywords:
             return 0.0
-        if self.settings.columnar_index:
-            matrix = self.wrapper.emission_matrix(list(keywords), self.states)
-            return int(np.count_nonzero(matrix.max(axis=1) > 0.0)) / len(keywords)
-        covered = sum(
-            1
-            for keyword in keywords
-            if float(
-                np.max(self.wrapper.emission_scores(keyword, self.states))
-            )
-            > 0.0
-        )
-        return covered / len(keywords)
+        matrix = self.wrapper.emission_matrix(list(keywords), self.states)
+        return int(np.count_nonzero(matrix.max(axis=1) > 0.0)) / len(keywords)
 
     def keywords_of(self, query: str) -> list[str]:
         """Tokenise a raw keyword query (exposed for feedback tooling)."""

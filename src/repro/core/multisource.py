@@ -246,14 +246,8 @@ class MultiSourceQuest:
             )
         )
         # One shared interning for the whole combination chain (no
-        # per-combine re-encoding). The bitmask loop runs only when every
-        # participating engine opted in: a single reference-kernels engine
-        # flips the whole chain to the reference loop, so flag-based
-        # bisection covers multi-source combinations too.
+        # per-combine re-encoding).
         interning = FrameInterning(frame)
-        bitmask = all(
-            engine.settings.bitmask_dst for engine in self.engines.values()
-        )
         bodies: list[MassFunction] = []
         by_hypothesis: dict[tuple, tuple[str, Explanation]] = {}
         for name in self.engines:
@@ -279,7 +273,7 @@ class MultiSourceQuest:
 
         combined = bodies[0]
         for body in bodies[1:]:
-            combined = dempster_combine(combined, body, bitmask=bitmask)
+            combined = dempster_combine(combined, body)
 
         ranked: list[tuple[str, Explanation]] = []
         for hypothesis, probability in rank_hypotheses(combined, k):

@@ -54,35 +54,6 @@ class QuestSettings:
             query returns fewer rows than this. The default of 1 enforces
             the paper's requirement to "consider only join-paths actually
             existing in the database instance"; 0 keeps empty answers.
-        vectorized_viterbi: decode configurations with the numpy tensor
-            List Viterbi kernel; ``False`` selects the per-cell pure-Python
-            reference. Results are identical — the flag exists for parity
-            checks (``tests/perf``) and the regression harness's
-            reference-kernel baseline.
-        bitmask_dst: run Dempster combinations over integer focal bitmasks
-            instead of frozensets. Same identical-results contract.
-        fast_steiner: enumerate Steiner trees on the integer-interned
-            graph snapshot (bitmask edge/node/terminal sets). Same
-            identical-results contract.
-        columnar_index: score a query's keywords against the state space
-            through the wrapper's batched ``emission_matrix`` (keyword
-            deduplication + one columnar-index pass); ``False`` selects
-            the retained per-keyword dict-walk reference. Same
-            identical-results contract as the kernel flags.
-        batched_shortest_paths: fill the shortest-path cache for all of a
-            query's terminals with one vectorised multi-source pass over
-            the compact graph instead of one Dijkstra per terminal;
-            ``False`` selects the per-source reference. The cached rows
-            are bit-identical either way — same identical-results
-            contract as the kernel flags. With this flag or
-            ``steiner_plan_cache`` on, the backward stage answers
-            connectivity for all of a run's configurations in one
-            prefilter; with both off, each Steiner call checks its own.
-        steiner_plan_cache: reuse Dreyfus-Wagner subset tables (and the
-            backward stage's per-terminal distance rows) across queries
-            through the schema graph's revision-stamped plan cache;
-            ``False`` recomputes every row from scratch. Hit/miss
-            counters surface as ``SearchTrace.steiner_subset_cache``.
         default_deadline_ms: per-request time budget applied when the
             caller supplies none (HTTP requests without an
             ``X-Quest-Deadline-Ms`` header, direct ``QuestService.search``
@@ -104,34 +75,7 @@ class QuestSettings:
     prune_supertrees: bool = True
     execute_explanations: bool = True
     min_explanation_results: int = 1
-    vectorized_viterbi: bool = True
-    bitmask_dst: bool = True
-    fast_steiner: bool = True
-    columnar_index: bool = True
-    batched_shortest_paths: bool = True
-    steiner_plan_cache: bool = True
     default_deadline_ms: float | None = None
-
-    @classmethod
-    def reference_kernels(cls, **changes: object) -> "QuestSettings":
-        """Settings running every kernel on its pure-Python reference path.
-
-        The parity tests and :mod:`benchmarks.regression` build engines
-        from this to prove the optimised kernels change latency, never
-        answers. *changes* override any field — including the kernel flags
-        themselves, so one kernel at a time can be re-enabled when
-        bisecting a discrepancy (e.g. ``reference_kernels(bitmask_dst=True)``).
-        """
-        flags: dict[str, object] = {
-            "vectorized_viterbi": False,
-            "bitmask_dst": False,
-            "fast_steiner": False,
-            "columnar_index": False,
-            "batched_shortest_paths": False,
-            "steiner_plan_cache": False,
-        }
-        flags.update(changes)
-        return cls(**flags)  # type: ignore[arg-type]
 
     def __post_init__(self) -> None:
         if self.k <= 0:

@@ -907,6 +907,10 @@ class FullTextIndex:
         """Every indexed attribute."""
         return tuple(self._field_sizes)
 
+    def indexes(self, ref: ColumnRef) -> bool:
+        """Whether *ref* is an indexed attribute (one dict lookup)."""
+        return ref in self._field_sizes
+
     # -- scoring -----------------------------------------------------------
 
     def _idf(self, by_field: dict[ColumnRef, dict[int, int]]) -> float:

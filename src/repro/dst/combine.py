@@ -7,19 +7,18 @@ masses multiply on intersecting focal elements and the conflicting mass
 score normalisation and per-source ignorance (``setUncertainty``), exactly
 as in Algorithm 1.
 
-Two implementations of the combination loop share one contract:
+The combination loop aligns both operands onto one
+:class:`~repro.dst.mass.FrameInterning` and walks parallel
+``(bitmask, mass)`` arrays, so every focal intersection is a single
+integer ``&`` — no frozenset allocation per pair. Zero-probability
+products are skipped before any intersection work.
 
-* the bitmask path (the default) aligns both operands onto one
-  :class:`~repro.dst.mass.FrameInterning` and walks parallel
-  ``(bitmask, mass)`` arrays, so every focal intersection is a single
-  integer ``&`` — no frozenset allocation per pair. Zero-probability
-  products are skipped before any intersection work.
-* the reference path (``bitmask=False``, kept as the executable
-  specification and parity oracle) iterates the public frozenset views.
-
-Both accumulate products in the same nested order, so the resulting masses
-are bit-identical float for float; ``QuestSettings.bitmask_dst`` selects
-the path engine-wide.
+:func:`dempster_combine_reference` and :func:`conflict_reference` iterate
+the public frozenset views instead. They are the executable specification:
+nothing in the engine calls them; the parity tests and the test-side
+oracle (``tests/oracle.py``) do. Both loops accumulate products in the
+same nested order, so the resulting masses are bit-identical float for
+float.
 """
 
 from __future__ import annotations
@@ -30,7 +29,14 @@ from repro.dst.belief import rank_hypotheses
 from repro.dst.mass import FrameInterning, MassFunction
 from repro.errors import CombinationError
 
-__all__ = ["dempster_combine", "combine_scores", "conflict"]
+__all__ = [
+    "combine_scores",
+    "conflict",
+    "conflict_reference",
+    "dempster_combine",
+    "dempster_combine_reference",
+    "evidence_bodies",
+]
 
 
 def _aligned_right_items(
@@ -58,9 +64,7 @@ def _aligned_frame_mask(left: MassFunction, right: MassFunction) -> int:
     return left.interning.mask_of(right.interning.members(right.frame_mask))
 
 
-def conflict(
-    left: MassFunction, right: MassFunction, bitmask: bool = True
-) -> float:
+def conflict(left: MassFunction, right: MassFunction) -> float:
     """The conflict coefficient K: mass landing on the empty set.
 
     A pure query: unlike :func:`dempster_combine` it never grows either
@@ -69,16 +73,6 @@ def conflict(
     hypothesis the left side never interned cannot intersect any left
     focal.
     """
-    if not bitmask:
-        total = 0.0
-        for left_focal, left_mass in left.items():
-            for right_focal, right_mass in right.items():
-                product = left_mass * right_mass
-                if product == 0.0:
-                    continue
-                if not left_focal & right_focal:
-                    total += product
-        return total
     if right.interning is left.interning:
         right_items = list(right.mask_items())
     else:
@@ -98,9 +92,37 @@ def conflict(
     return total
 
 
-def dempster_combine(
-    left: MassFunction, right: MassFunction, bitmask: bool = True
-) -> MassFunction:
+def conflict_reference(left: MassFunction, right: MassFunction) -> float:
+    """:func:`conflict` over the frozenset views (executable specification)."""
+    total = 0.0
+    for left_focal, left_mass in left.items():
+        for right_focal, right_mass in right.items():
+            product = left_mass * right_mass
+            if product == 0.0:
+                continue
+            if not left_focal & right_focal:
+                total += product
+    return total
+
+
+def _combined_frame(left: MassFunction, right: MassFunction) -> MassFunction:
+    """An empty result over the union frame, on the *left* interning."""
+    combined = MassFunction(interning=left.interning)
+    combined._frame_mask = left.frame_mask | _aligned_frame_mask(left, right)
+    return combined
+
+
+def _finish(combined: MassFunction, conflicting: float) -> MassFunction:
+    if not combined._masses:
+        raise CombinationError(
+            f"total conflict (K={conflicting:.6f}): sources share no hypothesis"
+        )
+    combined.normalize()
+    combined.validate()
+    return combined
+
+
+def dempster_combine(left: MassFunction, right: MassFunction) -> MassFunction:
     """Dempster's rule of combination.
 
     Raises :class:`CombinationError` on total conflict (K = 1), where the
@@ -111,51 +133,73 @@ def dempster_combine(
     The result shares the *left* operand's interning; when the operands'
     internings differ, the left interning is extended (append-only —
     existing masks stay valid) with the right side's hypotheses.
-
-    Args:
-        left: first body of evidence.
-        right: second body of evidence.
-        bitmask: run the integer-bitmask loop (the default); ``False``
-            selects the frozenset reference loop. Results are identical.
     """
-    # Both branches build the result against the *left* interning: for the
-    # reference loop only the frame mask needs translating — the masses
-    # themselves are re-interned focal by focal as they are assigned, and
-    # per-hypothesis sums do not depend on bit numbering.
-    combined = MassFunction(interning=left.interning)
-    combined._frame_mask = left.frame_mask | _aligned_frame_mask(left, right)
+    combined = _combined_frame(left, right)
     conflicting = 0.0
-    if bitmask:
-        right_items = _aligned_right_items(left, right)
-        masses = combined._masses
-        for left_mask, left_mass in left.mask_items():
-            for right_mask, right_mass in right_items:
-                product = left_mass * right_mass
-                if product == 0.0:
-                    continue
-                intersection = left_mask & right_mask
-                if intersection:
-                    masses[intersection] = masses.get(intersection, 0.0) + product
-                else:
-                    conflicting += product
-    else:
-        for left_focal, left_mass in left.items():
-            for right_focal, right_mass in right.items():
-                product = left_mass * right_mass
-                if product == 0.0:
-                    continue
-                intersection = left_focal & right_focal
-                if intersection:
-                    combined.assign(intersection, product)
-                else:
-                    conflicting += product
-    if not combined._masses:
-        raise CombinationError(
-            f"total conflict (K={conflicting:.6f}): sources share no hypothesis"
-        )
-    combined.normalize()
-    combined.validate()
-    return combined
+    right_items = _aligned_right_items(left, right)
+    masses = combined._masses
+    for left_mask, left_mass in left.mask_items():
+        for right_mask, right_mass in right_items:
+            product = left_mass * right_mass
+            if product == 0.0:
+                continue
+            intersection = left_mask & right_mask
+            if intersection:
+                masses[intersection] = masses.get(intersection, 0.0) + product
+            else:
+                conflicting += product
+    return _finish(combined, conflicting)
+
+
+def dempster_combine_reference(
+    left: MassFunction, right: MassFunction
+) -> MassFunction:
+    """:func:`dempster_combine` over the frozenset views (executable
+    specification).
+
+    Only the frame mask is translated onto the left interning; the masses
+    are re-interned focal by focal as they are assigned, and
+    per-hypothesis sums do not depend on bit numbering.
+    """
+    combined = _combined_frame(left, right)
+    conflicting = 0.0
+    for left_focal, left_mass in left.items():
+        for right_focal, right_mass in right.items():
+            product = left_mass * right_mass
+            if product == 0.0:
+                continue
+            intersection = left_focal & right_focal
+            if intersection:
+                combined.assign(intersection, product)
+            else:
+                conflicting += product
+    return _finish(combined, conflicting)
+
+
+def evidence_bodies(
+    left_scores: Mapping[Hashable, float],
+    right_scores: Mapping[Hashable, float],
+    left_ignorance: float,
+    right_ignorance: float,
+) -> tuple[MassFunction, MassFunction]:
+    """The two bodies of evidence :func:`combine_scores` combines.
+
+    Both are built over the *union* frame (so a hypothesis known to only
+    one source survives through the other's ignorance mass) and share one
+    hypothesis interning, so no frame is re-encoded mid-combination.
+    """
+    if not left_scores and not right_scores:
+        raise CombinationError("both sources are empty")
+    frame = frozenset(left_scores) | frozenset(right_scores)
+    interning = FrameInterning(frame)
+    return (
+        MassFunction.from_scores(
+            left_scores, left_ignorance, frame, interning=interning
+        ),
+        MassFunction.from_scores(
+            right_scores, right_ignorance, frame, interning=interning
+        ),
+    )
 
 
 def combine_scores(
@@ -164,16 +208,12 @@ def combine_scores(
     left_ignorance: float,
     right_ignorance: float,
     k: int | None = None,
-    bitmask: bool = True,
 ) -> list[tuple[Hashable, float]]:
     """The paper's ``CombinerDST`` in one call.
 
-    Both score sets become bodies of evidence over the *union* frame (so a
-    hypothesis known to only one source survives through the other's
-    ignorance mass), are weighted by their ignorance parameters, combined
-    with Dempster's rule, and ranked by pignistic probability. One
-    hypothesis interning is shared by both bodies and the result, so no
-    frame is re-encoded mid-combination.
+    Both score sets become bodies of evidence (:func:`evidence_bodies`),
+    weighted by their ignorance parameters, are combined with Dempster's
+    rule, and are ranked by pignistic probability.
 
     Args:
         left_scores: hypothesis -> positive score, first source.
@@ -183,21 +223,11 @@ def combine_scores(
             source influences the outcome *less*.
         right_ignorance: same for the second source.
         k: optional cut-off for the returned ranking.
-        bitmask: combination-loop implementation (see
-            :func:`dempster_combine`).
 
     Returns:
         ``(hypothesis, probability)`` pairs, best first.
     """
-    if not left_scores and not right_scores:
-        raise CombinationError("both sources are empty")
-    frame = frozenset(left_scores) | frozenset(right_scores)
-    interning = FrameInterning(frame)
-    left_mass = MassFunction.from_scores(
-        left_scores, left_ignorance, frame, interning=interning
+    left_mass, right_mass = evidence_bodies(
+        left_scores, right_scores, left_ignorance, right_ignorance
     )
-    right_mass = MassFunction.from_scores(
-        right_scores, right_ignorance, frame, interning=interning
-    )
-    combined = dempster_combine(left_mass, right_mass, bitmask=bitmask)
-    return rank_hypotheses(combined, k)
+    return rank_hypotheses(dempster_combine(left_mass, right_mass), k)

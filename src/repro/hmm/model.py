@@ -6,6 +6,12 @@ alphabet (all possible keywords) cannot be enumerated — the provider scores
 a concrete keyword against every state using full-text indexes (full-access
 sources) or semantic/shape matching (hidden sources), and the model
 normalises those scores into an emission column.
+
+:meth:`HiddenMarkovModel.emission_matrix` scores a whole keyword sequence
+in one batched pass when the provider can; its per-keyword twin,
+:meth:`HiddenMarkovModel.emission_matrix_reference`, is kept as the
+executable specification (the parity tests and ``tests/oracle.py`` call
+it; the engine never does).
 """
 
 from __future__ import annotations
@@ -112,10 +118,7 @@ class HiddenMarkovModel:
     # -- emissions -----------------------------------------------------------
 
     def emission_matrix(
-        self,
-        keywords: Sequence[str],
-        provider: EmissionProvider,
-        batched: bool = True,
+        self, keywords: Sequence[str], provider: EmissionProvider
     ) -> np.ndarray:
         """Emission probabilities for an observation sequence.
 
@@ -125,32 +128,46 @@ class HiddenMarkovModel:
         setup-phase coefficient: raw search-function scores are turned into
         quantities usable as probabilities.
 
-        With *batched* (the default), a provider exposing ``emission_matrix``
-        (see :class:`BatchedEmissionProvider` — the source wrappers do)
-        scores the whole sequence in one deduplicated pass; ``batched=False``
-        retains the per-keyword reference walk (the
-        ``QuestSettings.columnar_index`` flag selects between them).
-        Normalisation happens per row in both cases, in the same operation
-        order, so the resulting matrices are bit-identical.
+        A provider exposing ``emission_matrix`` (see
+        :class:`BatchedEmissionProvider` — the source wrappers do) scores
+        the whole sequence in one deduplicated pass; a plain
+        :class:`EmissionProvider` contributes one ``emission_scores`` row
+        per keyword. Normalisation happens per row either way, in the same
+        operation order, so the matrix is bit-identical to
+        :meth:`emission_matrix_reference`.
         """
         n = len(self.states)
         if not keywords:
             raise ModelError("empty observation sequence")
-        batch = getattr(provider, "emission_matrix", None) if batched else None
-        if batch is not None:
+        batch = getattr(provider, "emission_matrix", None)
+        if batch is None:
+            raw = np.asarray(
+                [provider.emission_scores(k, self.states) for k in keywords],
+                dtype=float,
+            )
+        else:
             raw = np.asarray(batch(keywords, self.states), dtype=float)
-            if raw.shape != (len(keywords), n):
-                raise ModelError(
-                    f"provider returned shape {raw.shape}, "
-                    f"expected ({len(keywords)}, {n})"
-                )
-            if np.any(raw < 0):
-                raise ModelError("negative emission score in batched matrix")
-            matrix = np.empty((len(keywords), n), dtype=float)
-            for t in range(len(keywords)):
-                scores = raw[t] + EMISSION_FLOOR
-                matrix[t] = scores / scores.sum()
-            return matrix
+        if raw.shape != (len(keywords), n):
+            raise ModelError(
+                f"provider returned shape {raw.shape}, "
+                f"expected ({len(keywords)}, {n})"
+            )
+        if np.any(raw < 0):
+            raise ModelError("negative emission score in batched matrix")
+        matrix = np.empty((len(keywords), n), dtype=float)
+        for t in range(len(keywords)):
+            scores = raw[t] + EMISSION_FLOOR
+            matrix[t] = scores / scores.sum()
+        return matrix
+
+    def emission_matrix_reference(
+        self, keywords: Sequence[str], provider: EmissionProvider
+    ) -> np.ndarray:
+        """:meth:`emission_matrix` walked one ``emission_scores`` call per
+        keyword, whatever the provider can batch (executable specification)."""
+        n = len(self.states)
+        if not keywords:
+            raise ModelError("empty observation sequence")
         matrix = np.empty((len(keywords), n), dtype=float)
         for t, keyword in enumerate(keywords):
             scores = np.asarray(provider.emission_scores(keyword, self.states))

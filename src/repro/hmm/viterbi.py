@@ -13,7 +13,8 @@ Two implementations share one contract and return identical results:
     The per-cell heap formulation: every ``(time, state)`` cell holds up to
     ``k`` ``(log-probability, path-tuple)`` entries, extended predecessor by
     predecessor in pure Python. Retained as the executable specification
-    and exercised by the ``tests/perf`` parity suite.
+    and exercised by the ``tests/perf`` parity suite and the test-side
+    oracle (``tests/oracle.py``); the engine never calls it.
 
 ``list_viterbi`` (vectorised, the default)
     The same dynamic program over numpy ``(n, k)`` score tensors and
@@ -29,8 +30,6 @@ Two implementations share one contract and return identical results:
     a path is the predecessor's path plus one state, so comparing
     (predecessor rank, state) pairs compares full paths. Paths are
     reconstructed from backpointers only for the k sequences returned.
-    Disable per call with ``vectorized=False`` or engine-wide with
-    ``QuestSettings.vectorized_viterbi``.
 """
 
 from __future__ import annotations
@@ -109,7 +108,6 @@ def list_viterbi(
     model: HiddenMarkovModel,
     emissions: np.ndarray,
     k: int,
-    vectorized: bool = True,
 ) -> list[DecodedPath]:
     """Top-*k* most likely state sequences (parallel List Viterbi).
 
@@ -119,15 +117,11 @@ def list_viterbi(
             :meth:`HiddenMarkovModel.emission_matrix`).
         k: number of sequences to return (fewer if the model admits fewer
             paths with non-zero probability).
-        vectorized: run the numpy tensor kernel (the default); ``False``
-            falls back to :func:`list_viterbi_reference`.
 
     Returns:
         Decoded paths sorted by descending log-probability. Ties break on
         the state tuple for determinism.
     """
-    if not vectorized:
-        return list_viterbi_reference(model, emissions, k)
     T, n = _check_inputs(model, emissions, k)
 
     log_initial = _log(model.initial)

@@ -99,9 +99,7 @@ class ForwardStage(PipelineStage):
             == engine.apriori_model.states.states
         ):
             shared = engine.apriori_model.emission_matrix(
-                context.keywords,
-                engine.wrapper,
-                batched=settings.columnar_index,
+                context.keywords, engine.wrapper
             )
         if run_apriori:
             apriori = engine.decode(
@@ -151,9 +149,7 @@ class ForwardStage(PipelineStage):
             frame,
             interning=interning,
         )
-        combined = dempster_combine(
-            apriori_mass, feedback_mass, bitmask=engine.settings.bitmask_dst
-        )
+        combined = dempster_combine(apriori_mass, feedback_mass)
         ranked = rank_hypotheses(combined, k)
         return [
             configuration.with_score(probability)
@@ -171,38 +167,30 @@ class BackwardStage(PipelineStage):
     (across configurations and across queries) are answered without
     re-running the tree search.
 
-    Connectivity is decided in one place, over the in-memory compact
-    graph, in one of two modes:
-
-    - ``batched_shortest_paths`` / ``steiner_plan_cache`` (the default):
-      one prefilter answers *all* configurations of the run —
-      per-terminal distance rows come from one vectorised multi-source
-      pass (reusing rows already in the plan cache), and connectivity is
-      a finite-ness check on them;
-    - both off (:meth:`QuestSettings.reference_kernels`, the test
-      oracle): each ``top_k_steiner_trees`` call checks for itself.
-
-    Either way the surviving configurations — and the trees enumerated
-    for them — are identical: connectivity has one answer, and the
-    Steiner call is told ``assume_connected`` only when the prefilter
-    has already established it.
+    Connectivity for *all* configurations of the run is decided in one
+    prefilter over the in-memory compact graph: per-terminal distance
+    rows come from one vectorised multi-source pass (reusing rows already
+    in the schema graph's plan cache), and connectivity is a finite-ness
+    check on them. A configuration the prefilter proves disconnected
+    drops out before any Steiner call; the others are enumerated with
+    ``assume_connected`` set only where the prefilter established it.
+    (``tests/oracle.py`` swaps the prefilter for "unknown" so that each
+    reference Steiner call checks connectivity itself; the surviving
+    configurations and their trees are identical, because connectivity
+    has one answer.)
     """
 
     name = "backward"
 
     def run(self, engine: "Quest", context: SearchContext) -> None:
         k = context.tree_k
-        settings = engine.settings
         configs = [
             (configuration, sorted(configuration.terminals(engine.schema), key=str))
             for configuration in context.configurations
         ]
-        if settings.batched_shortest_paths or settings.steiner_plan_cache:
-            connected = self._prefilter_batched(
-                engine, [terminals for _configuration, terminals in configs]
-            )
-        else:
-            connected = [None] * len(configs)
+        connected = self._prefilter_batched(
+            engine, [terminals for _configuration, terminals in configs]
+        )
 
         deadline = context.deadline
         interpretations: list[Interpretation] = []
@@ -227,8 +215,7 @@ class BackwardStage(PipelineStage):
                     engine.schema_graph,
                     terminals,
                     k,
-                    prune_supertrees=settings.prune_supertrees,
-                    interned=settings.fast_steiner,
+                    prune_supertrees=engine.settings.prune_supertrees,
                     assume_connected=bool(is_connected),
                     deadline=deadline,
                 )
@@ -252,18 +239,18 @@ class BackwardStage(PipelineStage):
     ) -> list[bool | None]:
         """Per-configuration connectivity from batched distance rows.
 
-        All of the run's terminals get their single-source distance rows
-        in one :meth:`~repro.steiner.graph.CompactGraph.distance_matrix`
-        pass (``batched_shortest_paths``), stored as singleton rows in
-        the plan cache when ``steiner_plan_cache`` is on — so the rows
-        the prefilter reads are the very rows Dreyfus-Wagner base cases
-        reuse later. A set is connected iff every member's distance from
-        the first member is finite.
+        The terminals whose single-source distance rows are not yet in
+        the plan cache get them in one
+        :meth:`~repro.steiner.graph.CompactGraph.distance_matrix` pass,
+        stored back as singleton rows — so the rows the prefilter reads
+        are the very rows Dreyfus-Wagner base cases reuse later. A set is
+        connected iff every member's distance from the first member is
+        finite; an empty set, or one with a terminal outside the graph,
+        is ``None`` (unknown: the Steiner call raises for it).
         """
         from repro.steiner.plancache import PlanEntry
 
         graph = engine.schema_graph
-        settings = engine.settings
         compact = graph.compact()
         index = compact.index
         known = sorted(
@@ -272,37 +259,29 @@ class BackwardStage(PipelineStage):
         )
         row_of: dict = {}
         if known:
-            cache = graph.plan_cache if settings.steiner_plan_cache else None
+            cache = graph.plan_cache
             # Rows are shared with the DP base cases, so they carry the
             # same (subset, snapshot topology version) keys.
             cache_version = compact.version
-            if cache is not None:
-                cache.trim()
-                missing = []
-                for terminal in known:
-                    entry = cache.get(
-                        (frozenset((index[terminal],)), cache_version)
-                    )
-                    if entry is None:
-                        missing.append(terminal)
-                    else:
-                        row_of[terminal] = entry.costs
-            else:
-                missing = list(known)
-            if missing:
-                indices = [index[t] for t in missing]
-                if settings.batched_shortest_paths:
-                    distances, _predecessors = compact.distance_matrix(indices)
-                    rows = [distances[i].tolist() for i in range(len(missing))]
+            cache.trim()
+            missing = []
+            for terminal in known:
+                entry = cache.get((frozenset((index[terminal],)), cache_version))
+                if entry is None:
+                    missing.append(terminal)
                 else:
-                    rows = [compact.dijkstra(i)[0] for i in indices]
-                for terminal, row in zip(missing, rows):
+                    row_of[terminal] = entry.costs
+            if missing:
+                distances, _predecessors = compact.distance_matrix(
+                    [index[t] for t in missing]
+                )
+                for terminal, distance_row in zip(missing, distances):
+                    row = distance_row.tolist()
                     row_of[terminal] = row
-                    if cache is not None:
-                        cache.put(
-                            (frozenset((index[terminal],)), cache_version),
-                            PlanEntry(costs=tuple(row)),
-                        )
+                    cache.put(
+                        (frozenset((index[terminal],)), cache_version),
+                        PlanEntry(costs=tuple(row)),
+                    )
 
         verdicts: list[bool | None] = []
         infinity = float("inf")
@@ -334,8 +313,7 @@ class CombineStage(PipelineStage):
     one dictionary lookup each, on the hash stored at construction). Id
     ``i`` is bit ``i`` of the shared interning, a forward focal is the OR
     of its configuration's bits and the backward body is built from the
-    per-id scores, so no hash is recomputed and no ``frozenset`` is built
-    on the default (bitmask) path.
+    per-id scores, so no hash is recomputed and no ``frozenset`` is built.
     """
 
     name = "combine"
@@ -383,9 +361,7 @@ class CombineStage(PipelineStage):
         )
 
         try:
-            combined = dempster_combine(
-                forward_mass, backward_mass, bitmask=engine.settings.bitmask_dst
-            )
+            combined = dempster_combine(forward_mass, backward_mass)
         except CombinationError:
             # Total conflict cannot happen over a shared frame, but guard:
             # fall back to the backward ranking.

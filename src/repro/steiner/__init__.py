@@ -12,7 +12,7 @@ from repro.steiner.exact import (
     shortest_paths,
 )
 from repro.steiner.graph import CompactGraph, EdgeKind, SchemaEdge, SchemaGraph
-from repro.steiner.topk import top_k_steiner_trees
+from repro.steiner.topk import top_k_steiner_trees, top_k_steiner_trees_reference
 from repro.steiner.tree import SteinerTree
 from repro.steiner.weights import (
     INTRA_TABLE_WEIGHT,
@@ -36,4 +36,5 @@ __all__ = [
     "exact_steiner_tree_reference",
     "shortest_paths",
     "top_k_steiner_trees",
+    "top_k_steiner_trees_reference",
 ]

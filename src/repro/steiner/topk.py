@@ -14,23 +14,25 @@ As in QUEST, trees that duplicate or merely extend an already-emitted tree
 same terminals) are discarded, so the k results are structurally distinct
 join paths rather than one path plus k-1 padded variants.
 
-The default (``interned=True``) search runs entirely on integers: nodes,
-edges and terminals are interned through
-:meth:`~repro.steiner.graph.SchemaGraph.compact`, and every tree in flight
-is a pair of bitmasks (edge set, node set). Growing a tree is a bitwise
-OR, the cycle check is a bit test, merge disjointness is ``a & b == 0``
-and the sub-tree redundancy filter is ``prior & sig == prior`` — no
-frozenset is allocated until a finished tree is emitted. The pop/push
-sequence is exactly that of the original frozenset formulation (retained
-as the ``interned=False`` reference and parity oracle), so both return
-identical trees in identical order.
+The search runs entirely on integers: nodes, edges and terminals are
+interned through :meth:`~repro.steiner.graph.SchemaGraph.compact`, and
+every tree in flight is a pair of bitmasks (edge set, node set). Growing
+a tree is a bitwise OR, the cycle check is a bit test, merge disjointness
+is ``a & b == 0`` and the sub-tree redundancy filter is
+``prior & sig == prior`` — no frozenset is allocated until a finished tree
+is emitted. :func:`top_k_steiner_trees_reference` runs the original
+frozenset formulation instead: the executable specification, called by the
+parity tests and the test-side oracle (``tests/oracle.py``), never by the
+engine. Its pop/push sequence is exactly that of the bitmask search, so
+both return identical trees in identical order.
 
 Enumeration results are memoised on the graph itself: a
 :class:`~repro.steiner.graph.SchemaGraph` carries a ``steiner_cache``
 keyed by the frozen terminal set (plus k, the pruning flags and the
-implementation), so the same terminal combination — which recurs both
-across a query's configurations and across queries — is answered without
-re-running the search. Graph mutation invalidates the cache.
+search function, so the two implementations never share entries), so the
+same terminal combination — which recurs both across a query's
+configurations and across queries — is answered without re-running the
+search. Graph mutation invalidates the cache.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.steiner.tree import SteinerTree
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.resilience import Deadline
 
-__all__ = ["top_k_steiner_trees"]
+__all__ = ["top_k_steiner_trees", "top_k_steiner_trees_reference"]
 
 #: Cached marker for terminal sets known to be disconnected, so repeats
 #: skip the connectivity BFS too (and still raise, as the cold path does).
@@ -62,7 +64,6 @@ def top_k_steiner_trees(
     k: int,
     prune_supertrees: bool = True,
     max_pops: int = 200_000,
-    interned: bool = True,
     assume_connected: bool = False,
     deadline: "Deadline | None" = None,
 ) -> list[SteinerTree]:
@@ -76,8 +77,6 @@ def top_k_steiner_trees(
             emitted tree as a sub-tree (QUEST's redundancy filter); set to
             ``False`` to enumerate raw k-best trees.
         max_pops: safety valve on queue pops for adversarial graphs.
-        interned: run the bitmask search (the default); ``False`` selects
-            the frozenset reference implementation. Results are identical.
         assume_connected: skip the connectivity BFS. Only pass ``True``
             when the caller has already established that the terminals
             share a component (the backward stage's batched prefilter);
@@ -91,6 +90,37 @@ def top_k_steiner_trees(
     Returns:
         Trees in increasing weight order (possibly fewer than *k*).
     """
+    return _memoised(
+        _search_interned,
+        graph,
+        terminals,
+        k,
+        prune_supertrees,
+        max_pops,
+        assume_connected,
+        deadline,
+    )
+
+
+def top_k_steiner_trees_reference(
+    graph: SchemaGraph, terminals: Sequence[ColumnRef], k: int, **options
+) -> list[SteinerTree]:
+    """:func:`top_k_steiner_trees` on the frozenset search (executable
+    specification): same options, same memoisation, identical trees."""
+    return _memoised(_search_reference, graph, terminals, k, **options)
+
+
+def _memoised(
+    search,
+    graph: SchemaGraph,
+    terminals: Sequence[ColumnRef],
+    k: int,
+    prune_supertrees: bool = True,
+    max_pops: int = 200_000,
+    assume_connected: bool = False,
+    deadline: "Deadline | None" = None,
+) -> list[SteinerTree]:
+    """Validate, consult the graph's Steiner cache, run *search*, memoise."""
     if k <= 0:
         raise SteinerError(f"k must be positive, got {k}")
     terminal_list = sorted(set(terminals), key=str)
@@ -113,7 +143,7 @@ def top_k_steiner_trees(
         k,
         prune_supertrees,
         max_pops,
-        interned,
+        search,
         getattr(graph, "version", 0),
     )
     if cache is not None:
@@ -128,7 +158,6 @@ def top_k_steiner_trees(
             cache.put(cache_key, _DISCONNECTED)
         raise SteinerError(f"terminals are disconnected: {terminal_list}")
 
-    search = _search_interned if interned else _search_reference
     results = search(
         graph, terminal_list, terminal_set, k, prune_supertrees, max_pops, deadline
     )

@@ -164,7 +164,7 @@ class MemoryBackend(StorageBackend):
     def _postings(self, token: str, ref: ColumnRef) -> list[int] | None:
         # The index tokenises the very values the executor matches, with
         # the same tokenize_value, over every column it was built for.
-        if ref not in self.fulltext.fields():
+        if not self.fulltext.indexes(ref):
             return None
         return self.fulltext.matching_row_positions(token, ref)
 

@@ -70,6 +70,12 @@ class TestIndex:
             len(t.columns) for t in mini_db.schema.tables
         )
 
+    def test_indexes_agrees_with_fields(self, mini_db):
+        index = FullTextIndex(mini_db)
+        assert all(index.indexes(ref) for ref in index.fields())
+        assert not index.indexes(ColumnRef("movie", "no_such_column"))
+        assert not index.indexes(ColumnRef("no_such_table", "title"))
+
 
 class TestRefresh:
     """The index stays correct under row inserts (mutation satellite)."""

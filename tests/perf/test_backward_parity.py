@@ -1,15 +1,17 @@
 """Parity of the backward-stage optimisations against their references.
 
-Three independent claims, each bit-exact:
+Independent claims, the kernel ones bit-exact:
 
 * the vectorised multi-source ``distance_matrix`` reproduces the scalar
   Dijkstra rows (distances **and** predecessors) for every source;
 * Dreyfus-Wagner with the subset-reusing plan cache — warm, shared
   across a random sequence of terminal sets with interleaved graph
   mutations — returns the same trees as the cold dict reference;
-* the staged pipeline returns identical rankings whichever of the new
-  settings flags (``batched_shortest_paths``, ``steiner_plan_cache``) is
-  enabled, on both storage backends.
+* the plan cache's hit/miss counters surface in the search trace.
+
+The backward stage's batched connectivity prefilter is checked against
+the schema graph's own connectivity in ``test_search_identity``, and its
+rankings against the reference engine (``tests/oracle.py``) there too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Quest, QuestSettings
+from repro.core import Quest
 from repro.datasets import mondial
 from repro.errors import SteinerError
 from repro.steiner import (
@@ -34,7 +36,6 @@ from repro.wrapper import FullAccessWrapper
 from tests.perf.test_steiner_parity import _random_graph
 
 BACKENDS = ("memory", "sqlite")
-NEW_FLAGS = ("batched_shortest_paths", "steiner_plan_cache")
 
 
 # -- kernel-level parity ---------------------------------------------------
@@ -115,7 +116,7 @@ def test_plan_cache_counts_hits_and_survives_repeats():
     assert stats_warm.hits > stats_cold.hits
 
 
-# -- pipeline-level parity -------------------------------------------------
+# -- pipeline-level counters -----------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -123,33 +124,6 @@ def small_mondial():
     db = mondial.generate(countries=8, seed=23)
     texts = [q.text for q in mondial.workload(db, queries_per_kind=1, seed=31)]
     return db, texts
-
-
-def _rankings(db, texts, backend: str, settings: QuestSettings):
-    engine = Quest(FullAccessWrapper(create_backend(backend, db)), settings)
-    answers = engine.search_many(texts, strict=False)
-    return [
-        [(e.sql, e.probability, e.result_count) for e in per_query]
-        for per_query in answers
-    ]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_new_flags_preserve_rankings(small_mondial, backend: str):
-    db, texts = small_mondial
-    reference = _rankings(db, texts, backend, QuestSettings.reference_kernels())
-    assert _rankings(db, texts, backend, QuestSettings()) == reference
-    for flag in NEW_FLAGS:
-        flipped = QuestSettings.reference_kernels(**{flag: True})
-        assert _rankings(db, texts, backend, flipped) == reference, flag
-
-
-def test_reference_kernels_disable_new_flags():
-    reference = QuestSettings.reference_kernels()
-    defaults = QuestSettings()
-    for flag in NEW_FLAGS:
-        assert not getattr(reference, flag)
-        assert getattr(defaults, flag)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -14,7 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dst import MassFunction, combine_scores, conflict, dempster_combine
+from repro.dst import (
+    MassFunction,
+    combine_scores,
+    conflict,
+    dempster_combine,
+    rank_hypotheses,
+)
+from repro.dst.combine import (
+    conflict_reference,
+    dempster_combine_reference,
+    evidence_bodies,
+)
 from repro.dst.mass import FrameInterning
 from repro.errors import CombinationError
 
@@ -48,14 +59,14 @@ def test_combine_bitmask_matches_reference(seed: int):
 
     left, right = build()
     try:
-        fast = dempster_combine(left, right, bitmask=True)
+        fast = dempster_combine(left, right)
     except CombinationError:
         left, right = build()
         with pytest.raises(CombinationError):
-            dempster_combine(left, right, bitmask=False)
+            dempster_combine_reference(left, right)
         return
     left, right = build()
-    slow = dempster_combine(left, right, bitmask=False)
+    slow = dempster_combine_reference(left, right)
 
     fast_items = dict(fast.items())
     slow_items = dict(slow.items())
@@ -71,9 +82,7 @@ def test_conflict_bitmask_matches_reference(seed: int):
     universe, left_masses, right_masses = _random_mass_pair(seed)
     left = MassFunction(left_masses, frame=universe)
     right = MassFunction(right_masses, frame=universe)
-    assert conflict(left, right, bitmask=True) == conflict(
-        left, right, bitmask=False
-    )
+    assert conflict(left, right) == conflict_reference(left, right)
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,12 +95,18 @@ def test_combine_scores_paths_agree(seed: int):
     left_ignorance = rng.choice([0.0, 0.3, 0.9])
     right_ignorance = rng.choice([0.0, 0.3, 0.9])
     try:
-        fast = combine_scores(left, right, left_ignorance, right_ignorance, bitmask=True)
+        fast = combine_scores(left, right, left_ignorance, right_ignorance)
     except CombinationError:
         with pytest.raises(CombinationError):
-            combine_scores(left, right, left_ignorance, right_ignorance, bitmask=False)
+            dempster_combine_reference(
+                *evidence_bodies(left, right, left_ignorance, right_ignorance)
+            )
         return
-    slow = combine_scores(left, right, left_ignorance, right_ignorance, bitmask=False)
+    slow = rank_hypotheses(
+        dempster_combine_reference(
+            *evidence_bodies(left, right, left_ignorance, right_ignorance)
+        )
+    )
     assert fast == slow  # same hypotheses, same probabilities, same order
 
 

@@ -6,9 +6,10 @@ Three contracts, each asserted as *bit identity*:
   selectivities and row positions of the retained dict layout on any
   data (hypothesis-generated random tables included);
 - the batched emission path — ``emission_block`` on the index/backends,
-  ``emission_matrix`` on the wrappers, the batched branch of
-  ``HiddenMarkovModel.emission_matrix`` — produces the same floats as
-  the per-keyword reference walk, with duplicate keywords deduplicated
+  ``emission_matrix`` on the wrappers and on ``HiddenMarkovModel`` —
+  produces the same floats as the per-keyword reference walk
+  (``HiddenMarkovModel.emission_matrix_reference``), with duplicate
+  keywords deduplicated
   but their per-position rows preserved;
 - a save -> load round trip of the ``.npz`` artifact serves identical
   searches, and a stale artifact is refused (never silently served).
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Quest, QuestSettings
+from repro.core import Quest
 from repro.datasets import mondial
 from repro.db import Column, Database, Schema, TableSchema
 from repro.db.fulltext import FullTextIndex, tokenize_value
@@ -162,11 +163,9 @@ def test_emission_matrix_matches_per_keyword_walk(mondial_db):
     # Duplicate keywords: identical rows, one scoring pass (the second
     # occurrence is a cache hit, not a recomputation).
     assert np.array_equal(batched[0], batched[2])
-    model_batched = engine.apriori_model.emission_matrix(
-        keywords, engine.wrapper, batched=True
-    )
-    model_reference = engine.apriori_model.emission_matrix(
-        keywords, engine.wrapper, batched=False
+    model_batched = engine.apriori_model.emission_matrix(keywords, engine.wrapper)
+    model_reference = engine.apriori_model.emission_matrix_reference(
+        keywords, engine.wrapper
     )
     assert np.array_equal(model_batched, model_reference)
 
@@ -188,25 +187,6 @@ def test_backend_attribute_scores_many_parity(mondial_db):
             assert np.array_equal(
                 block[i], np.array([scores.get(ref, 0.0) for ref in refs])
             )
-
-
-def test_columnar_index_flag_preserves_rankings(mondial_db):
-    workload = mondial.workload(mondial_db, queries_per_kind=2, seed=31)
-    texts = [q.text for q in workload][:6]
-    columnar = Quest(FullAccessWrapper(MemoryBackend(mondial_db)))
-    reference = Quest(
-        FullAccessWrapper(MemoryBackend(mondial_db)),
-        QuestSettings(columnar_index=False),
-    )
-    fast = columnar.search_many(texts, strict=False)
-    slow = reference.search_many(texts, strict=False)
-    assert [
-        [(e.sql, e.probability, e.result_count) for e in answers]
-        for answers in fast
-    ] == [
-        [(e.sql, e.probability, e.result_count) for e in answers]
-        for answers in slow
-    ]
 
 
 # -- artifact round trip -----------------------------------------------------

@@ -1,26 +1,35 @@
-"""End-to-end ranking identity: optimised kernels vs reference kernels.
+"""End-to-end ranking identity: the engine vs its reference kernels.
 
-The whole point of the numeric rewrites is that they change latency, never
+The whole point of the numeric kernels is that they change latency, never
 answers: a full mondial ``search_many`` workload must return *identical*
 explanation lists — same SQL, same probabilities float for float, same
-order — whether the engine decodes/enumerates/combines on the optimised
-paths or on the retained pure-Python references.
+order — whether the engine decodes/enumerates/combines on its production
+kernels or, under :func:`tests.oracle.reference_kernels`, on the retained
+pure-Python twins.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from repro.core import Quest, QuestSettings
+from repro.core import MultiSourceQuest, Quest
 from repro.datasets import mondial
-from repro.wrapper import FullAccessWrapper
+from repro.db import Column, ColumnRef, Schema, TableSchema
+from repro.db.types import DataType
+from repro.pipeline.stages import BackwardStage
+from repro.steiner import SchemaGraph
+from repro.storage import create_backend
+from repro.wrapper import FullAccessWrapper, HiddenSourceWrapper
 
 from tests.conftest import TEST_BACKEND, backend_for
+from tests.oracle import reference_kernels
 
 
 @pytest.fixture(scope="module")
@@ -28,28 +37,16 @@ def mondial_pair():
     db = mondial.generate(countries=10, seed=29)
     workload = mondial.workload(db, queries_per_kind=2, seed=31)
     optimised = Quest(FullAccessWrapper(backend_for(db)))
-    reference = Quest(
-        FullAccessWrapper(backend_for(db)), QuestSettings.reference_kernels()
-    )
+    reference = Quest(FullAccessWrapper(backend_for(db)))
     return workload, optimised, reference
-
-
-def test_reference_kernels_settings_flip_all_flags():
-    settings = QuestSettings.reference_kernels()
-    assert not settings.vectorized_viterbi
-    assert not settings.bitmask_dst
-    assert not settings.fast_steiner
-    defaults = QuestSettings()
-    assert defaults.vectorized_viterbi
-    assert defaults.bitmask_dst
-    assert defaults.fast_steiner
 
 
 def test_search_many_rankings_identical(mondial_pair):
     workload, optimised, reference = mondial_pair
     texts = [q.text for q in workload][:8]
     fast = optimised.search_many(texts, strict=False)
-    slow = reference.search_many(texts, strict=False)
+    with reference_kernels():
+        slow = reference.search_many(texts, strict=False)
     assert len(fast) == len(slow)
     for fast_answers, slow_answers in zip(fast, slow):
         assert len(fast_answers) == len(slow_answers)
@@ -69,21 +66,121 @@ def test_stage_products_identical(mondial_pair):
     workload, optimised, reference = mondial_pair
     keywords = optimised.keywords_of(next(iter(workload)).text)
     fast_configurations = optimised.forward(keywords)
-    slow_configurations = reference.forward(keywords)
+    fast_interpretations = optimised.backward(fast_configurations)
+    fast_ranked = optimised.combine(fast_configurations, fast_interpretations)
+    with reference_kernels():
+        slow_configurations = reference.forward(keywords)
+        slow_interpretations = reference.backward(slow_configurations)
+        slow_ranked = reference.combine(slow_configurations, slow_interpretations)
     assert fast_configurations == slow_configurations
     assert [c.score for c in fast_configurations] == [
         c.score for c in slow_configurations
     ]
-    fast_interpretations = optimised.backward(fast_configurations)
-    slow_interpretations = reference.backward(slow_configurations)
     assert fast_interpretations == slow_interpretations
     assert [i.tree.weight for i in fast_interpretations] == [
         i.tree.weight for i in slow_interpretations
     ]
-    fast_ranked = optimised.combine(fast_configurations, fast_interpretations)
-    slow_ranked = reference.combine(slow_configurations, slow_interpretations)
     assert fast_ranked == slow_ranked
     assert [i.score for i in fast_ranked] == [i.score for i in slow_ranked]
+
+
+#: Every kernel call site of the engine: the oracle must patch each one,
+#: and the mondial run below must reach each one.
+CALL_SITES = {
+    "repro.core.engine.list_viterbi",
+    "repro.hmm.model.HiddenMarkovModel.emission_matrix",
+    "repro.pipeline.stages.dempster_combine",
+    "repro.core.multisource.dempster_combine",
+    "repro.pipeline.stages.top_k_steiner_trees",
+    "repro.pipeline.stages.BackwardStage._prefilter_batched",
+}
+
+
+def _oracle_rankings(db, texts: list[str], backend: str):
+    """``(sql, probability, result_count)`` per answer: single-source
+    ``search_many`` answers, then a two-source (full + hidden) ranking."""
+    engine = Quest(FullAccessWrapper(create_backend(backend, db)))
+    single = [
+        [(e.sql, e.probability, e.result_count) for e in answers]
+        for answers in engine.search_many(texts, strict=False)
+    ]
+    multi = MultiSourceQuest(
+        {
+            "full": engine,
+            "hidden": Quest(HiddenSourceWrapper(db.schema, remote_db=db)),
+        },
+        max_workers=1,
+    )
+    combined = [
+        [(name, e.sql, e.probability, e.result_count) for name, e in multi.search(text)]
+        for text in texts[:3]
+    ]
+    return single, combined
+
+
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+def test_reference_oracle_rankings_identical(backend: str):
+    db = mondial.generate(countries=10, seed=29)
+    texts = [q.text for q in mondial.workload(db, queries_per_kind=2, seed=31)]
+    want = _oracle_rankings(db, texts, backend)
+    with reference_kernels() as calls:
+        got = _oracle_rankings(db, texts, backend)
+    assert got == want
+    assert any(want[0]) and any(want[1])
+    # A twin the run never reached proves nothing about its call site.
+    assert set(calls) == CALL_SITES
+    assert all(count > 0 for count in calls.values()), dict(calls)
+
+
+def test_prefilter_agrees_with_graph_connectivity():
+    """Every configuration of a mondial workload: the batched prefilter's
+    verdict is the schema graph's own connectivity answer, cold (distance
+    rows computed) and warm (rows read back from the plan cache)."""
+    db = mondial.generate(countries=10, seed=29)
+    engine = Quest(FullAccessWrapper(backend_for(db)))
+    graph = engine.schema_graph
+    terminal_sets = []
+    for query in mondial.workload(db, queries_per_kind=2, seed=31):
+        for configuration in engine.forward(engine.keywords_of(query.text)):
+            terminal_sets.append(
+                sorted(configuration.terminals(engine.schema), key=str)
+            )
+    assert terminal_sets
+    want = [graph.connected(set(terminals)) for terminals in terminal_sets]
+    assert True in want
+    outside = ColumnRef("no_such_table", "no_such_column")
+    assert outside not in graph
+    unknown = [[], [outside], [terminal_sets[0][0], outside]]
+    for _pass in ("cold", "warm"):
+        verdicts = BackwardStage._prefilter_batched(
+            engine, terminal_sets + unknown
+        )
+        assert verdicts == want + [None, None, None]
+
+
+def test_prefilter_agrees_on_disconnected_graphs():
+    """Sparse random graphs (mondial's graph is one component): the
+    prefilter answers ``False`` exactly where the graph is disconnected."""
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(3, 10)
+        columns = tuple(Column(f"c{i}", DataType.TEXT) for i in range(n))
+        graph = SchemaGraph(Schema(tables=[TableSchema("t", columns, ("c0",))]))
+        nodes = list(graph.nodes)
+        for _ in range(rng.randint(0, n)):
+            left, right = rng.sample(nodes, 2)
+            if graph.edge_between(left, right) is None:
+                graph.add_edge(left, right, rng.uniform(0.1, 2.0), "intra")
+        sets = [
+            sorted(rng.sample(nodes, rng.randint(1, min(4, n))), key=str)
+            for _ in range(6)
+        ]
+        want = [graph.connected(set(terminals)) for terminals in sets]
+        engine = SimpleNamespace(schema_graph=graph)
+        assert BackwardStage._prefilter_batched(engine, sets) == want
+        seen.update(want)
+    assert seen == {True, False}
 
 
 #: One process's rankings of a mondial gold subset, as JSON on stdout:
@@ -94,6 +191,7 @@ import json, sys
 from repro.core import Quest
 from repro.datasets import mondial
 from repro.service.http import explanation_payload
+from repro.steiner import SchemaGraph
 from repro.storage import create_backend
 from repro.wrapper import FullAccessWrapper
 

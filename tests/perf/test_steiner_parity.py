@@ -25,6 +25,7 @@ from repro.steiner import (
     exact_steiner_tree_reference,
     shortest_paths,
     top_k_steiner_trees,
+    top_k_steiner_trees_reference,
 )
 
 
@@ -72,9 +73,7 @@ def test_topk_bitmask_matches_reference(seed: int):
     prune = bool(seed % 2)
     fast = top_k_steiner_trees(graph, terminals, k, prune_supertrees=prune)
     graph.steiner_cache.clear()
-    slow = top_k_steiner_trees(
-        graph, terminals, k, prune_supertrees=prune, interned=False
-    )
+    slow = top_k_steiner_trees_reference(graph, terminals, k, prune_supertrees=prune)
     assert len(fast) == len(slow)
     for fast_tree, slow_tree in zip(fast, slow):
         assert fast_tree.signature() == slow_tree.signature()

@@ -67,19 +67,11 @@ def _random_problem(seed: int):
 def test_vectorized_matches_reference(seed: int):
     model, emissions, k = _random_problem(seed)
     reference = list_viterbi_reference(model, emissions, k)
-    vectorized = list_viterbi(model, emissions, k, vectorized=True)
+    vectorized = list_viterbi(model, emissions, k)
     assert len(vectorized) == len(reference)
     for fast, slow in zip(vectorized, reference):
         assert fast.states == slow.states
         assert fast.log_probability == slow.log_probability  # bit identity
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_explicit_fallback_is_the_reference(seed: int):
-    model, emissions, k = _random_problem(seed)
-    fallback = list_viterbi(model, emissions, k, vectorized=False)
-    assert fallback == list_viterbi_reference(model, emissions, k)
 
 
 def test_degenerate_ties_order_lexicographically():

@@ -48,6 +48,8 @@ from repro.storage.memory import MemoryBackend
 from repro.storage.sqlite import SQLiteBackend
 from repro.wrapper.full import FullAccessWrapper
 
+from tests.oracle import reference_kernels
+
 _QUERY = "kubrick movies"
 _SEARCH_PATH = "/search?q=kubrick%20movies&k=3"
 
@@ -487,13 +489,11 @@ class TestStorageChaos:
         assert breaker.state == "open"
         backend = SQLiteBackend.from_database(mini_db, breaker=breaker)
         degraded = Quest(FullAccessWrapper(backend))
-        reference = Quest(
-            FullAccessWrapper(MemoryBackend(mini_db)),
-            QuestSettings.reference_kernels(),
-        )
+        reference = Quest(FullAccessWrapper(MemoryBackend(mini_db)))
         for query in (_QUERY, "scott scifi", "kubrick horror 1980"):
             got = degraded.search_context(query=query)
-            want = reference.search_context(query=query)
+            with reference_kernels():
+                want = reference.search_context(query=query)
             assert _ranking(got) == _ranking(want), query
             assert not got.trace.degraded  # answers are full, not partial
         assert breaker.state == "open"  # successes alone must not close it
@@ -608,12 +608,10 @@ class TestArtifactFallback:
         engine = factory()  # must come up anyway
         assert process_health.degraded()
         assert "index-artifact-fallback" in process_health.reasons()
-        reference = Quest(
-            FullAccessWrapper(MemoryBackend(mini_db)),
-            QuestSettings.reference_kernels(),
-        )
+        reference = Quest(FullAccessWrapper(MemoryBackend(mini_db)))
         got = engine.search_context(query=_QUERY)
-        want = reference.search_context(query=_QUERY)
+        with reference_kernels():
+            want = reference.search_context(query=_QUERY)
         assert got.explanations
         assert _ranking(got) == _ranking(want)
 
