@@ -16,6 +16,9 @@ attributes), so an engine built before or inside the block runs on the
 twins while the block is open. The yielded :class:`~collections.Counter`
 counts calls per patched call site: a run that never reached a twin
 proves nothing about it, so callers assert the counts they rely on.
+Naming patch targets (keys of :data:`TWINS`) swaps in only those twins,
+so one kernel can be checked end to end against the rest of the
+production engine.
 
 The prefilter "twin" answers "unknown" for every configuration, so each
 reference Steiner call checks connectivity itself.
@@ -52,9 +55,14 @@ TWINS: dict[str, Callable[..., Any]] = {
 
 
 @contextlib.contextmanager
-def reference_kernels() -> Iterator[Counter[str]]:
-    """Run the engine on the reference twins; yield per-site call counts."""
-    calls: Counter[str] = Counter({target: 0 for target in TWINS})
+def reference_kernels(*targets: str) -> Iterator[Counter[str]]:
+    """Run the engine on the reference twins (all, or only ``targets``);
+    yield per-site call counts."""
+    unknown = set(targets) - set(TWINS)
+    if unknown:
+        raise KeyError(f"no reference twin for {sorted(unknown)}")
+    chosen = {t: TWINS[t] for t in targets} if targets else TWINS
+    calls: Counter[str] = Counter({target: 0 for target in chosen})
 
     def counted(target: str, twin: Callable[..., Any]) -> Callable[..., Any]:
         @functools.wraps(twin)
@@ -65,7 +73,7 @@ def reference_kernels() -> Iterator[Counter[str]]:
         return call
 
     with contextlib.ExitStack() as stack:
-        for target, twin in TWINS.items():
+        for target, twin in chosen.items():
             replacement: Any = counted(target, twin)
             if target.endswith("._prefilter_batched"):
                 replacement = staticmethod(replacement)

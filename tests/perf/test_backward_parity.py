@@ -7,11 +7,16 @@ Independent claims, the kernel ones bit-exact:
 * Dreyfus-Wagner with the subset-reusing plan cache — warm, shared
   across a random sequence of terminal sets with interleaved graph
   mutations — returns the same trees as the cold dict reference;
+* the staged pipeline returns identical rankings, on both storage
+  backends, whether the backward stage runs its batched connectivity
+  prefilter and interned top-k Steiner search (the kernels the former
+  ``batched_shortest_paths``/``steiner_plan_cache`` settings switched
+  on) or their reference twins from ``tests/oracle.py``;
 * the plan cache's hit/miss counters surface in the search trace.
 
-The backward stage's batched connectivity prefilter is checked against
-the schema graph's own connectivity in ``test_search_identity``, and its
-rankings against the reference engine (``tests/oracle.py``) there too.
+The prefilter is also checked against the schema graph's own
+connectivity in ``test_search_identity``, and whole-engine rankings
+against every reference twin there too.
 """
 
 from __future__ import annotations
@@ -33,9 +38,15 @@ from repro.steiner import (
 from repro.storage import create_backend
 from repro.wrapper import FullAccessWrapper
 
+from tests.oracle import reference_kernels
 from tests.perf.test_steiner_parity import _random_graph
 
 BACKENDS = ("memory", "sqlite")
+#: The backward stage's kernel call sites and their reference twins.
+BACKWARD_SITES = (
+    "repro.pipeline.stages.BackwardStage._prefilter_batched",
+    "repro.pipeline.stages.top_k_steiner_trees",
+)
 
 
 # -- kernel-level parity ---------------------------------------------------
@@ -116,7 +127,7 @@ def test_plan_cache_counts_hits_and_survives_repeats():
     assert stats_warm.hits > stats_cold.hits
 
 
-# -- pipeline-level counters -----------------------------------------------
+# -- pipeline-level rankings and counters ----------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +135,28 @@ def small_mondial():
     db = mondial.generate(countries=8, seed=23)
     texts = [q.text for q in mondial.workload(db, queries_per_kind=1, seed=31)]
     return db, texts
+
+
+def _rankings(db, texts, backend: str):
+    engine = Quest(FullAccessWrapper(create_backend(backend, db)))
+    answers = engine.search_many(texts, strict=False)
+    return [
+        [(e.sql, e.probability, e.result_count) for e in per_query]
+        for per_query in answers
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_new_flags_preserve_rankings(small_mondial, backend: str):
+    """Only the backward stage on its reference twins: each Steiner call
+    checks its own connectivity and enumerates trees without interning."""
+    db, texts = small_mondial
+    fast = _rankings(db, texts, backend)
+    with reference_kernels(*BACKWARD_SITES) as calls:
+        reference = _rankings(db, texts, backend)
+    assert fast == reference
+    assert any(reference)
+    assert all(calls[site] > 0 for site in BACKWARD_SITES), dict(calls)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -32,6 +32,8 @@ from repro.errors import IndexArtifactError
 from repro.storage import MemoryBackend, create_backend
 from repro.wrapper import FullAccessWrapper
 
+from tests.oracle import reference_kernels
+
 # -- random-table parity (hypothesis) ----------------------------------------
 
 #: A tiny vocabulary so generated values collide — term sharing across
@@ -168,6 +170,29 @@ def test_emission_matrix_matches_per_keyword_walk(mondial_db):
         keywords, engine.wrapper
     )
     assert np.array_equal(model_batched, model_reference)
+
+
+def test_columnar_index_flag_preserves_rankings(mondial_db):
+    """The batched emission matrix (the former ``columnar_index`` setting)
+    against the per-keyword reference walk, end to end: only the emission
+    call site runs its twin, every other kernel stays in production."""
+    site = "repro.hmm.model.HiddenMarkovModel.emission_matrix"
+    workload = mondial.workload(mondial_db, queries_per_kind=2, seed=31)
+    texts = [q.text for q in workload][:6]
+    columnar = Quest(FullAccessWrapper(MemoryBackend(mondial_db)))
+    reference = Quest(FullAccessWrapper(MemoryBackend(mondial_db)))
+    fast = columnar.search_many(texts, strict=False)
+    with reference_kernels(site) as calls:
+        slow = reference.search_many(texts, strict=False)
+    assert calls[site] > 0
+    assert any(fast)
+    assert [
+        [(e.sql, e.probability, e.result_count) for e in answers]
+        for answers in fast
+    ] == [
+        [(e.sql, e.probability, e.result_count) for e in answers]
+        for answers in slow
+    ]
 
 
 def test_backend_attribute_scores_many_parity(mondial_db):
