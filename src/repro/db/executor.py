@@ -7,11 +7,23 @@ The executor implements a straightforward but index-aware strategy:
    the caller hands in the full-text postings, CONTAINS predicates seed
    them from the intersection of their keyword tokens' posting lists;
    only without either does the occurrence scan. Every predicate is
-   re-checked on the candidates, so the seed only narrows;
+   re-checked on the candidates, so the seed only narrows. An occurrence
+   without local predicates reads the table's live rows in place;
 2. join occurrences one at a time, always preferring an occurrence connected
-   to the already-joined ones through an equi-join condition, probing hash
-   indexes built on the fly;
-3. project (optionally de-duplicating) and apply LIMIT.
+   to the already-joined ones through an equi-join condition. An
+   occurrence without local predicates that has more rows than there are
+   partial tuples is attached by an index nested loop: one probe per
+   partial tuple into the column index the table maintains across
+   writes (:meth:`~repro.db.table.Table.ensure_index`). Every other
+   occurrence is attached by a hash join that builds on its candidate
+   rows. Once no partial tuple is left, the remaining joins, cross
+   products and residual conditions are skipped;
+3. project (optionally de-duplicating) and apply LIMIT — or, for
+   :func:`result_count`, count the projected rows without materialising
+   them.
+
+Both join strategies emit the same rows in the same order: partial tuples
+stay in order, and each one meets its matches in insertion order.
 
 This supports everything the QUEST query builder emits: conjunctive
 select-project-join queries with keyword (CONTAINS), LIKE and comparison
@@ -221,7 +233,8 @@ def _filter_base(
 
     Equality predicates on indexed values short-circuit through a hash
     index; CONTAINS predicates through the posting lists, when given;
-    everything else scans.
+    everything else scans. Without predicates this is the table's live
+    row list itself (read, never mutated).
     """
     equality = [p for p in predicates if p.op is Comparison.EQ]
     if equality:
@@ -233,7 +246,7 @@ def _filter_base(
         candidates = table.rows if seeded is None else seeded
         rest = predicates
     if not rest:
-        return list(candidates)
+        return candidates
     positions = {p: table.column_position(p.column) for p in rest}
     return [
         row
@@ -250,6 +263,45 @@ def execute(
     *postings* is the full-text index's lookup over the same *db* (see
     :data:`PostingLookup`); without it CONTAINS predicates scan.
     """
+    tables, partials = _join(db, query, postings)
+    columns, positions = _targets(query, tables)
+    rows: list[tuple[Any, ...]] = []
+    seen: set[tuple[Any, ...]] = set()
+    for partial in partials:
+        if query.limit is not None and len(rows) >= query.limit:
+            break
+        row = tuple([partial[alias][at] for alias, at in positions])
+        if query.distinct:
+            if row in seen:
+                continue
+            seen.add(row)
+        rows.append(row)
+    return ResultSet(columns, rows)
+
+
+def result_count(
+    db: Database, query: SelectQuery, postings: PostingLookup | None = None
+) -> int:
+    """Number of rows *query* returns (respecting DISTINCT and LIMIT).
+
+    Counts what :func:`execute` would return without building its rows:
+    the joined tuples, or for DISTINCT their distinct projections.
+    """
+    tables, partials = _join(db, query, postings)
+    _columns, positions = _targets(query, tables)
+    if query.distinct:
+        count = len(
+            {tuple([partial[alias][at] for alias, at in positions]) for partial in partials}
+        )
+    else:
+        count = len(partials)
+    return count if query.limit is None else min(count, query.limit)
+
+
+def _join(
+    db: Database, query: SelectQuery, postings: PostingLookup | None
+) -> tuple[dict[str, Table], list[dict[str, Row]]]:
+    """The FROM occurrences' tables and the joined partial tuples."""
     local: dict[str, list[Predicate]] = {alias: [] for alias in query.aliases}
     for predicate in query.predicates:
         local[predicate.alias].append(predicate)
@@ -271,7 +323,7 @@ def execute(
     partials: list[dict[str, Row]] = [{start: row} for row in base_rows[start]]
 
     pending: list[JoinCondition] = list(query.joins)
-    while remaining:
+    while remaining and partials:
         step = _pick_next(bound, remaining, pending, base_rows)
         if step is None:
             # Disconnected clause: cross product with the smallest remainder.
@@ -285,16 +337,21 @@ def execute(
             bound.append(alias)
             continue
         alias, conditions = step
-        partials = _hash_join(partials, alias, conditions, tables, base_rows[alias])
+        if not local[alias] and len(partials) < len(base_rows[alias]):
+            partials = _index_join(partials, alias, conditions, tables)
+        else:
+            partials = _hash_join(
+                partials, alias, conditions, tables, base_rows[alias]
+            )
         remaining.discard(alias)
         bound.append(alias)
         pending = [c for c in pending if c not in conditions]
 
     # Residual join conditions between already-bound occurrences (cycles).
-    for condition in pending:
-        partials = [p for p in partials if _join_holds(p, condition, tables)]
-
-    return _project(query, tables, partials)
+    if partials:
+        for condition in pending:
+            partials = [p for p in partials if _join_holds(p, condition, tables)]
+    return tables, partials
 
 
 def _pick_next(
@@ -354,6 +411,57 @@ def _hash_join(
     return joined
 
 
+def _index_join(
+    partials: list[dict[str, Row]],
+    alias: str,
+    conditions: list[JoinCondition],
+    tables: dict[str, Table],
+) -> list[dict[str, Row]]:
+    """Attach unfiltered *alias* through an index nested loop.
+
+    Each partial tuple probes the index on the first condition's column
+    of *alias*; the other conditions are checked on the fetched rows.
+    The matches are :func:`_hash_join`'s over the table's live rows, in
+    the same order: a NULL on either side matches nothing, values compare
+    as tuple elements do (identity, then ``==``), and an index bucket
+    lists its positions in insertion order.
+    """
+    normal = [
+        c if c.right_alias == alias else c.reversed() for c in conditions
+    ]
+    table = tables[alias]
+    first, rest = normal[0], normal[1:]
+    index = table.ensure_index(first.right_column)
+    storage = table.storage_rows
+    probe_alias = first.left_alias
+    probe_at = tables[probe_alias].column_position(first.left_column)
+    checks = [
+        (
+            c.left_alias,
+            tables[c.left_alias].column_position(c.left_column),
+            table.column_position(c.right_column),
+        )
+        for c in rest
+    ]
+    joined: list[dict[str, Row]] = []
+    for partial in partials:
+        key = partial[probe_alias][probe_at]
+        if key is None:
+            continue
+        for position in index.get(key, ()):
+            row = storage[position]
+            if checks and not all(
+                row[at] is not None
+                and (row[at] is partial[a][p] or row[at] == partial[a][p])
+                for a, p, at in checks
+            ):
+                continue
+            extended = dict(partial)
+            extended[alias] = row
+            joined.append(extended)
+    return joined
+
+
 def _join_holds(
     partial: dict[str, Row], condition: JoinCondition, tables: dict[str, Table]
 ) -> bool:
@@ -367,12 +475,10 @@ def _join_holds(
     return left is not None and left == right
 
 
-def _project(
-    query: SelectQuery,
-    tables: dict[str, Table],
-    partials: list[dict[str, Row]],
-) -> ResultSet:
-    """Apply projection, DISTINCT and LIMIT to joined partial tuples."""
+def _targets(
+    query: SelectQuery, tables: dict[str, Table]
+) -> tuple[tuple[str, ...], list[tuple[str, int]]]:
+    """Output column names and the ``(alias, row position)`` they read."""
     if query.projection:
         targets = list(query.projection)
     else:
@@ -385,21 +491,4 @@ def _project(
         (alias, tables[alias].column_position(column)) for alias, column in targets
     ]
     columns = tuple(f"{alias}.{column}" for alias, column in targets)
-
-    rows: list[tuple[Any, ...]] = []
-    seen: set[tuple[Any, ...]] = set()
-    for partial in partials:
-        row = tuple(partial[alias][position] for alias, position in positions)
-        if query.distinct:
-            if row in seen:
-                continue
-            seen.add(row)
-        rows.append(row)
-        if query.limit is not None and len(rows) >= query.limit:
-            break
-    return ResultSet(columns, rows)
-
-
-def result_count(db: Database, query: SelectQuery) -> int:
-    """Number of rows *query* returns (respecting DISTINCT and LIMIT)."""
-    return len(execute(db, query))
+    return columns, positions

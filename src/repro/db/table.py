@@ -1,9 +1,15 @@
 """In-memory table storage with primary-key and secondary indexes.
 
 Rows are stored as tuples in declaration order; the table maintains a
-unique index on the primary key and builds hash indexes on demand for the
-join executor. The representation favours clarity over raw speed but still
-keeps point lookups and equi-join probes O(1).
+unique index on the primary key and builds per-column hash indexes on
+demand for the join executor, then keeps them current on every insert and
+delete. The representation favours clarity over raw speed but still keeps
+point lookups and equi-join probes O(1).
+
+Readers may build an index while a writer mutates the table: the build
+and every mutation of rows plus indexes hold the table's index lock, so a
+freshly published index never misses an appended row nor keeps a
+tombstoned one. Lookups into a built index take no lock.
 
 Deletes are *tombstones*: the physical row list is append-only forever,
 so a row's position — the coordinate every full-text posting and sealed
@@ -16,12 +22,14 @@ baselines).
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.db.schema import TableSchema
 from repro.db.types import coerce
 from repro.errors import IntegrityError, UnknownColumnError
+from repro.forksafe import register_lock_holder
 
 __all__ = ["Table", "Row", "normalise_row"]
 
@@ -60,6 +68,10 @@ def normalise_row(
     return tuple(row)
 
 
+def _reset_index_lock(table: "Table") -> None:
+    table._index_lock = threading.Lock()
+
+
 class Table:
     """A mutable relation instance conforming to a :class:`TableSchema`."""
 
@@ -84,6 +96,10 @@ class Table:
         #: exactly the rows deleted since its last pass.
         self._deletion_log: list[int] = []
         self._live_cache: tuple[int, list[Row]] | None = None
+        #: Serialises index builds against row mutation (module docstring);
+        #: forked children get a fresh lock (see repro.forksafe).
+        self._index_lock = threading.Lock()
+        register_lock_holder(self, _reset_index_lock)
 
     # -- schema helpers ---------------------------------------------------
 
@@ -113,12 +129,13 @@ class Table:
             raise IntegrityError(f"{self.name}: primary key may not be NULL")
         if key in self._pk_index:
             raise IntegrityError(f"{self.name}: duplicate primary key {key!r}")
-        position = len(self._rows)
-        self._rows.append(row)
-        self._pk_index[key] = position
-        self.version += 1
-        for column, index in self._secondary.items():
-            index[row[self._col_index[column]]].append(position)
+        with self._index_lock:
+            position = len(self._rows)
+            self._rows.append(row)
+            self._pk_index[key] = position
+            self.version += 1
+            for column, index in self._secondary.items():
+                index[row[self._col_index[column]]].append(position)
         return row
 
     def insert_many(self, rows: Iterator[Mapping[str, Any] | Sequence[Any]]) -> int:
@@ -168,14 +185,15 @@ class Table:
 
     def apply_prepared(self, normalised: Sequence[Row]) -> None:
         """Apply rows previously validated by :meth:`prepare_rows`."""
-        for row in normalised:
-            key = tuple(row[p] for p in self._pk_positions)
-            position = len(self._rows)
-            self._rows.append(row)
-            self._pk_index[key] = position
-            self.version += 1
-            for column, index in self._secondary.items():
-                index[row[self._col_index[column]]].append(position)
+        with self._index_lock:
+            for row in normalised:
+                key = tuple(row[p] for p in self._pk_positions)
+                position = len(self._rows)
+                self._rows.append(row)
+                self._pk_index[key] = position
+                self.version += 1
+                for column, index in self._secondary.items():
+                    index[row[self._col_index[column]]].append(position)
 
     def delete_rows(self, keys: Sequence[tuple[Any, ...] | Any]) -> int:
         """Tombstone the rows behind *keys*; returns how many existed.
@@ -187,20 +205,21 @@ class Table:
         delete idempotent.
         """
         deleted = 0
-        for key in keys:
-            key = self.normalise_key(key)
-            position = self._pk_index.pop(key, None)
-            if position is None:
-                continue
-            self._deleted.add(position)
-            self._deletion_log.append(position)
-            self.version += 1
-            deleted += 1
-            row = self._rows[position]
-            for column, index in self._secondary.items():
-                postings = index.get(row[self._col_index[column]])
-                if postings is not None:
-                    postings.remove(position)
+        normalised = [self.normalise_key(key) for key in keys]
+        with self._index_lock:
+            for key in normalised:
+                position = self._pk_index.pop(key, None)
+                if position is None:
+                    continue
+                self._deleted.add(position)
+                self._deletion_log.append(position)
+                self.version += 1
+                deleted += 1
+                row = self._rows[position]
+                for column, index in self._secondary.items():
+                    postings = index.get(row[self._col_index[column]])
+                    if postings is not None:
+                        postings.remove(position)
         return deleted
 
     def normalise_key(self, key: tuple[Any, ...] | Any) -> tuple[Any, ...]:
@@ -238,15 +257,18 @@ class Table:
         """
         if not self._deleted:
             return self._rows
+        version = self.version
         cached = self._live_cache
-        if cached is not None and cached[0] == self.version:
+        if cached is not None and cached[0] == version:
             return cached[1]
+        # Stamped with the version read before the scan: a write racing
+        # the scan leaves a stamp that the next read no longer matches.
         live = [
             row
             for position, row in enumerate(self._rows)
             if position not in self._deleted
         ]
-        self._live_cache = (self.version, live)
+        self._live_cache = (version, live)
         return live
 
     @property
@@ -304,15 +326,24 @@ class Table:
     # -- indexing ---------------------------------------------------------
 
     def ensure_index(self, column: str) -> dict[Any, list[int]]:
-        """Build (or fetch) a hash index on *column* for equi-join probes."""
-        if column not in self._secondary:
+        """Build (or fetch) a hash index on *column* for equi-join probes.
+
+        The index maps each value (NULL included) to the live positions
+        holding it, in insertion order, and stays current across every
+        later insert and delete. Do not mutate it.
+        """
+        index = self._secondary.get(column)
+        if index is None:
             position = self.column_position(column)
-            index: dict[Any, list[int]] = defaultdict(list)
-            for row_position, row in enumerate(self._rows):
-                if row_position not in self._deleted:
-                    index[row[position]].append(row_position)
-            self._secondary[column] = index
-        return self._secondary[column]
+            with self._index_lock:
+                index = self._secondary.get(column)
+                if index is None:
+                    index = defaultdict(list)
+                    for row_position, row in enumerate(self._rows):
+                        if row_position not in self._deleted:
+                            index[row[position]].append(row_position)
+                    self._secondary[column] = index
+        return index
 
     def lookup(self, column: str, value: Any) -> list[Row]:
         """All rows whose *column* equals *value* (index-accelerated)."""

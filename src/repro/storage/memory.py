@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.db.database import Database
-from repro.db.executor import ResultSet, execute
+from repro.db.executor import ResultSet, execute, result_count
 from repro.db.fulltext import FullTextIndex
 from repro.db.query import SelectQuery
 from repro.db.schema import ColumnRef
@@ -171,3 +171,7 @@ class MemoryBackend(StorageBackend):
     def execute(self, query: SelectQuery) -> ResultSet:
         """Run *query*, narrowing CONTAINS predicates to their postings."""
         return execute(self.database, query, self._postings)
+
+    def result_count(self, query: SelectQuery) -> int:
+        """Count *query*'s rows without materialising them."""
+        return result_count(self.database, query, self._postings)

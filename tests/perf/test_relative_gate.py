@@ -102,3 +102,21 @@ def test_entries_under_the_noise_floor_are_exempt():
     fast = _report([0.0001] * 5, [0.001] * 5)
     slowed = _report([0.0009] * 5, [0.001] * 5)
     assert compare(slowed, fast, TOLERANCE, relative=True) == []
+
+
+def test_explain_stage_is_reported_but_not_gated_relatively():
+    # The explain stage runs the same code on both kernel sets, so a
+    # collapsed ratio (0.5x against 1.0x) is noise in relative mode; the
+    # absolute mode still gates its optimized median.
+    def with_explain(optimized: list[float], reference: list[float]) -> dict:
+        report = _report([0.010] * 5, [0.100] * 5)
+        sides = report["cold_search"]["memory"]
+        sides["optimized"]["stage_seconds"]["explain"] = _entry(optimized)
+        sides["reference"]["stage_seconds"]["explain"] = _entry(reference)
+        return report
+
+    base = with_explain([0.010] * 5, [0.010] * 5)
+    current = with_explain([0.020] * 5, [0.010] * 5)
+    assert compare(current, base, TOLERANCE, relative=True) == []
+    problems = compare(current, base, TOLERANCE, relative=False)
+    assert [p.split(":")[0] for p in problems] == ["memory/stage-explain per-query"]

@@ -79,13 +79,17 @@ class TestFleet:
             server.wait_ready()
             pids = set()
             rankings = {}
-            for _ in range(30):
+
+            def both_workers_answered():
+                # Workers share one listener and the kernel may hand a
+                # run of accepts to the same one: ask until both answered.
                 status, body = fetch_json("127.0.0.1", server.port, _SEARCH_PATH)
                 assert status == 200, body
                 pids.add(body["pid"])
                 rankings[body["pid"]] = body["results"]
-                if len(pids) == 2:
-                    break
+                return len(pids) == 2
+
+            _wait_for(both_workers_answered, message="both workers to answer")
             assert pids == set(server.worker_pids())
 
             # The same factory in-process (mmap'd artifact) must produce
