@@ -122,6 +122,14 @@ NOISE_FLOOR_S = 0.002
 SHARED_CODE_STAGES = frozenset({"explain"})
 
 
+#: Kernel entries whose repetitions each time several alternating calls
+#: per side and record the per-call mean (the paired ratio is then a
+#: ratio of sums). The top-k Steiner reference side swings 30-40% with
+#: the host's speed phase between runs; alternating inside a repetition
+#: lets both sides sample the same phase.
+KERNEL_ALTERNATIONS = {"top-k-steiner k=10": 5}
+
+
 #: Scale of the index-lifecycle measurements: large enough that the
 #: build-vs-load gap reflects real row counts, small enough for CI.
 INDEX_SCALE = {"movies": 1000, "seed": 7}
@@ -151,7 +159,7 @@ def _stats_of(runs: list[float]) -> dict[str, object]:
 
 
 def _measure_pair(
-    variants: dict[str, object], repeats: int
+    variants: dict[str, object], repeats: int, alternations: int = 1
 ) -> dict[str, dict[str, object]]:
     """Interleaved timing of the kernelset variants of one entry.
 
@@ -159,16 +167,22 @@ def _measure_pair(
     (CPU throttling, a noisy CI neighbour) hits both kernel sets alike and
     cancels out of the speedup ratio — measuring each set in its own
     contiguous block is exactly how a mid-suite slowdown poisons one side
-    only. One warmup per variant precedes the timed repetitions.
+    only. With *alternations* > 1 a repetition runs that many rounds of
+    back-to-back calls and records each side's mean call time. One warmup
+    per variant precedes the timed repetitions.
     """
     for fn in variants.values():
         fn()
     runs: dict[str, list[float]] = {kernelset: [] for kernelset in variants}
     for _ in range(repeats):
-        for kernelset, fn in variants.items():
-            start = time.perf_counter()
-            fn()
-            runs[kernelset].append(time.perf_counter() - start)
+        totals = dict.fromkeys(variants, 0.0)
+        for _round in range(alternations):
+            for kernelset, fn in variants.items():
+                start = time.perf_counter()
+                fn()
+                totals[kernelset] += time.perf_counter() - start
+        for kernelset, total in totals.items():
+            runs[kernelset].append(total / alternations)
     return {kernelset: _stats_of(times) for kernelset, times in runs.items()}
 
 
@@ -846,7 +860,10 @@ def run_suite(
             kernelset: {} for kernelset in KERNELSETS
         }
         for name, variants in _kernel_measurements(sc).items():
-            for kernelset, stats in _measure_pair(variants, repeats).items():
+            alternations = KERNEL_ALTERNATIONS.get(name, 1)
+            for kernelset, stats in _measure_pair(
+                variants, repeats, alternations
+            ).items():
                 kernel_entries[kernelset][name] = stats
         kernels = {
             kernelset: {"entries": entries}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.db.schema import ColumnRef, Schema
-from repro.db.table import Row, Table
+from repro.db.table import MutationCounter, Row, Table
 from repro.errors import IntegrityError, UnknownTableError
 
 __all__ = ["Database"]
@@ -22,8 +22,9 @@ class Database:
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
+        self._mutations = MutationCounter()
         self._tables: dict[str, Table] = {
-            table.name: Table(table) for table in schema.tables
+            table.name: Table(table, self._mutations) for table in schema.tables
         }
 
     # -- access -----------------------------------------------------------
@@ -57,14 +58,17 @@ class Database:
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter summed over all tables.
+        """Monotonic mutation counter over all tables, read in O(1).
 
-        Derived structures (the full-text index, storage backends) compare
-        this against the version they were built at to detect staleness —
-        the same invalidation contract the Steiner cache honours on
+        Every table mutation advances it (see
+        :class:`~repro.db.table.MutationCounter`), so at quiescence it
+        equals the sum of the table versions. Derived structures (the
+        full-text index, storage backends) compare this against the
+        version they were built at to detect staleness — the same
+        invalidation contract the Steiner cache honours on
         ``SchemaGraph.add_edge``.
         """
-        return sum(table.version for table in self._tables.values())
+        return self._mutations.value
 
     def column_values(self, ref: ColumnRef) -> list[Any]:
         """All values of the referenced column, in row order."""

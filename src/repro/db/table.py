@@ -31,7 +31,7 @@ from repro.db.types import coerce
 from repro.errors import IntegrityError, UnknownColumnError
 from repro.forksafe import register_lock_holder
 
-__all__ = ["Table", "Row", "normalise_row"]
+__all__ = ["MutationCounter", "Table", "Row", "normalise_row"]
 
 #: A materialised row: values in column-declaration order.
 Row = tuple[Any, ...]
@@ -72,15 +72,49 @@ def _reset_index_lock(table: "Table") -> None:
     table._index_lock = threading.Lock()
 
 
+def _reset_counter_lock(counter: "MutationCounter") -> None:
+    counter._lock = threading.Lock()
+
+
+class MutationCounter:
+    """The running total of mutations over the tables that share it.
+
+    A :class:`~repro.db.database.Database` hands one counter to all of its
+    tables, and every table version bump advances it by the same amount,
+    so reading the database version is O(1) and, once writers are
+    quiescent, equals the sum of the table versions. Tables are written
+    under their own index locks, so the counter takes a lock of its own:
+    writers on different tables never lose an increment. A table advances
+    it only after the mutation is in place, so a reader that sees the new
+    value also sees the rows behind it.
+    """
+
+    __slots__ = ("value", "_lock", "__weakref__")
+
+    def __init__(self) -> None:
+        self.value = 0
+        self._lock = threading.Lock()
+        register_lock_holder(self, _reset_counter_lock)
+
+    def advance(self, count: int) -> None:
+        """Add *count* mutations to the total."""
+        with self._lock:
+            self.value += count
+
+
 class Table:
     """A mutable relation instance conforming to a :class:`TableSchema`."""
 
-    def __init__(self, schema: TableSchema) -> None:
+    def __init__(
+        self, schema: TableSchema, counter: MutationCounter | None = None
+    ) -> None:
         self.schema = schema
         self._rows: list[Row] = []
         #: Monotonic mutation counter; derived structures (full-text
         #: indexes, backends) compare it to detect staleness.
         self.version = 0
+        #: The owning database's running total, advanced with ``version``.
+        self._counter = counter if counter is not None else MutationCounter()
         self._col_index: dict[str, int] = {
             column.name: position for position, column in enumerate(schema.columns)
         }
@@ -136,6 +170,7 @@ class Table:
             self.version += 1
             for column, index in self._secondary.items():
                 index[row[self._col_index[column]]].append(position)
+            self._counter.advance(1)
         return row
 
     def insert_many(self, rows: Iterator[Mapping[str, Any] | Sequence[Any]]) -> int:
@@ -194,6 +229,7 @@ class Table:
                 self.version += 1
                 for column, index in self._secondary.items():
                     index[row[self._col_index[column]]].append(position)
+            self._counter.advance(len(normalised))
 
     def delete_rows(self, keys: Sequence[tuple[Any, ...] | Any]) -> int:
         """Tombstone the rows behind *keys*; returns how many existed.
@@ -220,6 +256,7 @@ class Table:
                     postings = index.get(row[self._col_index[column]])
                     if postings is not None:
                         postings.remove(position)
+            self._counter.advance(deleted)
         return deleted
 
     def normalise_key(self, key: tuple[Any, ...] | Any) -> tuple[Any, ...]:

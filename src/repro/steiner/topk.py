@@ -20,11 +20,28 @@ every tree in flight is a pair of bitmasks (edge set, node set). Growing
 a tree is a bitwise OR, the cycle check is a bit test, merge disjointness
 is ``a & b == 0`` and the sub-tree redundancy filter is
 ``prior & sig == prior`` — no frozenset is allocated until a finished tree
-is emitted. :func:`top_k_steiner_trees_reference` runs the original
-frozenset formulation instead: the executable specification, called by the
-parity tests and the test-side oracle (``tests/oracle.py``), never by the
-engine. Its pop/push sequence is exactly that of the bitmask search, so
-both return identical trees in identical order.
+is emitted. The trees accepted at one (root, terminal mask) state form an
+insertion-ordered dict keyed by edge mask, so the duplicate check is one
+hash lookup and the merge scan visits them in acceptance order.
+
+Before searching, the bitmask search peels the terminal-free pendant
+subtrees: it repeatedly removes non-terminal nodes of degree at most one,
+and growth never enters a removed ("inert") node. Every terminal lies
+outside such a subtree, so a state rooted at an inert node v holds v's
+edge toward the rest of the graph, and two states at v always share an
+edge and never merge. Its terminal mask is its parent's, which was not
+full (full-mask states never grow), so it is never emitted. It can only
+grow deeper into the subtree, and its bucket is read only by other inert
+states. Skipping them leaves every other pop, acceptance and emission in
+place: the tiebreak counter stays monotonic, so the remaining states keep
+their relative order.
+
+:func:`top_k_steiner_trees_reference` runs the original frozenset
+formulation, without the peel: the executable specification, called by
+the parity tests and the test-side oracle (``tests/oracle.py``), never by
+the engine. Apart from the inert states it never lets in, the bitmask
+search pops and pushes exactly what the reference does, so both return
+identical trees in identical order.
 
 Enumeration results are memoised on the graph itself: a
 :class:`~repro.steiner.graph.SchemaGraph` carries a ``steiner_cache``
@@ -76,7 +93,10 @@ def top_k_steiner_trees(
         prune_supertrees: discard candidates that contain an already
             emitted tree as a sub-tree (QUEST's redundancy filter); set to
             ``False`` to enumerate raw k-best trees.
-        max_pops: safety valve on queue pops for adversarial graphs.
+        max_pops: safety valve on queue pops for adversarial graphs. The
+            peeled search pops no inert state, so it reaches the cap later
+            than :func:`top_k_steiner_trees_reference`; the two agree tree
+            for tree whenever neither search reaches it.
         assume_connected: skip the connectivity BFS. Only pass ``True``
             when the caller has already established that the terminals
             share a component (the backward stage's batched prefilter);
@@ -189,18 +209,22 @@ def _search_interned(
     #: per node index: the terminal bit it carries (0 for Steiner nodes) —
     #: a flat list, indexed on the grow inner loop.
     terminal_bit = [0] * len(compact)
+    terminal_nodes = 0
     for i, t in enumerate(terminal_list):
         terminal_bit[node_index[t]] = 1 << i
+        terminal_nodes |= 1 << node_index[t]
+    inert = _inert_nodes(neighbors, terminal_nodes)
 
     counter = itertools.count()
     #: heap entries: (cost, tiebreak, root index, terminal mask, edge mask,
     #: node mask) — comparisons never pass the unique tiebreak.
     heap: list[tuple[float, int, int, int, int, int]] = []
-    #: per root, per terminal mask: (cost, edge mask, node mask) accepted
+    #: per root, per terminal mask: edge mask -> (cost, node mask) accepted
     #: so far (bounded by k). Indexing by root first keeps the merge scan
     #: to the one root that can produce merges; insertion order within a
-    #: root matches the flat dict's, so the push sequence is unchanged.
-    accepted: dict[int, dict[int, list[tuple[float, int, int]]]] = {}
+    #: root matches the flat dict's, and within a bucket it is acceptance
+    #: order, so the push sequence is unchanged.
+    accepted: dict[int, dict[int, dict[int, tuple[float, int]]]] = {}
 
     for i, t in enumerate(terminal_list):
         node = node_index[t]
@@ -223,10 +247,10 @@ def _search_interned(
             by_mask = accepted[root] = {}
         bucket = by_mask.get(mask)
         if bucket is None:
-            bucket = by_mask[mask] = []
-        if len(bucket) >= k or any(edges == prior for _c, prior, _n in bucket):
+            bucket = by_mask[mask] = {}
+        if len(bucket) >= k or edges in bucket:
             continue
-        bucket.append((cost, edges, tree_nodes))
+        bucket[edges] = (cost, tree_nodes)
 
         if mask == full_mask:
             if edges in seen_results:
@@ -252,13 +276,13 @@ def _search_interned(
             )
             continue
 
-        # Grow: extend the tree along one incident edge.
+        # Grow: extend the tree along one incident edge. Re-entering a
+        # tree node would close a cycle (an edge already in the tree joins
+        # two tree nodes, so this also skips it); entering an inert node
+        # would queue a state that can never merge or be emitted.
+        blocked = tree_nodes | inert
         for neighbour, weight, edge_position in neighbors[root]:
-            edge_bit = 1 << edge_position
-            if edges & edge_bit:
-                continue
-            # Re-entering an existing node would close a cycle.
-            if tree_nodes & (1 << neighbour):
+            if blocked >> neighbour & 1:
                 continue
             heapq.heappush(
                 heap,
@@ -267,7 +291,7 @@ def _search_interned(
                     next(counter),
                     neighbour,
                     mask | terminal_bit[neighbour],
-                    edges | edge_bit,
+                    edges | (1 << edge_position),
                     tree_nodes | (1 << neighbour),
                 ),
             )
@@ -277,7 +301,7 @@ def _search_interned(
         for other_mask, other_bucket in by_mask.items():
             if other_mask & mask:
                 continue
-            for other_cost, other_edges, other_nodes in other_bucket:
+            for other_edges, (other_cost, other_nodes) in other_bucket.items():
                 if edges & other_edges:
                     continue  # overlapping edges: cost would be wrong
                 heapq.heappush(
@@ -293,6 +317,37 @@ def _search_interned(
                 )
 
     return results
+
+
+def _inert_nodes(neighbors: list[list[tuple[int, float, int]]], terminals: int) -> int:
+    """Bitmask of the nodes in terminal-free pendant subtrees.
+
+    Repeatedly removes non-terminal nodes of degree at most one from the
+    graph whose adjacency lists *neighbors* holds, without mutating it
+    (degree counts adjacency entries; the schema graph has no parallel
+    edges or self-loops). What is removed is every node of a
+    terminal-free tree hanging off the rest of the graph by one edge, plus
+    every node of an acyclic component without terminals. *terminals* is
+    the bitmask of the terminal node indices, which are never removed.
+    """
+    degree = [len(adjacent) for adjacent in neighbors]
+    stack = [
+        node
+        for node, count in enumerate(degree)
+        if count <= 1 and not terminals >> node & 1
+    ]
+    inert = 0
+    while stack:
+        node = stack.pop()
+        inert |= 1 << node
+        for neighbour, _weight, _edge_position in neighbors[node]:
+            if inert >> neighbour & 1:
+                continue
+            degree[neighbour] -= 1
+            # Degree falls through 1 once, so each node is stacked once.
+            if degree[neighbour] == 1 and not terminals >> neighbour & 1:
+                stack.append(neighbour)
+    return inert
 
 
 def _search_reference(

@@ -1,5 +1,8 @@
 """Tests for the database container and integrity checking."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.db import ColumnRef, Database
@@ -59,3 +62,54 @@ class TestIntegrity:
 
     def test_repr_mentions_scale(self, mini_db):
         assert "tables=3" in repr(mini_db)
+
+
+class TestVersion:
+    def test_version_counts_every_mutation(self, mini_schema):
+        db = Database(mini_schema)
+        db.insert("person", {"id": 1, "name": "X"})
+        db.insert_rows("genre", [{"id": 1, "label": "a"}, {"id": 2, "label": "b"}])
+        db.delete_rows("genre", [1, 99])  # the absent key mutates nothing
+        assert db.version == 4
+        assert db.version == sum(table.version for table in db.tables)
+
+    def test_concurrent_writers_lose_no_increment(self, mini_schema):
+        """Two writers on different tables advance one shared counter: at
+        quiescence it equals the sum of the table versions, and a reader
+        polling it meanwhile never sees it go backwards."""
+        db = Database(mini_schema)
+        per_writer = 2000
+        done = threading.Event()
+        readings: list[int] = []
+
+        def write(table: str) -> None:
+            for i in range(per_writer):
+                if i % 4 == 3:
+                    db.delete_rows(table, [i - 1])
+                else:
+                    db.insert(table, (i, f"{table}{i}"))
+
+        def read() -> None:
+            while not done.is_set():
+                readings.append(db.version)
+
+        writers = [
+            threading.Thread(target=write, args=(name,)) for name in ("person", "genre")
+        ]
+        reader = threading.Thread(target=read)
+        previous_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(previous_interval)
+        assert not any(thread.is_alive() for thread in (*writers, reader))
+        assert db.version == sum(table.version for table in db.tables)
+        assert db.version == 2 * per_writer
+        assert readings == sorted(readings)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.regression import compare, paired_speedup
+from benchmarks.regression import _measure_pair, compare, paired_speedup
 
 TOLERANCE = 0.30
 
@@ -49,6 +49,19 @@ def test_paired_speedup_is_the_median_of_per_repetition_ratios():
         "reference": {"runs": [0.10, 0.10, 0.10]},
     }
     assert paired_speedup(entries) == pytest.approx(5.0)
+
+
+def test_alternating_repetitions_interleave_sides_and_record_mean_calls():
+    calls: list[str] = []
+    variants = {
+        "optimized": lambda: calls.append("optimized"),
+        "reference": lambda: calls.append("reference"),
+    }
+    stats = _measure_pair(variants, repeats=2, alternations=3)
+    # One warmup per side, then 2 repetitions of 3 back-to-back rounds.
+    assert calls == ["optimized", "reference"] * (1 + 2 * 3)
+    for side in variants:
+        assert len(stats[side]["runs"]) == 2
 
 
 def test_unchanged_runs_pass():

@@ -8,6 +8,7 @@ shortest-path maps — tree for tree, float for float.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -64,14 +65,14 @@ def _random_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
     return graph, terminals
 
 
-@settings(max_examples=120, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_topk_bitmask_matches_reference(seed: int):
-    graph, terminals = _random_graph(seed)
-    rng = random.Random(seed + 1)
-    k = rng.randint(1, 8)
-    prune = bool(seed % 2)
-    fast = top_k_steiner_trees(graph, terminals, k, prune_supertrees=prune)
+def _assert_topk_parity(graph, terminals, k: int, prune: bool) -> None:
+    try:
+        fast = top_k_steiner_trees(graph, terminals, k, prune_supertrees=prune)
+    except SteinerError:
+        graph.steiner_cache.clear()
+        with pytest.raises(SteinerError):
+            top_k_steiner_trees_reference(graph, terminals, k, prune_supertrees=prune)
+        return
     graph.steiner_cache.clear()
     slow = top_k_steiner_trees_reference(graph, terminals, k, prune_supertrees=prune)
     assert len(fast) == len(slow)
@@ -79,6 +80,91 @@ def test_topk_bitmask_matches_reference(seed: int):
         assert fast_tree.signature() == slow_tree.signature()
         assert fast_tree.weight == slow_tree.weight  # bit identity
         assert fast_tree.terminals == slow_tree.terminals
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_topk_bitmask_matches_reference(seed: int):
+    graph, terminals = _random_graph(seed)
+    rng = random.Random(seed + 1)
+    _assert_topk_parity(graph, terminals, rng.randint(1, 8), bool(seed % 2))
+
+
+def _pendant_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
+    """A random core with grafted pendant structure plus a terminal set.
+
+    Around a connected core (a shuffled chain plus chords) it grafts
+    terminal-free pendant trees, pendant chains that pass through a
+    terminal and run on past it, isolated nodes and a second component:
+    every shape the search's pendant peel removes or must keep.
+    """
+    rng = random.Random(seed)
+    weight_pool = [0.5, 1.0, 1.5] if seed % 2 else None
+
+    def weight() -> float:
+        return rng.choice(weight_pool) if weight_pool else rng.uniform(0.1, 2.0)
+
+    n_core = rng.randint(3, 7)
+    tree_sizes = [rng.randint(1, 4) for _ in range(rng.randint(0, 3))]
+    chain_sizes = [rng.randint(2, 4) for _ in range(rng.randint(0, 2))]
+    n_isolated = rng.randint(0, 2)
+    n_second = rng.choice([0, 2, 3])
+    n = n_core + sum(tree_sizes) + sum(chain_sizes) + n_isolated + n_second
+    schema = Schema(
+        tables=[
+            TableSchema(
+                "t",
+                tuple(
+                    Column(f"c{i}", DataType.TEXT, nullable=False) for i in range(n)
+                ),
+                ("c0",),
+            )
+        ],
+        name="pendant",
+    )
+    graph = SchemaGraph(schema)
+    fresh = iter(list(graph.nodes))
+    core = [next(fresh) for _ in range(n_core)]
+    rng.shuffle(core)
+    for left, right in zip(core, core[1:]):
+        graph.add_edge(left, right, weight(), "intra")
+    for _ in range(rng.randint(0, n_core)):
+        left, right = rng.sample(core, 2)
+        if graph.edge_between(left, right) is None:
+            graph.add_edge(left, right, weight(), "intra")
+    terminals = rng.sample(core, rng.randint(1, min(3, n_core)))
+    for size in tree_sizes:  # terminal-free pendant trees
+        grown = [rng.choice(core)]
+        for _ in range(size):
+            node = next(fresh)
+            graph.add_edge(rng.choice(grown), node, weight(), "intra")
+            grown.append(node)
+    for size in chain_sizes:  # pendant chains through a terminal
+        chain = [rng.choice(core)] + [next(fresh) for _ in range(size)]
+        for left, right in zip(chain, chain[1:]):
+            graph.add_edge(left, right, weight(), "intra")
+        terminals.append(chain[rng.randint(1, size - 1)])
+    isolated = [next(fresh) for _ in range(n_isolated)]
+    second = [next(fresh) for _ in range(n_second)]
+    # Two nodes make a terminal-free edge (peeled whole), three a
+    # terminal-free triangle (a cycle, never peeled).
+    for left, right in itertools.combinations(second, 2):
+        graph.add_edge(left, right, weight(), "intra")
+    # Rarely a terminal lands off the core's component: both searches
+    # must then refuse the set alike.
+    if (isolated or second) and rng.random() < 0.1:
+        terminals.append(rng.choice(isolated + second))
+    return graph, terminals
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_topk_matches_reference_on_pendant_graphs(seed: int):
+    graph, terminals = _pendant_graph(seed)
+    rng = random.Random(seed + 1)
+    _assert_topk_parity(
+        graph, terminals, rng.choice([1, 3, rng.randint(1, 10), 10]), bool(seed % 3)
+    )
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.db import Catalog, ColumnRef
+from repro.db import Catalog, Column, ColumnRef, Schema, TableSchema
+from repro.db.types import DataType
 from repro.errors import SteinerError
 from repro.steiner import (
+    SchemaGraph,
     build_schema_graph,
     exact_steiner_tree,
     top_k_steiner_trees,
 )
+from repro.steiner.topk import _inert_nodes
 
 
 class TestBasics:
@@ -63,8 +66,6 @@ class TestBasics:
             top_k_steiner_trees(graph, [], 3)
 
     def test_disconnected_terminals_rejected(self, mini_schema):
-        from repro.steiner import SchemaGraph
-
         graph = SchemaGraph(mini_schema)  # no edges at all
         with pytest.raises(SteinerError):
             top_k_steiner_trees(
@@ -127,3 +128,57 @@ class TestDiversity:
         assert [t.signature() for t in small] == [
             t.signature() for t in large[:2]
         ]
+
+
+def _peeled(edges: list[str], terminals: str, isolated: str = "") -> str:
+    """The nodes the pendant peel removes, for a graph on one-letter nodes.
+
+    *edges* are two-letter strings ("ab" joins a and b); *terminals* and
+    *isolated* list node letters.
+    """
+    letters = sorted(set("".join(edges)) | set(terminals) | set(isolated))
+    schema = Schema(
+        tables=[
+            TableSchema(
+                "t",
+                tuple(Column(c, DataType.TEXT, nullable=False) for c in letters),
+                (letters[0],),
+            )
+        ],
+        name="peel",
+    )
+    graph = SchemaGraph(schema)
+    for left, right in edges:
+        graph.add_edge(ColumnRef("t", left), ColumnRef("t", right), 1.0, "intra")
+    compact = graph.compact()
+    terminal_mask = 0
+    for letter in terminals:
+        terminal_mask |= 1 << compact.index[ColumnRef("t", letter)]
+    inert = _inert_nodes(compact.neighbors, terminal_mask)
+    return "".join(
+        node.column for i, node in enumerate(compact.nodes) if inert >> i & 1
+    )
+
+
+class TestPendantPeel:
+    def test_star_keeps_the_hub_between_terminal_leaves(self):
+        assert _peeled(["ha", "hb", "hc", "hd"], terminals="ab") == "cd"
+
+    def test_star_with_one_terminal_leaf_keeps_only_it(self):
+        # The hub falls to degree one once the free leaves go.
+        assert _peeled(["ha", "hb", "hc"], terminals="a") == "bch"
+
+    def test_chain_through_a_terminal_stops_at_it(self):
+        # Triangle xyz; chain z-p-t-q-r with t a terminal: only the part
+        # past the terminal is terminal-free.
+        edges = ["xy", "yz", "zx", "zp", "pt", "tq", "qr"]
+        assert _peeled(edges, terminals="tx") == "qr"
+
+    def test_cycle_peels_nothing(self):
+        assert _peeled(["ab", "bc", "cd", "da"], terminals="a") == ""
+
+    def test_isolated_non_terminal_is_peeled(self):
+        assert _peeled(["ab", "bc", "ca"], terminals="a", isolated="iz") == "iz"
+
+    def test_isolated_terminal_is_kept(self):
+        assert _peeled(["ab", "bc", "ca"], terminals="ai", isolated="i") == ""
