@@ -4,8 +4,8 @@ Measures two groups per kernel set (``optimized`` = the engine's numeric
 kernels; ``reference`` = their retained pure-Python twins, called directly
 or, for whole searches, swapped in by ``tests.oracle.reference_kernels()``):
 
-* **kernels** — List Viterbi, top-k Steiner, Dreyfus-Wagner, KMB and
-  Dempster combination micro-timings. These are storage-backend
+* **kernels** — List Viterbi, top-k Steiner and Dempster combination
+  micro-timings. These are storage-backend
   independent (they never touch the backend) and are measured once.
 * **cold_search** — a fresh-engine ``search_many`` pass per storage
   backend (cold caches), with per-stage trace seconds and cache counters.
@@ -99,9 +99,7 @@ from repro.dst.combine import dempster_combine_reference, evidence_bodies  # noq
 from repro.hmm import list_viterbi, list_viterbi_reference  # noqa: E402
 from repro.pipeline.context import SearchContext  # noqa: E402
 from repro.steiner import (  # noqa: E402
-    approximate_steiner_tree,
     build_schema_graph,
-    exact_steiner_tree,
     top_k_steiner_trees,
     top_k_steiner_trees_reference,
 )
@@ -216,42 +214,6 @@ def _kernel_measurements(sc) -> dict[str, dict[str, object]]:
         topk = top_k_steiner_trees if optimized else top_k_steiner_trees_reference
         topk(graph, terminals, 10)
 
-    def cold_exact(optimized: bool):
-        graph.reset_derived_caches()
-        exact_steiner_tree(graph, terminals, interned=optimized)
-
-    # The plan-cache entry: overlapping terminal sets solved back to
-    # back, the shape a query workload's configurations produce. The
-    # optimized side shares Dreyfus-Wagner subset rows (and the batched
-    # distance rows) across the sets through the plan cache; the
-    # reference side recomputes every table from scratch per set.
-    overlap_sets = [
-        terminals,
-        terminals[:2],
-        [terminals[0], terminals[2]],
-        terminals,
-    ]
-
-    def warm_overlap(optimized: bool):
-        graph.reset_derived_caches()
-        for subset in overlap_sets:
-            exact_steiner_tree(
-                graph,
-                subset,
-                interned=optimized,
-                batched=optimized,
-                plan_cache=optimized,
-            )
-
-    # KMB is measured *steady-state*: the optimisation is the per-graph
-    # shortest-path cache, so the optimized side answers from the warm
-    # cache (primed by the measurement warmup) while the reference side
-    # recomputes its Dijkstras every call — exactly what a query workload
-    # observes between graph mutations. The interleaved cold_exact resets
-    # don't interfere: each entry's repetitions run as one block.
-    def steady_kmb(optimized: bool):
-        approximate_steiner_tree(graph, terminals, cached=optimized)
-
     def variants(fn) -> dict[str, object]:
         return {
             kernelset: (lambda optimized=(kernelset == "optimized"): fn(optimized))
@@ -276,9 +238,6 @@ def _kernel_measurements(sc) -> dict[str, dict[str, object]]:
             )(model, emissions, 30)
         ),
         "top-k-steiner k=10": variants(cold_topk),
-        "exact-steiner t=3": variants(cold_exact),
-        "exact-steiner warm-overlap": variants(warm_overlap),
-        "kmb-approx t=3 steady": variants(steady_kmb),
         "ds-combine frame=100": variants(
             lambda optimized: ds_combine(100, optimized)
         ),
@@ -816,7 +775,6 @@ def _cold_search(
                 )
             emissions = engine.wrapper.emission_cache_stats
             steiner = engine.schema_graph.steiner_cache.stats
-            subsets = engine.schema_graph.plan_cache.stats
             details[kernelset] = {
                 "cache": {
                     "emission": {
@@ -824,10 +782,6 @@ def _cold_search(
                         "misses": emissions.misses,
                     },
                     "steiner": {"hits": steiner.hits, "misses": steiner.misses},
-                    "steiner-subset": {
-                        "hits": subsets.hits,
-                        "misses": subsets.misses,
-                    },
                 },
             }
     return {
@@ -1382,15 +1336,13 @@ def main(argv: list[str] | None = None) -> int:
             }
             fast = _stat(backward["optimized"], "median_s")
             slow = _stat(backward["reference"], "median_s")
-            subsets = result["optimized"]["cache"]["steiner-subset"]
             if not fast or not slow:
                 print(f"ERROR: [{backend}] no backward stage timings")
                 failed = True
                 continue
             print(
                 f"[{backend}] backward per-query: reference {slow * 1e3:.3f}ms "
-                f"-> optimized {fast * 1e3:.3f}ms ({slow / fast:.2f}x); "
-                f"subset cache hits={subsets['hits']} misses={subsets['misses']}"
+                f"-> optimized {fast * 1e3:.3f}ms ({slow / fast:.2f}x)"
             )
             # The one hard claim: the optimized backward stage is not
             # slower than the reference path beyond tolerance. An

@@ -32,7 +32,7 @@ from typing import Any, Hashable, Iterator
 
 from repro.forksafe import register_lock_holder
 
-__all__ = ["CacheRecorder", "CacheStats", "LRUCache", "record_lookup", "recording"]
+__all__ = ["CacheRecorder", "CacheStats", "LRUCache", "recording"]
 
 _MISSING = object()
 
@@ -132,18 +132,6 @@ def recording(recorder: CacheRecorder) -> Iterator[CacheRecorder]:
         yield recorder
     finally:
         _RECORDER.reset(token)
-
-
-def record_lookup(label: str, hit: bool) -> None:
-    """Credit one lookup on the cache labelled *label*, if recording.
-
-    The hook for caches that are not :class:`LRUCache` instances (the
-    Steiner plan cache keeps a plain dict) to participate in per-run
-    attribution: a no-op unless the calling context installed a recorder.
-    """
-    recorder = _RECORDER.get()
-    if recorder is not None:
-        recorder.record(label, hit)
 
 
 class LRUCache:

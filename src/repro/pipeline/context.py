@@ -50,8 +50,9 @@ class SearchTrace:
         stages: one :class:`StageReport` per executed stage, in order.
         emission_cache: emission-vector cache hits/misses during this run.
         steiner_cache: Steiner-result cache hits/misses during this run.
-        steiner_subset_cache: Steiner *plan*-cache (Dreyfus-Wagner subset
-            rows and singleton distance rows) hits/misses during this run.
+        steiner_subset_cache: always zero. The engine has no Steiner
+            subset-row cache; the field stays because ``perfbench``'s
+            span export still reads it.
         notes: free-form engine decisions recorded for this run (e.g. the
             batch fan-out degrading to sequential on a single-CPU host).
         degraded: the run was served on a degraded path — its deadline
@@ -103,8 +104,7 @@ class SearchTrace:
         )
         return (
             f"{self.query!r}: {stages} | "
-            f"emissions[{self.emission_cache}] steiner[{self.steiner_cache}] "
-            f"subsets[{self.steiner_subset_cache}]"
+            f"emissions[{self.emission_cache}] steiner[{self.steiner_cache}]"
         )
 
 

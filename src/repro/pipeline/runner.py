@@ -119,7 +119,6 @@ class SearchPipeline:
         """
         emission_cache = getattr(engine.wrapper, "emission_cache", None)
         steiner_cache = getattr(engine.schema_graph, "steiner_cache", None)
-        plan_cache = getattr(engine.schema_graph, "plan_cache", None)
         recorder = CacheRecorder()
         with recording(recorder):
             for stage in self.stages:
@@ -150,14 +149,6 @@ class SearchPipeline:
             misses=steiner_delta.misses,
             size=steiner_now.size,
             maxsize=steiner_now.maxsize,
-        )
-        subset_now = _cache_stats(plan_cache)
-        subset_delta = recorder.stats(getattr(plan_cache, "label", "steiner-subset"))
-        context.trace.steiner_subset_cache = CacheStats(
-            hits=subset_delta.hits,
-            misses=subset_delta.misses,
-            size=subset_now.size,
-            maxsize=subset_now.maxsize,
         )
         return context
 

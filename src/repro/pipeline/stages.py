@@ -167,35 +167,27 @@ class BackwardStage(PipelineStage):
     (across configurations and across queries) are answered without
     re-running the tree search.
 
-    Connectivity for *all* configurations of the run is decided in one
-    prefilter over the in-memory compact graph: per-terminal distance
-    rows come from one vectorised multi-source pass (reusing rows already
-    in the schema graph's plan cache), and connectivity is a finite-ness
-    check on them. A configuration the prefilter proves disconnected
-    drops out before any Steiner call; the others are enumerated with
-    ``assume_connected`` set only where the prefilter established it.
-    (``tests/oracle.py`` swaps the prefilter for "unknown" so that each
-    reference Steiner call checks connectivity itself; the surviving
-    configurations and their trees are identical, because connectivity
-    has one answer.)
+    Connectivity is read off the component labels of the schema graph's
+    compact snapshot (:meth:`~repro.steiner.graph.CompactGraph.connected`):
+    one label lookup per terminal. A configuration whose terminals all
+    lie in the graph but in different components drops out before the
+    deadline check and before any Steiner call; every other one goes to
+    :func:`~repro.steiner.topk.top_k_steiner_trees`, which raises for
+    an empty or unknown terminal set.
     """
 
     name = "backward"
 
     def run(self, engine: "Quest", context: SearchContext) -> None:
         k = context.tree_k
-        configs = [
-            (configuration, sorted(configuration.terminals(engine.schema), key=str))
-            for configuration in context.configurations
-        ]
-        connected = self._prefilter_batched(
-            engine, [terminals for _configuration, terminals in configs]
-        )
-
+        schema = engine.schema
+        compact = engine.schema_graph.compact()
         deadline = context.deadline
         interpretations: list[Interpretation] = []
-        for (configuration, terminals), is_connected in zip(configs, connected):
-            if is_connected is False:
+        for configuration in context.configurations:
+            terminals = sorted(configuration.terminals(schema), key=str)
+            known = all(t in compact.index for t in terminals)
+            if known and not compact.connected(terminals):
                 continue
             if (
                 deadline is not None
@@ -216,7 +208,6 @@ class BackwardStage(PipelineStage):
                     terminals,
                     k,
                     prune_supertrees=engine.settings.prune_supertrees,
-                    assume_connected=bool(is_connected),
                     deadline=deadline,
                 )
             except SteinerError:
@@ -232,68 +223,6 @@ class BackwardStage(PipelineStage):
                     Interpretation(configuration, tree, tree_score(tree.weight))
                 )
         context.interpretations = interpretations
-
-    @staticmethod
-    def _prefilter_batched(
-        engine: "Quest", terminal_sets: list[list]
-    ) -> list[bool | None]:
-        """Per-configuration connectivity from batched distance rows.
-
-        The terminals whose single-source distance rows are not yet in
-        the plan cache get them in one
-        :meth:`~repro.steiner.graph.CompactGraph.distance_matrix` pass,
-        stored back as singleton rows — so the rows the prefilter reads
-        are the very rows Dreyfus-Wagner base cases reuse later. A set is
-        connected iff every member's distance from the first member is
-        finite; an empty set, or one with a terminal outside the graph,
-        is ``None`` (unknown: the Steiner call raises for it).
-        """
-        from repro.steiner.plancache import PlanEntry
-
-        graph = engine.schema_graph
-        compact = graph.compact()
-        index = compact.index
-        known = sorted(
-            {t for terminals in terminal_sets for t in terminals if t in index},
-            key=str,
-        )
-        row_of: dict = {}
-        if known:
-            cache = graph.plan_cache
-            # Rows are shared with the DP base cases, so they carry the
-            # same (subset, snapshot topology version) keys.
-            cache_version = compact.version
-            cache.trim()
-            missing = []
-            for terminal in known:
-                entry = cache.get((frozenset((index[terminal],)), cache_version))
-                if entry is None:
-                    missing.append(terminal)
-                else:
-                    row_of[terminal] = entry.costs
-            if missing:
-                distances, _predecessors = compact.distance_matrix(
-                    [index[t] for t in missing]
-                )
-                for terminal, distance_row in zip(missing, distances):
-                    row = distance_row.tolist()
-                    row_of[terminal] = row
-                    cache.put(
-                        (frozenset((index[terminal],)), cache_version),
-                        PlanEntry(costs=tuple(row)),
-                    )
-
-        verdicts: list[bool | None] = []
-        infinity = float("inf")
-        for terminals in terminal_sets:
-            if not terminals or any(t not in index for t in terminals):
-                verdicts.append(None)
-                continue
-            row = row_of[terminals[0]]
-            verdicts.append(
-                all(row[index[t]] < infinity for t in terminals[1:])
-            )
-        return verdicts
 
     def candidates(self, context: SearchContext) -> int:
         return len(context.interpretations)

@@ -1,16 +1,12 @@
 """Steiner-tree machinery for the backward step.
 
 Weighted schema graph construction (mutual-information or uniform edge
-weights), exact Dreyfus-Wagner trees, the KMB approximation and top-k
-enumeration with sub-tree pruning in the style of Ding et al.
+weights) and the one Steiner search the engine runs: top-k enumeration
+with sub-tree pruning in the style of Ding et al. (DPBF). Connectivity
+questions are answered from the per-snapshot component labels of
+:class:`CompactGraph`.
 """
 
-from repro.steiner.approx import approximate_steiner_tree
-from repro.steiner.exact import (
-    exact_steiner_tree,
-    exact_steiner_tree_reference,
-    shortest_paths,
-)
 from repro.steiner.graph import CompactGraph, EdgeKind, SchemaEdge, SchemaGraph
 from repro.steiner.topk import top_k_steiner_trees, top_k_steiner_trees_reference
 from repro.steiner.tree import SteinerTree
@@ -30,11 +26,7 @@ __all__ = [
     "SchemaGraph",
     "SteinerTree",
     "UNIFORM_JOIN_WEIGHT",
-    "approximate_steiner_tree",
     "build_schema_graph",
-    "exact_steiner_tree",
-    "exact_steiner_tree_reference",
-    "shortest_paths",
     "top_k_steiner_trees",
     "top_k_steiner_trees_reference",
 ]

@@ -70,10 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 
 __all__ = ["top_k_steiner_trees", "top_k_steiner_trees_reference"]
 
-#: Cached marker for terminal sets known to be disconnected, so repeats
-#: skip the connectivity BFS too (and still raise, as the cold path does).
-_DISCONNECTED = object()
-
 
 def top_k_steiner_trees(
     graph: SchemaGraph,
@@ -81,7 +77,6 @@ def top_k_steiner_trees(
     k: int,
     prune_supertrees: bool = True,
     max_pops: int = 200_000,
-    assume_connected: bool = False,
     deadline: "Deadline | None" = None,
 ) -> list[SteinerTree]:
     """Enumerate up to *k* cheapest Steiner trees connecting *terminals*.
@@ -97,10 +92,6 @@ def top_k_steiner_trees(
             peeled search pops no inert state, so it reaches the cap later
             than :func:`top_k_steiner_trees_reference`; the two agree tree
             for tree whenever neither search reaches it.
-        assume_connected: skip the connectivity BFS. Only pass ``True``
-            when the caller has already established that the terminals
-            share a component (the backward stage's batched prefilter);
-            results are then identical to the checked path.
         deadline: cooperative cancellation point. The pop loop checks
             remaining budget every 64 pops and, on expiry, stops and
             returns the trees emitted so far (possibly none) — best-effort
@@ -117,7 +108,6 @@ def top_k_steiner_trees(
         k,
         prune_supertrees,
         max_pops,
-        assume_connected,
         deadline,
     )
 
@@ -137,7 +127,6 @@ def _memoised(
     k: int,
     prune_supertrees: bool = True,
     max_pops: int = 200_000,
-    assume_connected: bool = False,
     deadline: "Deadline | None" = None,
 ) -> list[SteinerTree]:
     """Validate, consult the graph's Steiner cache, run *search*, memoise."""
@@ -168,14 +157,12 @@ def _memoised(
     )
     if cache is not None:
         cached = cache.get(cache_key)
-        if cached is _DISCONNECTED:
-            raise SteinerError(f"terminals are disconnected: {terminal_list}")
         if cached is not None:
             return list(cached)
 
-    if not assume_connected and not graph.connected(set(terminal_list)):
-        if cache is not None:
-            cache.put(cache_key, _DISCONNECTED)
+    # A label lookup per terminal; a disconnected set is never stored, so
+    # each call misses and raises here.
+    if not graph.connected(terminal_list):
         raise SteinerError(f"terminals are disconnected: {terminal_list}")
 
     results = search(
@@ -361,9 +348,10 @@ def _search_reference(
 ) -> list[SteinerTree]:
     """The frozenset DPBF search (executable specification).
 
-    Kept verbatim as the parity oracle for :func:`_search_interned`: the
-    two searches generate the same pop/push sequence, so results match
-    tree for tree.
+    Kept verbatim as the parity oracle for :func:`_search_interned`. It
+    does not peel terminal-free pendant subtrees, so it also pops the
+    inert states the bitmask search never queues; every other pop comes
+    in the same order, so the emitted trees match tree for tree.
     """
     full_mask = (1 << len(terminal_list)) - 1
     terminal_bit = {t: 1 << i for i, t in enumerate(terminal_list)}

@@ -3,7 +3,7 @@
 from repro.core import Configuration, Interpretation, KeywordMapping, build_query
 from repro.db import Catalog, ColumnRef, Comparison
 from repro.hmm import State, StateKind
-from repro.steiner import build_schema_graph, exact_steiner_tree
+from repro.steiner import build_schema_graph, top_k_steiner_trees
 
 
 def interpretation_for(db, pairs):
@@ -13,7 +13,7 @@ def interpretation_for(db, pairs):
     )
     graph = build_schema_graph(db.schema, Catalog.from_database(db))
     terminals = sorted(configuration.terminals(db.schema), key=str)
-    tree = exact_steiner_tree(graph, terminals)
+    tree = top_k_steiner_trees(graph, terminals, 1)[0]
     return Interpretation(configuration, tree, 1.0)
 
 

@@ -69,21 +69,22 @@ class TestColdVsWarm:
         assert cold == warm
         assert hidden.emission_cache_stats.since(before).misses == 0
 
-    def test_disconnected_terminals_cached_and_still_raise(self, mini_schema):
+    def test_disconnected_terminals_raise_and_are_never_cached(self, mini_schema):
+        """Component labels reject a disconnected set on every call, after
+        a cache miss; nothing is stored for it."""
         from repro.db.schema import ColumnRef
         from repro.errors import SteinerError
         from repro.steiner import SchemaGraph, top_k_steiner_trees
 
         graph = SchemaGraph(mini_schema)  # no edges: everything disconnected
         terminals = [ColumnRef("person", "name"), ColumnRef("movie", "title")]
-        with pytest.raises(SteinerError):
-            top_k_steiner_trees(graph, terminals, 3)
         before = graph.steiner_cache.stats
-        with pytest.raises(SteinerError):
-            top_k_steiner_trees(graph, terminals, 3)
+        for _call in range(2):
+            with pytest.raises(SteinerError, match="disconnected"):
+                top_k_steiner_trees(graph, terminals, 3)
         delta = graph.steiner_cache.stats.since(before)
-        assert delta.hits == 1
-        assert delta.misses == 0
+        assert (delta.hits, delta.misses) == (0, 2)
+        assert len(graph.steiner_cache) == 0
 
     def test_steiner_cache_invalidated_on_graph_mutation(self, mini_engine):
         mini_engine.search("kubrick movies")

@@ -6,7 +6,23 @@ import threading
 import pytest
 
 from repro.db import ColumnRef, Database
+from repro.db.table import MutationCounter, Table
 from repro.errors import IntegrityError, UnknownTableError
+
+
+class _LockCheckingCounter(MutationCounter):
+    """A counter whose every write of ``value`` after construction must
+    hold the counter's own lock."""
+
+    @property
+    def value(self) -> int:
+        return self._value
+
+    @value.setter
+    def value(self, new: int) -> None:
+        if hasattr(self, "_lock"):  # construction writes 0 before the lock exists
+            assert self._lock.locked(), "MutationCounter.value written unlocked"
+        self._value = new
 
 
 class TestAccess:
@@ -72,6 +88,17 @@ class TestVersion:
         db.delete_rows("genre", [1, 99])  # the absent key mutates nothing
         assert db.version == 4
         assert db.version == sum(table.version for table in db.tables)
+
+    def test_every_counter_write_holds_the_lock(self, mini_schema):
+        """Deterministic twin of the threaded test below: every table
+        mutation advances the counter under its lock."""
+        counter = _LockCheckingCounter()
+        table = Table(mini_schema.table("genre"), counter=counter)
+        table.insert((1, "a"))
+        table.insert_many(iter([(2, "b"), (3, "c")]))
+        table.insert_rows([{"id": 4, "label": "d"}])
+        table.delete_rows([1, 99])
+        assert counter.value == table.version == 5
 
     def test_concurrent_writers_lose_no_increment(self, mini_schema):
         """Two writers on different tables advance one shared counter: at

@@ -2,8 +2,8 @@
 
 The engine has one implementation per job — vectorised List Viterbi,
 batched emissions, bitmask Dempster combination, interned top-k Steiner
-search behind a batched connectivity prefilter. Each kernel keeps a
-separately named pure-Python twin (the executable specification), and
+search. Each kernel keeps a separately named pure-Python twin (the
+executable specification), and
 :func:`reference_kernels` swaps those twins in at the engine's call
 sites with :func:`unittest.mock.patch`::
 
@@ -20,8 +20,11 @@ Naming patch targets (keys of :data:`TWINS`) swaps in only those twins,
 so one kernel can be checked end to end against the rest of the
 production engine.
 
-The prefilter "twin" answers "unknown" for every configuration, so each
-reference Steiner call checks connectivity itself.
+The Steiner search's optimality oracle lives here too:
+:func:`exact_steiner_tree_reference` (Dreyfus-Wagner over per-node
+Dijkstra maps, :func:`shortest_paths`) gives the minimum tree weight the
+top-k search's first tree must reach, and :func:`connected_reference`
+is the breadth-first twin of the schema graph's component labels.
 
 :func:`execute_reference` is the memory executor's twin: every local
 predicate scans, and every join hash-builds on the whole candidate
@@ -34,22 +37,20 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import heapq
 from collections import Counter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 from unittest import mock
 
 from repro.db.database import Database
 from repro.db.executor import ResultSet, _match
 from repro.db.query import JoinCondition, SelectQuery
+from repro.db.schema import ColumnRef
 from repro.db.table import Row, Table
 from repro.dst.combine import dempster_combine_reference
+from repro.errors import SteinerError
 from repro.hmm import HiddenMarkovModel, list_viterbi_reference
-from repro.steiner import top_k_steiner_trees_reference
-
-
-def _unknown_connectivity(engine: Any, terminal_sets: list[list]) -> list[None]:
-    return [None] * len(terminal_sets)
-
+from repro.steiner import SchemaGraph, SteinerTree, top_k_steiner_trees_reference
 
 #: Patch target -> the reference twin bound there.
 TWINS: dict[str, Callable[..., Any]] = {
@@ -60,7 +61,6 @@ TWINS: dict[str, Callable[..., Any]] = {
     "repro.pipeline.stages.dempster_combine": dempster_combine_reference,
     "repro.core.multisource.dempster_combine": dempster_combine_reference,
     "repro.pipeline.stages.top_k_steiner_trees": top_k_steiner_trees_reference,
-    "repro.pipeline.stages.BackwardStage._prefilter_batched": _unknown_connectivity,
 }
 
 
@@ -84,11 +84,236 @@ def reference_kernels(*targets: str) -> Iterator[Counter[str]]:
 
     with contextlib.ExitStack() as stack:
         for target, twin in chosen.items():
-            replacement: Any = counted(target, twin)
-            if target.endswith("._prefilter_batched"):
-                replacement = staticmethod(replacement)
-            stack.enter_context(mock.patch(target, replacement))
+            stack.enter_context(mock.patch(target, counted(target, twin)))
         yield calls
+
+
+# -- the Steiner oracle: Dreyfus-Wagner over Dijkstra, BFS connectivity ------
+
+_INF = float("inf")
+
+
+def connected_reference(graph: SchemaGraph, nodes: Iterable[ColumnRef]) -> bool:
+    """Whether all *nodes* lie in one component, by breadth-first search
+    over the live adjacency (the twin of ``SchemaGraph.connected``)."""
+    nodes = set(nodes)
+    if not nodes:
+        return True
+    start = next(iter(nodes))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        current = frontier.pop()
+        for neighbour, _edge in graph.neighbors(current):
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    return nodes <= seen
+
+
+def shortest_paths(
+    graph: SchemaGraph, source: ColumnRef
+) -> tuple[dict[ColumnRef, float], dict[ColumnRef, ColumnRef]]:
+    """Dijkstra from *source*: distances and predecessor map.
+
+    Determinism: when two shortest paths to a node tie on weight (exact
+    float equality), the predecessor whose ``str(node)`` sorts first wins —
+    so the predecessor map (and every tree expanded from it) depends only
+    on the graph, never on neighbour iteration order. An earlier version
+    compared against ``distance - 1e-15``, which silently kept whichever
+    near-equal predecessor happened to be relaxed first.
+    """
+    distances: dict[ColumnRef, float] = {source: 0.0}
+    predecessors: dict[ColumnRef, ColumnRef] = {}
+    heap: list[tuple[float, int, ColumnRef]] = [(0.0, 0, source)]
+    counter = 1
+    settled: set[ColumnRef] = set()
+    while heap:
+        distance, _tie, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for neighbour, edge in graph.neighbors(node):
+            candidate = distance + edge.weight
+            current = distances.get(neighbour, _INF)
+            if candidate < current:
+                distances[neighbour] = candidate
+                predecessors[neighbour] = node
+                heapq.heappush(heap, (candidate, counter, neighbour))
+                counter += 1
+            elif candidate == current and str(node) < str(
+                predecessors[neighbour]
+            ):
+                predecessors[neighbour] = node
+    return distances, predecessors
+
+
+def _path_edges(
+    graph: SchemaGraph,
+    predecessors: dict[ColumnRef, ColumnRef],
+    source: ColumnRef,
+    target: ColumnRef,
+) -> set:
+    """Edges of the shortest path source -> target from a predecessor map."""
+    edges = set()
+    current = target
+    while current != source:
+        parent = predecessors.get(current)
+        if parent is None:
+            raise SteinerError(f"no path from {source} to {target}")
+        edge = graph.edge_between(parent, current)
+        if edge is None:  # pragma: no cover - predecessor map guarantees edge
+            raise SteinerError(f"missing edge {parent} - {current}")
+        edges.add(edge)
+        current = parent
+    return edges
+
+
+def _checked_terminals(
+    graph: SchemaGraph, terminals: Sequence[ColumnRef]
+) -> list[ColumnRef]:
+    terminal_list = sorted(set(terminals), key=str)
+    if not terminal_list:
+        raise SteinerError("no terminals")
+    for terminal in terminal_list:
+        if terminal not in graph:
+            raise SteinerError(f"terminal not in graph: {terminal}")
+    return terminal_list
+
+
+def exact_steiner_tree_reference(
+    graph: SchemaGraph, terminals: Sequence[ColumnRef]
+) -> SteinerTree:
+    """A minimum-weight Steiner tree by the Dreyfus-Wagner DP.
+
+    Exponential in the number of terminals, polynomial in graph size;
+    runs one Dijkstra per node and keys the DP by ``(terminal bitmask,
+    ColumnRef)``. The optimality oracle for the top-k search's first tree.
+    """
+    terminal_list = _checked_terminals(graph, terminals)
+    if len(terminal_list) == 1:
+        return SteinerTree(frozenset(terminal_list), frozenset(), 0.0)
+    if not connected_reference(graph, terminal_list):
+        raise SteinerError(f"terminals are disconnected: {terminal_list}")
+
+    # Single-source shortest paths from every node (graphs are small).
+    nodes = graph.nodes
+    sp_distance: dict[ColumnRef, dict[ColumnRef, float]] = {}
+    sp_predecessor: dict[ColumnRef, dict[ColumnRef, ColumnRef]] = {}
+    for node in nodes:
+        distances, predecessors = shortest_paths(graph, node)
+        sp_distance[node] = distances
+        sp_predecessor[node] = predecessors
+
+    t = len(terminal_list)
+    full_mask = (1 << t) - 1
+    # dp[(mask, v)] = cost of the best tree spanning terminals(mask) + {v}.
+    dp: dict[tuple[int, ColumnRef], float] = {}
+    back: dict[tuple[int, ColumnRef], tuple] = {}
+
+    for i, terminal in enumerate(terminal_list):
+        for node in nodes:
+            distance = sp_distance[terminal].get(node, _INF)
+            if distance < _INF:
+                dp[(1 << i, node)] = distance
+                back[(1 << i, node)] = ("walk-base", terminal, node)
+
+    masks_by_bits: dict[int, list[int]] = {}
+    for mask in range(1, full_mask + 1):
+        masks_by_bits.setdefault(bin(mask).count("1"), []).append(mask)
+
+    for bits in sorted(masks_by_bits):
+        if bits < 2:
+            continue
+        for mask in masks_by_bits[bits]:
+            # Merge step: split the terminal set at each node.
+            merged: dict[ColumnRef, float] = {}
+            submask = (mask - 1) & mask
+            while submask > 0:
+                other = mask ^ submask
+                if submask < other:  # consider each unordered split once
+                    for node in nodes:
+                        left = dp.get((submask, node), _INF)
+                        if left == _INF:
+                            continue
+                        right = dp.get((other, node), _INF)
+                        if right == _INF:
+                            continue
+                        cost = left + right
+                        if cost < merged.get(node, _INF) - 1e-15:
+                            merged[node] = cost
+                            back[(mask, node)] = ("merge", submask, other, node)
+                submask = (submask - 1) & mask
+            # Relaxation step: Dijkstra over the merged costs.
+            heap = [(cost, str(node), node) for node, cost in merged.items()]
+            heapq.heapify(heap)
+            best: dict[ColumnRef, float] = dict(merged)
+            settled: set[ColumnRef] = set()
+            while heap:
+                cost, _tie, node = heapq.heappop(heap)
+                if node in settled or cost > best.get(node, _INF) + 1e-15:
+                    continue
+                settled.add(node)
+                for neighbour, edge in graph.neighbors(node):
+                    candidate = cost + edge.weight
+                    if candidate < best.get(neighbour, _INF) - 1e-15:
+                        best[neighbour] = candidate
+                        back[(mask, neighbour)] = ("walk", mask, node, neighbour)
+                        heapq.heappush(heap, (candidate, str(neighbour), neighbour))
+            for node, cost in best.items():
+                dp[(mask, node)] = cost
+
+    root = terminal_list[0]
+    total = dp.get((full_mask, root), _INF)
+    if total == _INF:  # pragma: no cover - connectivity checked above
+        raise SteinerError("no Steiner tree found despite connected terminals")
+
+    edges = _reconstruct(graph, back, sp_predecessor, full_mask, root)
+    return SteinerTree(frozenset(terminal_list), frozenset(edges), _tree_weight(edges))
+
+
+def _tree_weight(edges: set) -> float:
+    # Sum in a canonical edge order: reconstruction builds the edge *set*
+    # in implementation-dependent order, and float addition order would
+    # otherwise leak into the reported weight's last ulp.
+    return sum(
+        edge.weight
+        for edge in sorted(edges, key=lambda e: (str(e.left), str(e.right)))
+    )
+
+
+def _reconstruct(
+    graph: SchemaGraph,
+    back: dict[tuple[int, ColumnRef], tuple],
+    sp_predecessor: dict[ColumnRef, dict[ColumnRef, ColumnRef]],
+    mask: int,
+    node: ColumnRef,
+) -> set:
+    """Walk the backpointers, collecting concrete tree edges."""
+    edges: set = set()
+    stack: list[tuple[int, ColumnRef]] = [(mask, node)]
+    while stack:
+        state = stack.pop()
+        decision = back.get(state)
+        if decision is None:
+            continue  # base case: terminal reached at itself (zero cost)
+        tag = decision[0]
+        if tag == "walk-base":
+            _t, terminal, target = decision
+            edges |= _path_edges(graph, sp_predecessor[terminal], terminal, target)
+        elif tag == "merge":
+            _t, submask, other, at = decision
+            stack.append((submask, at))
+            stack.append((other, at))
+        elif tag == "walk":
+            _t, walk_mask, from_node, to_node = decision
+            edge = graph.edge_between(from_node, to_node)
+            if edge is not None:
+                edges.add(edge)
+            stack.append((walk_mask, from_node))
+        else:  # pragma: no cover - exhaustive tags
+            raise SteinerError(f"corrupt backpointer: {decision}")
+    return edges
 
 
 # -- the executor's reference: scan, hash-join everything, project ----------

@@ -15,21 +15,22 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MultiSourceQuest, Quest
 from repro.datasets import mondial
 from repro.db import Column, ColumnRef, Schema, TableSchema
 from repro.db.types import DataType
-from repro.pipeline.stages import BackwardStage
+from repro.errors import SteinerError
 from repro.steiner import SchemaGraph
 from repro.storage import create_backend
 from repro.wrapper import FullAccessWrapper, HiddenSourceWrapper
 
 from tests.conftest import TEST_BACKEND, backend_for
-from tests.oracle import reference_kernels
+from tests.oracle import connected_reference, reference_kernels
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,6 @@ CALL_SITES = {
     "repro.pipeline.stages.dempster_combine",
     "repro.core.multisource.dempster_combine",
     "repro.pipeline.stages.top_k_steiner_trees",
-    "repro.pipeline.stages.BackwardStage._prefilter_batched",
 }
 
 
@@ -133,9 +133,10 @@ def test_reference_oracle_rankings_identical(backend: str):
 
 
 def test_prefilter_agrees_with_graph_connectivity():
-    """Every configuration of a mondial workload: the batched prefilter's
-    verdict is the schema graph's own connectivity answer, cold (distance
-    rows computed) and warm (rows read back from the plan cache)."""
+    """Every configuration of a mondial workload: the component-label
+    verdict the backward stage filters on is breadth-first search's
+    answer, on a fresh snapshot and on the same snapshot read again; a
+    node outside the graph is refused rather than answered."""
     db = mondial.generate(countries=10, seed=29)
     engine = Quest(FullAccessWrapper(backend_for(db)))
     graph = engine.schema_graph
@@ -146,41 +147,95 @@ def test_prefilter_agrees_with_graph_connectivity():
                 sorted(configuration.terminals(engine.schema), key=str)
             )
     assert terminal_sets
-    want = [graph.connected(set(terminals)) for terminals in terminal_sets]
+    want = [connected_reference(graph, terminals) for terminals in terminal_sets]
     assert True in want
+    compact = graph.compact()
+    for _pass in ("cold", "warm"):
+        assert graph.compact() is compact
+        assert [compact.connected(terminals) for terminals in terminal_sets] == want
+        assert [graph.connected(terminals) for terminals in terminal_sets] == want
     outside = ColumnRef("no_such_table", "no_such_column")
     assert outside not in graph
-    unknown = [[], [outside], [terminal_sets[0][0], outside]]
-    for _pass in ("cold", "warm"):
-        verdicts = BackwardStage._prefilter_batched(
-            engine, terminal_sets + unknown
-        )
-        assert verdicts == want + [None, None, None]
+    assert compact.connected([])
+    for unknown in ([outside], [terminal_sets[0][0], outside]):
+        with pytest.raises(SteinerError):
+            compact.connected(unknown)
 
 
 def test_prefilter_agrees_on_disconnected_graphs():
     """Sparse random graphs (mondial's graph is one component): the
-    prefilter answers ``False`` exactly where the graph is disconnected."""
+    component labels answer ``False`` exactly where breadth-first search
+    finds the terminals in different components."""
     seen = set()
     for seed in range(40):
         rng = random.Random(seed)
-        n = rng.randint(3, 10)
-        columns = tuple(Column(f"c{i}", DataType.TEXT) for i in range(n))
-        graph = SchemaGraph(Schema(tables=[TableSchema("t", columns, ("c0",))]))
+        graph = _sparse_graph(rng)
         nodes = list(graph.nodes)
-        for _ in range(rng.randint(0, n)):
-            left, right = rng.sample(nodes, 2)
-            if graph.edge_between(left, right) is None:
-                graph.add_edge(left, right, rng.uniform(0.1, 2.0), "intra")
         sets = [
-            sorted(rng.sample(nodes, rng.randint(1, min(4, n))), key=str)
+            sorted(rng.sample(nodes, rng.randint(1, min(4, len(nodes)))), key=str)
             for _ in range(6)
         ]
-        want = [graph.connected(set(terminals)) for terminals in sets]
-        engine = SimpleNamespace(schema_graph=graph)
-        assert BackwardStage._prefilter_batched(engine, sets) == want
+        want = [connected_reference(graph, terminals) for terminals in sets]
+        assert [graph.compact().connected(terminals) for terminals in sets] == want
         seen.update(want)
     assert seen == {True, False}
+
+
+def _sparse_graph(rng: random.Random) -> SchemaGraph:
+    """A random graph with few edges, so it usually has several components."""
+    n = rng.randint(3, 10)
+    columns = tuple(Column(f"c{i}", DataType.TEXT) for i in range(n))
+    graph = SchemaGraph(Schema(tables=[TableSchema("t", columns, ("c0",))]))
+    nodes = list(graph.nodes)
+    for _ in range(rng.randint(0, n)):
+        left, right = rng.sample(nodes, 2)
+        if graph.edge_between(left, right) is None:
+            graph.add_edge(left, right, rng.uniform(0.1, 2.0), "intra")
+    return graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_component_labels_match_bfs_connectivity(seed: int):
+    """``SchemaGraph.connected`` (component labels) equals a breadth-first
+    search on random sparse graphs, for connected and disconnected sets,
+    before and after an ``add_edge`` that merges two components. A
+    snapshot retained from before the edge keeps its old answer."""
+    rng = random.Random(seed)
+    graph = _sparse_graph(rng)
+    nodes = list(graph.nodes)
+    groups: list[list[ColumnRef]] = []  # components, by breadth-first search
+    for node in nodes:
+        for group in groups:
+            if connected_reference(graph, [group[0], node]):
+                group.append(node)
+                break
+        else:
+            groups.append([node])
+    sets = [rng.sample(nodes, rng.randint(1, min(4, len(nodes)))) for _ in range(4)]
+    sets += [[], rng.sample(rng.choice(groups), 1)]
+    home = max(groups, key=len)
+    sets.append(rng.sample(home, min(3, len(home))))  # connected
+    if len(groups) >= 2:
+        first, second = rng.sample(groups, 2)
+        sets.append([rng.choice(first), rng.choice(second)])  # disconnected
+    verdicts = [connected_reference(graph, terminals) for terminals in sets]
+    assert True in verdicts
+    assert (False in verdicts) == (len(groups) >= 2)
+    assert [graph.connected(terminals) for terminals in sets] == verdicts
+
+    if len(groups) < 2:
+        return
+    left, right = rng.choice(first), rng.choice(second)
+    before = graph.compact()
+    assert not before.connected([left, right])
+    graph.add_edge(left, right, rng.uniform(0.1, 2.0), "intra")
+    assert graph.connected([left, right])
+    assert graph.compact() is not before
+    assert not before.connected([left, right])
+    assert [graph.connected(terminals) for terminals in sets] == [
+        connected_reference(graph, terminals) for terminals in sets
+    ]
 
 
 #: One process's rankings of a mondial gold subset, as JSON on stdout:

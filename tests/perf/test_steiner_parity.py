@@ -1,9 +1,8 @@
-"""Parity: interned/bitmask Steiner kernels against their references.
+"""Parity: the bitmask top-k Steiner search against its reference.
 
 Random weighted graphs (including tie-heavy weight pools) must yield
-identical results from the bitmask top-k enumeration, the interned
-Dreyfus-Wagner DP, the APSP-cached KMB approximation and the cached
-shortest-path maps — tree for tree, float for float.
+identical results from the bitmask top-k enumeration and the frozenset
+reference search — tree for tree, float for float.
 """
 
 from __future__ import annotations
@@ -21,13 +20,11 @@ from repro.db.types import DataType
 from repro.errors import SteinerError
 from repro.steiner import (
     SchemaGraph,
-    approximate_steiner_tree,
-    exact_steiner_tree,
-    exact_steiner_tree_reference,
-    shortest_paths,
     top_k_steiner_trees,
     top_k_steiner_trees_reference,
 )
+
+from tests.oracle import shortest_paths
 
 
 def _random_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
@@ -167,42 +164,6 @@ def test_topk_matches_reference_on_pendant_graphs(seed: int):
     )
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_exact_interned_matches_reference(seed: int):
-    graph, terminals = _random_graph(seed)
-    try:
-        fast = exact_steiner_tree(graph, terminals, interned=True)
-    except SteinerError:
-        with pytest.raises(SteinerError):
-            exact_steiner_tree_reference(graph, terminals)
-        return
-    slow = exact_steiner_tree_reference(graph, terminals)
-    assert fast.signature() == slow.signature()
-    assert fast.weight == slow.weight
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**9))
-def test_cached_shortest_paths_match_local_dijkstra(seed: int):
-    graph, terminals = _random_graph(seed)
-    source = terminals[0]
-    cached_distances, cached_predecessors = graph.shortest_paths_from(source)
-    local_distances, local_predecessors = shortest_paths(graph, source)
-    assert cached_distances == local_distances
-    assert cached_predecessors == local_predecessors
-    # KMB over the cache equals KMB over local Dijkstras.
-    try:
-        fast = approximate_steiner_tree(graph, terminals, cached=True)
-    except SteinerError:
-        with pytest.raises(SteinerError):
-            approximate_steiner_tree(graph, terminals, cached=False)
-        return
-    slow = approximate_steiner_tree(graph, terminals, cached=False)
-    assert fast.signature() == slow.signature()
-    assert fast.weight == slow.weight
-
-
 def _two_path_graph(order: str) -> SchemaGraph:
     """s->target via two equal-weight intermediate hops, a or b."""
     schema = Schema(
@@ -243,8 +204,6 @@ def test_shortest_path_ties_break_by_node_name():
         # t.a < t.b, so the tie must resolve through a.
         assert predecessors[target] == ColumnRef("t", "a")
         maps.append((distances, predecessors))
-        cached = graph.shortest_paths_from(source)
-        assert cached == (distances, predecessors)
     assert maps[0] == maps[1]
 
 
@@ -253,15 +212,11 @@ def test_add_edge_invalidates_derived_caches():
     source = ColumnRef("t", "s")
     target = ColumnRef("t", "z")
     compact_before = graph.compact()
-    distances, _ = graph.shortest_paths_from(source)
-    assert distances[target] == 2.0
     trees = top_k_steiner_trees(graph, [source, target], 2)
     assert trees[0].weight == 2.0
     # A direct cheaper edge must flow through every cached structure.
     graph.add_edge(source, target, 0.5, "intra")
     assert graph.compact() is not compact_before
-    distances, predecessors = graph.shortest_paths_from(source)
-    assert distances[target] == 0.5
-    assert predecessors[target] == source
+    assert len(graph.steiner_cache) == 0
     trees = top_k_steiner_trees(graph, [source, target], 2)
     assert trees[0].weight == 0.5

@@ -1,11 +1,13 @@
-"""Tests for exact Steiner trees, oracled against networkx."""
+"""Tests for the Dreyfus-Wagner optimality oracle, checked against networkx."""
 
 import networkx as nx
 import pytest
 
 from repro.db import Catalog, ColumnRef
 from repro.errors import SteinerError
-from repro.steiner import build_schema_graph, exact_steiner_tree, shortest_paths
+from repro.steiner import build_schema_graph, top_k_steiner_trees
+
+from tests.oracle import exact_steiner_tree_reference, shortest_paths
 
 
 def to_networkx(graph):
@@ -32,7 +34,7 @@ class TestShortestPaths:
 class TestExact:
     def test_single_terminal(self, mini_schema):
         graph = build_schema_graph(mini_schema)
-        tree = exact_steiner_tree(graph, [ColumnRef("movie", "title")])
+        tree = exact_steiner_tree_reference(graph, [ColumnRef("movie", "title")])
         assert tree.weight == 0.0
         assert tree.edges == frozenset()
 
@@ -40,14 +42,14 @@ class TestExact:
         graph = build_schema_graph(mini_schema)
         source = ColumnRef("person", "name")
         target = ColumnRef("genre", "label")
-        tree = exact_steiner_tree(graph, [source, target])
+        tree = exact_steiner_tree_reference(graph, [source, target])
         distances, _ = shortest_paths(graph, source)
         assert tree.weight == pytest.approx(distances[target])
         assert tree.is_valid_tree()
 
     def test_terminals_in_same_table(self, mini_schema):
         graph = build_schema_graph(mini_schema)
-        tree = exact_steiner_tree(
+        tree = exact_steiner_tree_reference(
             graph,
             [ColumnRef("movie", "title"), ColumnRef("movie", "year")],
         )
@@ -58,18 +60,18 @@ class TestExact:
     def test_duplicate_terminals_collapse(self, mini_schema):
         graph = build_schema_graph(mini_schema)
         ref = ColumnRef("movie", "title")
-        tree = exact_steiner_tree(graph, [ref, ref])
+        tree = exact_steiner_tree_reference(graph, [ref, ref])
         assert tree.weight == 0.0
 
     def test_empty_terminals_rejected(self, mini_schema):
         graph = build_schema_graph(mini_schema)
         with pytest.raises(SteinerError):
-            exact_steiner_tree(graph, [])
+            exact_steiner_tree_reference(graph, [])
 
     def test_unknown_terminal_rejected(self, mini_schema):
         graph = build_schema_graph(mini_schema)
         with pytest.raises(SteinerError):
-            exact_steiner_tree(graph, [ColumnRef("zzz", "id")])
+            exact_steiner_tree_reference(graph, [ColumnRef("zzz", "id")])
 
     @pytest.mark.parametrize(
         "terminal_refs",
@@ -88,7 +90,7 @@ class TestExact:
             mini_db.schema, Catalog.from_database(mini_db)
         )
         terminals = [ColumnRef(t, c) for t, c in terminal_refs]
-        tree = exact_steiner_tree(graph, terminals)
+        tree = exact_steiner_tree_reference(graph, terminals)
         assert tree.is_valid_tree()
         assert set(terminals) <= set(tree.nodes)
 
@@ -102,9 +104,8 @@ class TestExact:
         assert tree.weight <= approx_weight + 1e-9
 
     def test_exhaustive_on_mondial(self, mondial_db):
-        """On the complex schema: exact <= KMB approximation, always."""
-        from repro.steiner import approximate_steiner_tree
-
+        """On the complex schema: the top-k search's first tree weighs
+        exactly what the Dreyfus-Wagner optimum does."""
         graph = build_schema_graph(
             mondial_db.schema, Catalog.from_database(mondial_db)
         )
@@ -121,7 +122,7 @@ class TestExact:
             ],
         ]
         for terminals in cases:
-            exact = exact_steiner_tree(graph, terminals)
-            approx = approximate_steiner_tree(graph, terminals)
+            exact = exact_steiner_tree_reference(graph, terminals)
+            (first,) = top_k_steiner_trees(graph, terminals, 1)
             assert exact.is_valid_tree()
-            assert exact.weight <= approx.weight + 1e-9
+            assert first.weight == pytest.approx(exact.weight)

@@ -116,6 +116,22 @@ class TestGraphOperations:
         )
         assert graph.connected(set())
 
+    def test_connected_rejects_unknown_node(self, mini_schema):
+        graph = build_schema_graph(mini_schema)
+        with pytest.raises(SteinerError):
+            graph.connected({ColumnRef("movie", "id"), ColumnRef("zzz", "id")})
+
+    def test_component_labels_split_at_missing_edges(self, mini_schema):
+        graph = SchemaGraph(mini_schema)  # no edges: one component per node
+        compact = graph.compact()
+        assert compact.component == list(range(len(compact)))
+        left, right = ColumnRef("movie", "id"), ColumnRef("movie", "title")
+        graph.add_edge(left, right, 1.0, EdgeKind.INTRA)
+        labels = graph.compact().component
+        index = graph.compact().index
+        assert labels[index[left]] == labels[index[right]]
+        assert not compact.connected({left, right})  # the retained snapshot
+
     def test_degree(self, mini_schema):
         graph = build_schema_graph(mini_schema)
         # movie.id connects to 4 own attributes; fk targets hang off the

