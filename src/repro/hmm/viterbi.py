@@ -30,6 +30,26 @@ Two implementations share one contract and return identical results:
     a path is the predecessor's path plus one state, so comparing
     (predecessor rank, state) pairs compares full paths. Paths are
     reconstructed from backpointers only for the k sequences returned.
+
+The last step decodes straight to the global top-k instead of filling
+every cell and ranking the result. The *leader* of a (target state s,
+predecessor cell r) pair is the candidate extending r's rank-0 entry. A
+cell's entries are sorted descending and IEEE addition rounds
+monotonically (``x >= y`` implies ``fl(a + x) >= fl(a + y)``), so
+``(log_transition[r, s] + score) + log_emission[s]`` is largest at rank 0:
+the leader bounds every candidate of its pair. Let the bound be the k-th
+largest leader, counting duplicates (-inf when fewer than k leaders are
+finite). The pairs whose leader reaches it are at least k, and each is a
+distinct candidate at or above the bound in its target's cell, so the
+cells keep at least k entries at or above the bound after their per-cell
+truncation: the k-th best entry overall is at or above it. Only those
+pairs are expanded, only candidates at or above the bound (ties kept)
+survive, each cell is truncated to k as a full step would (value, then
+generation order), and the survivors are ranked by (value, predecessor
+lexrank, state). Below the bound nothing could reach the answer, so the
+result is the full step's, float for float. At mondial's 116 states and
+k = 30 this turns the T = 2 decode (every two-keyword query) from 1.6 to
+0.3 ms and T = 3 from 9 to 1.5 ms.
 """
 
 from __future__ import annotations
@@ -104,6 +124,60 @@ def _stable_topk_rows(candidates: np.ndarray, k: int) -> np.ndarray:
     return cols[order[(starts[:, None] + np.arange(k)).ravel()]].reshape(n, k)
 
 
+def _last_step_topk(
+    scores: np.ndarray,
+    lexrank: np.ndarray,
+    log_transition: np.ndarray,
+    log_emit: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The last step, decoded straight to the global top-k.
+
+    Returns ``(values, targets, preds, ranks)`` of the k best sequences in
+    output order: sequence i extends the previous step's entry
+    ``(preds[i], ranks[i])`` by state ``targets[i]``. Only the (target,
+    cell) pairs whose leader reaches the bound are expanded; the module
+    docstring shows why this equals a full step plus the global ranking.
+    """
+    n = scores.shape[0]
+    cells = np.flatnonzero(scores[:, 0] > _NEG_INF)
+    if cells.size == 0:
+        none = np.empty(0, dtype=np.int64)
+        return np.empty(0), none, none, none
+    # leaders[s, c]: the candidate extending cell c's rank-0 entry into
+    # state s, by the expression every step uses, so bit-equal to it.
+    leaders = (log_transition[cells].T + scores[cells, 0]) + log_emit[:, None]
+    finite = leaders[leaders > _NEG_INF]
+    bound = (
+        np.partition(finite, finite.size - k)[finite.size - k]
+        if finite.size >= k
+        else _NEG_INF
+    )
+    targets, columns = np.nonzero((leaders >= bound) & (leaders > _NEG_INF))
+    preds = cells[columns]
+    # Every entry of each expanded pair; empty slots give -inf and drop
+    # out with the candidates below the bound.
+    expanded = (
+        log_transition[preds, targets][:, None] + scores[preds]
+    ) + log_emit[targets][:, None]
+    pair, ranks = np.nonzero((expanded >= bound) & (expanded > _NEG_INF))
+    values = expanded[pair, ranks]
+    targets, preds = targets[pair], preds[pair]
+    if np.bincount(targets, minlength=n).max() > k:
+        # A cell keeps its k best by (value desc, generation order: state,
+        # then rank), as a full step would, before the global ranking.
+        order = np.lexsort((ranks, preds, -values, targets))
+        grouped = targets[order]
+        within = np.arange(order.size) - np.searchsorted(grouped, grouped)
+        order = order[within < k]
+        values, targets = values[order], targets[order]
+        preds, ranks = preds[order], ranks[order]
+    # The reference's global order: value desc, then path — the
+    # predecessor entry's lexrank, then the final state.
+    ranked = np.lexsort((targets, lexrank[preds, ranks], -values))[:k]
+    return values[ranked], targets[ranked], preds[ranked], ranks[ranked]
+
+
 def list_viterbi(
     model: HiddenMarkovModel,
     emissions: np.ndarray,
@@ -160,7 +234,7 @@ def list_viterbi(
         reverse.append(s)
         return tuple(reversed(reverse))
 
-    for t in range(1, T):
+    for t in range(1, T - 1):
         # Only occupied predecessor entries generate candidates (at the
         # first step that is one per state, a 30x narrower matrix than
         # the full (n, n*k)); flatnonzero of the row-major scores yields
@@ -217,17 +291,25 @@ def list_viterbi(
         lexrank[flat_order] = np.arange(n * k)
         lexrank = lexrank.reshape(n, k)
 
-    # Final ranking over every occupied cell entry: the reference sorts all
-    # of them by (-logp, path) — here (-logp, lexrank) — and keeps k.
-    flat = scores.reshape(-1)
-    ranked = np.lexsort((lexrank.reshape(-1), -flat))
-    ranked = ranked[flat[ranked] > _NEG_INF][:k]
+    if T == 1:
+        # The global ranking of single-state paths: the reference sorts
+        # them by (-logp, path) — here (-logp, state) — and keeps k.
+        flat = scores[:, 0]
+        ranked = np.lexsort((np.arange(n), -flat))
+        ranked = ranked[flat[ranked] > _NEG_INF][:k]
+        return [
+            DecodedPath(states=(int(s),), log_probability=float(flat[s]))
+            for s in ranked
+        ]
+    values, targets, preds, ranks = _last_step_topk(
+        scores, lexrank, log_transition, log_emissions[T - 1], k
+    )
     return [
         DecodedPath(
-            states=path_of(T - 1, int(idx) // k, int(idx) % k),
-            log_probability=float(flat[idx]),
+            states=path_of(T - 2, int(r), int(j)) + (int(s),),
+            log_probability=float(value),
         )
-        for idx in ranked
+        for value, s, r, j in zip(values, targets, preds, ranks)
     ]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.semantics.similarity import TermFeatures, term_features
 from repro.semantics.stemmer import stem
 
 __all__ = ["Lexicon", "default_lexicon"]
@@ -95,9 +96,8 @@ class Lexicon:
         self._synonyms: dict[str, set[str]] = defaultdict(set)
         self._hypernyms: dict[str, set[str]] = defaultdict(set)
         self._hyponyms: dict[str, set[str]] = defaultdict(set)
-        #: Bumped on every mutation; consumers (the ontology score memo)
-        #: stamp it into cache keys so entries computed against an older
-        #: vocabulary become unreachable instead of stale.
+        #: Bumped on every mutation, so anything that caches scores read
+        #: from this lexicon can key them on the vocabulary they saw.
         self.version = 0
         for ring in synonym_rings:
             self.add_synonym_ring(*ring)
@@ -147,14 +147,24 @@ class Lexicon:
         1.0 for same stem, 0.9 for synonyms, 0.7 for a direct hypernym /
         hyponym hop, 0.5 for sharing a hypernym (siblings), else 0.0.
         """
-        left_stem, right_stem = stem(left), stem(right)
-        if left_stem == right_stem:
+        return self.feature_relatedness(term_features(left), term_features(right))
+
+    def feature_relatedness(self, left: TermFeatures, right: TermFeatures) -> float:
+        """:meth:`relatedness` of two strings, read from their features.
+
+        The stems come precomputed; the synonym and hypernym tables are
+        read live, so a mutation shows in the very next call.
+        """
+        if left.stem == right.stem:
             return 1.0
-        if self.are_synonyms(left_stem, right_stem):
+        # are_synonyms(left.stem, right.stem), which stems its arguments.
+        if left.restem == right.restem or right.restem in self._synonyms.get(
+            left.restem, ()
+        ):
             return 0.9
-        ups_left = self._hypernyms.get(left_stem, set())
-        ups_right = self._hypernyms.get(right_stem, set())
-        if right_stem in ups_left or left_stem in ups_right:
+        ups_left = self._hypernyms.get(left.stem, set())
+        ups_right = self._hypernyms.get(right.stem, set())
+        if right.stem in ups_left or left.stem in ups_right:
             return 0.7
         if ups_left & ups_right:
             return 0.5

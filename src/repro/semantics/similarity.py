@@ -8,7 +8,10 @@ similarity in ``[0, 1]`` with 1 meaning identical.
 
 from __future__ import annotations
 
-from repro.semantics.stemmer import same_stem
+from dataclasses import dataclass
+from typing import AbstractSet
+
+from repro.semantics.stemmer import stem
 from repro.semantics.tokenize import split_identifier
 
 __all__ = [
@@ -18,6 +21,9 @@ __all__ = [
     "jaro_winkler",
     "trigram_similarity",
     "token_set_similarity",
+    "TermFeatures",
+    "term_features",
+    "feature_similarity",
     "term_similarity",
 ]
 
@@ -103,18 +109,18 @@ def _trigrams(text: str) -> set[str]:
     return {padded[i : i + 3] for i in range(len(padded) - 2)}
 
 
+def _jaccard(left: AbstractSet[str], right: AbstractSet[str]) -> float:
+    """``|left & right| / |left | right|`` for a non-empty union."""
+    return len(left & right) / len(left | right)
+
+
 def trigram_similarity(left: str, right: str) -> float:
     """Jaccard similarity over padded character trigrams."""
     if left == right:
         return 1.0
     if not left or not right:
         return 0.0
-    left_grams = _trigrams(left.casefold())
-    right_grams = _trigrams(right.casefold())
-    union = left_grams | right_grams
-    if not union:
-        return 0.0
-    return len(left_grams & right_grams) / len(union)
+    return _jaccard(_trigrams(left.casefold()), _trigrams(right.casefold()))
 
 
 def token_set_similarity(left: str, right: str) -> float:
@@ -124,16 +130,74 @@ def token_set_similarity(left: str, right: str) -> float:
     large overlap. Used for multi-word keywords against compound schema
     names.
     """
-    from repro.semantics.stemmer import stem
+    return _token_set(_part_stems(left), _part_stems(right))
 
-    left_tokens = {stem(t) for t in split_identifier(left)}
-    right_tokens = {stem(t) for t in split_identifier(right)}
-    if not left_tokens and not right_tokens:
+
+def _part_stems(text: str) -> frozenset[str]:
+    return frozenset(stem(part) for part in split_identifier(text))
+
+
+def _token_set(left: frozenset[str], right: frozenset[str]) -> float:
+    if not left and not right:
         return 1.0
-    union = left_tokens | right_tokens
-    if not union:
+    return _jaccard(left, right)
+
+
+@dataclass(frozen=True, slots=True)
+class TermFeatures:
+    """Everything the keyword-to-term measures read of one string.
+
+    Derived once per string by :func:`term_features`, so scoring one
+    keyword against many schema identifiers stems, splits and trigrams
+    each string once instead of once per pair. Only Jaro-Winkler, which
+    reads both strings together, runs per pair.
+    """
+
+    #: The string as given.
+    text: str
+    #: ``text.casefold().strip()``: what the string measures compare.
+    folded: str
+    #: ``stem(text)``: the lexicon's key for the word.
+    stem: str
+    #: ``stem(stem(text))``: what synonym lookups compare (the lexicon
+    #: re-stems the stems it is handed, and stemming is not idempotent).
+    restem: str
+    #: ``stem(folded)``: the stem-match test of :func:`term_similarity`.
+    folded_stem: str
+    #: Stems of the folded string's identifier parts (the token-set measure).
+    part_stems: frozenset[str]
+    #: Padded character trigrams of the folded string.
+    trigrams: frozenset[str]
+
+
+def term_features(text: str) -> TermFeatures:
+    """Derive the :class:`TermFeatures` of *text*."""
+    folded = text.casefold().strip()
+    text_stem = stem(text)
+    return TermFeatures(
+        text=text,
+        folded=folded,
+        stem=text_stem,
+        restem=stem(text_stem),
+        folded_stem=stem(folded),
+        part_stems=_part_stems(folded),
+        trigrams=frozenset(_trigrams(folded.casefold())),
+    )
+
+
+def feature_similarity(keyword: TermFeatures, term: TermFeatures) -> float:
+    """:func:`term_similarity` of two strings, read from their features."""
+    if not keyword.folded or not term.folded:
         return 0.0
-    return len(left_tokens & right_tokens) / len(union)
+    if keyword.folded == term.folded:
+        return 1.0
+    if keyword.folded_stem == term.folded_stem:
+        return 0.95
+    return max(
+        _token_set(keyword.part_stems, term.part_stems),
+        jaro_winkler(keyword.folded, term.folded) * 0.9,
+        _jaccard(keyword.trigrams, term.trigrams) * 0.9,
+    )
 
 
 def term_similarity(keyword: str, term: str) -> float:
@@ -143,17 +207,6 @@ def term_similarity(keyword: str, term: str) -> float:
     decisive: exact match 1.0, stem match 0.95, otherwise the maximum of the
     token-set, Jaro-Winkler and trigram scores (each capturing a different
     error mode: compound names, typos-at-the-start, general fuzziness).
+    Casing and surrounding whitespace are ignored.
     """
-    keyword_folded = keyword.casefold().strip()
-    term_folded = term.casefold().strip()
-    if not keyword_folded or not term_folded:
-        return 0.0
-    if keyword_folded == term_folded:
-        return 1.0
-    if same_stem(keyword_folded, term_folded):
-        return 0.95
-    return max(
-        token_set_similarity(keyword_folded, term_folded),
-        jaro_winkler(keyword_folded, term_folded) * 0.9,
-        trigram_similarity(keyword_folded, term_folded) * 0.9,
-    )
+    return feature_similarity(term_features(keyword), term_features(term))

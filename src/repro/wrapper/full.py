@@ -124,18 +124,17 @@ class FullAccessWrapper(SourceWrapper):
         faults.fire("emission.compute")
         scores = np.zeros(len(states))
         domain_scores = self._backend.attribute_scores(keyword)
+        scorer = self._ontology.scorer(keyword)
         for position, state in enumerate(states):
             if state.kind is StateKind.DOMAIN:
                 ref = state.column_ref
                 scores[position] = domain_scores.get(ref, 0.0)
             elif state.kind is StateKind.TABLE:
-                similarity = self._ontology.table_score(keyword, state.table)
+                similarity = scorer.table_score(state.table)
                 if similarity >= _SIMILARITY_CUTOFF:
                     scores[position] = similarity * _SCHEMA_TERM_SCALE
             else:  # ATTRIBUTE
-                similarity = self._ontology.attribute_score(
-                    keyword, state.table, state.column
-                )
+                similarity = scorer.attribute_score(state.table, state.column)
                 if similarity >= _SIMILARITY_CUTOFF:
                     scores[position] = similarity * _SCHEMA_TERM_SCALE
         return scores
@@ -171,8 +170,8 @@ class FullAccessWrapper(SourceWrapper):
         :meth:`~repro.storage.base.StorageBackend.emission_block` (columnar
         array slicing on the memory backend, one grouped SQL query on
         SQLite) instead of one ``attribute_scores`` dict walk per keyword;
-        schema states go through the (memoised) ontology exactly like the
-        per-keyword hook, so the matrix rows are bit-identical to
+        schema states go through one ontology scorer per keyword exactly
+        like the per-keyword hook, so the matrix rows are bit-identical to
         :meth:`compute_emission_scores`.
         """
         faults.fire("emission.compute")
@@ -183,13 +182,12 @@ class FullAccessWrapper(SourceWrapper):
                 keywords, domain_refs
             )
         for row, keyword in zip(matrix, keywords):
+            scorer = self._ontology.scorer(keyword)
             for position, state in schema_states:
                 if state.kind is StateKind.TABLE:
-                    similarity = self._ontology.table_score(keyword, state.table)
+                    similarity = scorer.table_score(state.table)
                 else:  # ATTRIBUTE
-                    similarity = self._ontology.attribute_score(
-                        keyword, state.table, state.column
-                    )
+                    similarity = scorer.attribute_score(state.table, state.column)
                 if similarity >= _SIMILARITY_CUTOFF:
                     row[position] = similarity * _SCHEMA_TERM_SCALE
         return matrix

@@ -77,26 +77,23 @@ class HiddenSourceWrapper(SourceWrapper):
         ``genre.label`` on a source whose ``genre`` table name matches).
         """
         scores = np.zeros(len(states))
+        scorer = self._ontology.scorer(keyword)
         for position, state in enumerate(states):
             if state.kind is StateKind.DOMAIN:
                 column = self.schema.table(state.table).column(state.column)
                 shape = shape_score(keyword, column)
                 if shape <= 0.0:
                     continue
-                table_prior = self._ontology.table_score(keyword, state.table)
-                column_prior = self._ontology.attribute_score(
-                    keyword, state.table, state.column
-                )
+                table_prior = scorer.table_score(state.table)
+                column_prior = scorer.attribute_score(state.table, state.column)
                 prior = max(table_prior, column_prior, 0.25)
                 scores[position] = _SHAPE_SCALE * shape * prior
             elif state.kind is StateKind.TABLE:
-                similarity = self._ontology.table_score(keyword, state.table)
+                similarity = scorer.table_score(state.table)
                 if similarity >= _SIMILARITY_CUTOFF:
                     scores[position] = similarity
             else:  # ATTRIBUTE
-                similarity = self._ontology.attribute_score(
-                    keyword, state.table, state.column
-                )
+                similarity = scorer.attribute_score(state.table, state.column)
                 if similarity >= _SIMILARITY_CUTOFF:
                     scores[position] = similarity
         return scores

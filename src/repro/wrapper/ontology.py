@@ -5,34 +5,44 @@ attributes that can be associated with each keyword". Here the external
 ontology is the built-in lexicon extended with the synonyms declared on the
 schema itself, giving a single relatedness oracle between user keywords and
 schema terms.
+
+A keyword's score against a schema identifier reads string features —
+casefolded form, stems, part stems, trigrams
+(:class:`~repro.semantics.similarity.TermFeatures`) — that are derived
+once per string: each schema identifier's (and each of its word parts')
+on first use, each keyword's once per :class:`KeywordScorer`. An emission
+pass makes one scorer per keyword, and the scorer scores each distinct
+identifier once: ``name`` and ``id`` recur across many tables, so a row
+asks for far fewer scores than it has states. Only Jaro-Winkler, which
+reads both strings together, runs per pair, and the lexicon's synonym and
+hypernym tables are read live, so a lexicon mutation shows in the next
+score.
 """
 
 from __future__ import annotations
 
-from repro.cache import LRUCache
 from repro.db.schema import Schema
 from repro.semantics.lexicon import Lexicon, default_lexicon
-from repro.semantics.similarity import term_similarity
+from repro.semantics.similarity import (
+    TermFeatures,
+    feature_similarity,
+    term_features,
+)
 from repro.semantics.tokenize import split_identifier
 
-__all__ = ["SchemaOntology"]
+__all__ = ["KeywordScorer", "SchemaOntology"]
 
-#: Capacity of the per-ontology term-score memo: schema vocabularies are
-#: small (tens of identifiers), so this comfortably holds every
-#: (keyword, identifier) pair of a large keyword workload.
-_SCORE_CACHE_SIZE = 16384
+#: Partial-hit discounts: a keyword naming one word of a compound table
+#: name usually means the entity, so table fragments count for less.
+_TABLE_PARTIAL_SCALE = 0.7
+_ATTRIBUTE_PARTIAL_SCALE = 0.9
+
+#: A term's features and the features of its identifier word parts.
+_TermEntry = tuple[TermFeatures, tuple[TermFeatures, ...]]
 
 
 class SchemaOntology:
-    """Relatedness between keywords and the terms of one schema.
-
-    Scores are memoised per ``(keyword, term, partial_scale, lexicon
-    version)``: the same identifier ("name", "id") recurs across many
-    tables, so one keyword's emission pass asks for far fewer distinct
-    scores than it has states. The lexicon version in the key makes
-    post-mutation lookups miss instead of returning scores computed
-    against the old vocabulary — mutate the lexicon whenever you like.
-    """
+    """Relatedness between keywords and the terms of one schema."""
 
     def __init__(self, schema: Schema, lexicon: Lexicon | None = None) -> None:
         self.schema = schema
@@ -44,16 +54,17 @@ class SchemaOntology:
             for column in table.columns:
                 if column.synonyms:
                     self.lexicon.add_synonym_ring(column.name, *column.synonyms)
-        self._score_cache = LRUCache(_SCORE_CACHE_SIZE)
+        #: Schema identifier -> its features, derived on first use. The
+        #: keys are the schema's names and synonyms, so this stays as
+        #: small as the schema vocabulary.
+        self._identifiers: dict[str, _TermEntry] = {}
 
-    def clear_score_cache(self) -> None:
-        """Drop memoised scores (reclaims memory; correctness never
-        needs this — the lexicon version in the key already retires
-        entries from older vocabularies)."""
-        self._score_cache.clear()
+    def scorer(self, keyword: str) -> KeywordScorer:
+        """Scores of *keyword* against this schema's tables and columns."""
+        return KeywordScorer(self, keyword)
 
     def term_score(
-        self, keyword: str, term: str, partial_scale: float = 0.9
+        self, keyword: str, term: str, partial_scale: float = _ATTRIBUTE_PARTIAL_SCALE
     ) -> float:
         """Similarity of *keyword* to one schema identifier in ``[0, 1]``.
 
@@ -62,23 +73,50 @@ class SchemaOntology:
         matches the keyword ``date`` through the lexicon entry for
         ``year``, discounted by *partial_scale* for being a partial hit.
         """
-        key = (keyword, term, partial_scale, self.lexicon.version)
-        cached = self._score_cache.get(key)
-        if cached is not None:
-            return cached
-        direct = term_similarity(keyword, term)
-        semantic = self.lexicon.relatedness(keyword, term)
-        part_scores = [
-            self.lexicon.relatedness(keyword, part)
-            for part in split_identifier(term)
-        ]
-        partial = partial_scale * max(part_scores, default=0.0)
-        score = max(direct, semantic, partial)
-        self._score_cache.put(key, score)
-        return score
+        whole, part = self._evidence(term_features(keyword), _term_entry(term))
+        return max(whole, partial_scale * part)
 
     def table_score(self, keyword: str, table: str) -> float:
-        """Relatedness of *keyword* to a table (name + synonyms).
+        """Relatedness of *keyword* to a table (name + synonyms)."""
+        return self.scorer(keyword).table_score(table)
+
+    def attribute_score(self, keyword: str, table: str, column: str) -> float:
+        """Relatedness of *keyword* to a column (name + synonyms)."""
+        return self.scorer(keyword).attribute_score(table, column)
+
+    def _identifier(self, term: str) -> _TermEntry:
+        entry = self._identifiers.get(term)
+        if entry is None:
+            entry = self._identifiers[term] = _term_entry(term)
+        return entry
+
+    def _evidence(
+        self, keyword: TermFeatures, entry: _TermEntry
+    ) -> tuple[float, float]:
+        """(whole-term score, best word-part relatedness) of one pair."""
+        term, parts = entry
+        related = self.lexicon.feature_relatedness
+        whole = max(feature_similarity(keyword, term), related(keyword, term))
+        return whole, max((related(keyword, p) for p in parts), default=0.0)
+
+
+class KeywordScorer:
+    """One keyword's scores against one schema, for one emission pass.
+
+    The keyword's features are derived once, and each distinct identifier
+    is scored once whatever the number of tables and columns that share
+    it. Not shared between threads: make one per keyword and pass.
+    """
+
+    __slots__ = ("_ontology", "_keyword", "_evidence")
+
+    def __init__(self, ontology: SchemaOntology, keyword: str) -> None:
+        self._ontology = ontology
+        self._keyword = term_features(keyword)
+        self._evidence: dict[str, tuple[float, float]] = {}
+
+    def table_score(self, table: str) -> float:
+        """Relatedness to a table (name + synonyms).
 
         Partial hits are discounted harder than for attributes: a keyword
         naming one fragment of a compound *table* name usually means the
@@ -86,14 +124,32 @@ class SchemaOntology:
         junction), whereas attribute fragments (``year`` in
         ``release_year``) are genuine evidence.
         """
-        table_schema = self.schema.table(table)
-        candidates = [table_schema.name, *table_schema.synonyms]
+        table_schema = self._ontology.schema.table(table)
         return max(
-            self.term_score(keyword, c, partial_scale=0.7) for c in candidates
+            self._score(name, _TABLE_PARTIAL_SCALE)
+            for name in (table_schema.name, *table_schema.synonyms)
         )
 
-    def attribute_score(self, keyword: str, table: str, column: str) -> float:
-        """Relatedness of *keyword* to a column (name + synonyms)."""
-        column_schema = self.schema.table(table).column(column)
-        candidates = [column_schema.name, *column_schema.synonyms]
-        return max(self.term_score(keyword, c) for c in candidates)
+    def attribute_score(self, table: str, column: str) -> float:
+        """Relatedness to a column (name + synonyms)."""
+        column_schema = self._ontology.schema.table(table).column(column)
+        return max(
+            self._score(name, _ATTRIBUTE_PARTIAL_SCALE)
+            for name in (column_schema.name, *column_schema.synonyms)
+        )
+
+    def _score(self, term: str, partial_scale: float) -> float:
+        evidence = self._evidence.get(term)
+        if evidence is None:
+            ontology = self._ontology
+            evidence = self._evidence[term] = ontology._evidence(
+                self._keyword, ontology._identifier(term)
+            )
+        whole, part = evidence
+        return max(whole, partial_scale * part)
+
+
+def _term_entry(term: str) -> _TermEntry:
+    return term_features(term), tuple(
+        term_features(part) for part in split_identifier(term)
+    )

@@ -31,6 +31,13 @@ predicate scans, and every join hash-builds on the whole candidate
 relation, with no early stop — the executor before it learned index
 nested loops. The join-parity tests hold the executor and the memory
 backend's ``result_count`` to its rows, row order and counts.
+
+:func:`term_score_reference` is the schema ontology's twin: one
+keyword-identifier score computed from the two strings alone, re-stemming,
+re-splitting and re-trigramming both for every pair, as the ontology did
+before it derived each string's features once. The ontology-parity tests
+hold ``term_score``, ``table_score`` and ``attribute_score`` to it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -50,7 +57,16 @@ from repro.db.table import Row, Table
 from repro.dst.combine import dempster_combine_reference
 from repro.errors import SteinerError
 from repro.hmm import HiddenMarkovModel, list_viterbi_reference
+from repro.semantics.lexicon import Lexicon
+from repro.semantics.similarity import (
+    jaro_winkler,
+    token_set_similarity,
+    trigram_similarity,
+)
+from repro.semantics.stemmer import same_stem, stem
+from repro.semantics.tokenize import split_identifier
 from repro.steiner import SchemaGraph, SteinerTree, top_k_steiner_trees_reference
+from repro.wrapper.ontology import SchemaOntology
 
 #: Patch target -> the reference twin bound there.
 TWINS: dict[str, Callable[..., Any]] = {
@@ -461,3 +477,66 @@ def _project(
             break
     return ResultSet(columns, rows)
 
+
+
+# -- the ontology's reference: today's pairwise string formula --------------
+
+
+def term_similarity_reference(keyword: str, term: str) -> float:
+    """Keyword-to-term similarity straight from the two strings.
+
+    The twin of :func:`repro.semantics.similarity.feature_similarity`:
+    every stem, split and trigram set is recomputed for the pair.
+    """
+    keyword_folded = keyword.casefold().strip()
+    term_folded = term.casefold().strip()
+    if not keyword_folded or not term_folded:
+        return 0.0
+    if keyword_folded == term_folded:
+        return 1.0
+    if same_stem(keyword_folded, term_folded):
+        return 0.95
+    return max(
+        token_set_similarity(keyword_folded, term_folded),
+        jaro_winkler(keyword_folded, term_folded) * 0.9,
+        trigram_similarity(keyword_folded, term_folded) * 0.9,
+    )
+
+
+def relatedness_reference(lexicon: Lexicon, left: str, right: str) -> float:
+    """Lexicon relatedness straight from the two strings (the twin of
+    :meth:`repro.semantics.lexicon.Lexicon.feature_relatedness`)."""
+    left_stem, right_stem = stem(left), stem(right)
+    if left_stem == right_stem:
+        return 1.0
+    if lexicon.are_synonyms(left_stem, right_stem):
+        return 0.9
+    ups_left = lexicon._hypernyms.get(left_stem, set())
+    ups_right = lexicon._hypernyms.get(right_stem, set())
+    if right_stem in ups_left or left_stem in ups_right:
+        return 0.7
+    if ups_left & ups_right:
+        return 0.5
+    return 0.0
+
+
+def term_score_reference(
+    ontology: SchemaOntology, keyword: str, term: str, partial_scale: float = 0.9
+) -> float:
+    """One keyword-identifier score, every feature derived for the pair.
+
+    The maximum of string similarity, lexicon relatedness and the
+    *partial_scale*-discounted best relatedness to one of the identifier's
+    word parts. ``SchemaOntology.term_score`` and its scorers' table and
+    attribute scores (0.7 and 0.9 partial scales, maximised over name and
+    synonyms) must equal it bit for bit.
+    """
+    lexicon = ontology.lexicon
+    direct = term_similarity_reference(keyword, term)
+    semantic = relatedness_reference(lexicon, keyword, term)
+    part_scores = [
+        relatedness_reference(lexicon, keyword, part)
+        for part in split_identifier(term)
+    ]
+    partial = partial_scale * max(part_scores, default=0.0)
+    return max(direct, semantic, partial)

@@ -74,6 +74,84 @@ def test_vectorized_matches_reference(seed: int):
         assert fast.log_probability == slow.log_probability  # bit identity
 
 
+#: Probabilities of the last-step models: a tiny pool makes exact ties
+#: (plateaus of equal leaders) common, and 0.0 puts -inf in the logs.
+_POOL = (0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def _last_step_problem(draw):
+    n = draw(st.integers(2, 12))
+    T = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 30))
+    probabilities = st.sampled_from(_POOL)
+    initial = np.array(draw(st.lists(probabilities, min_size=n, max_size=n)))
+    initial[0] += initial.sum() == 0
+    transition = np.array(
+        draw(st.lists(probabilities, min_size=n * n, max_size=n * n))
+    ).reshape(n, n)
+    transition[transition.sum(axis=1) == 0, 0] = 1.0
+    emissions = np.array(
+        draw(st.lists(probabilities, min_size=T * n, max_size=T * n))
+    ).reshape(T, n)
+    return HiddenMarkovModel(_States(n), initial, transition), emissions, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_last_step_problem())
+def test_last_step_matches_reference(problem):
+    """The bounded last step against the full per-cell reference, at the
+    engine's k and beyond the engine's sequence lengths."""
+    model, emissions, k = problem
+    assert list_viterbi(model, emissions, k) == list_viterbi_reference(
+        model, emissions, k
+    )
+
+
+def test_last_step_bound_inside_plateau():
+    """The k-th leader sits inside a plateau of 12 equal leaders: every
+    tie at the bound must be expanded, and the plateau's lexicographically
+    first paths win."""
+    model = HiddenMarkovModel(
+        _States(4), np.array([0.4, 0.2, 0.2, 0.2]), np.ones((4, 4))
+    )
+    emissions = np.full((2, 4), 0.25)
+    paths = list_viterbi(model, emissions, 6)
+    assert paths == list_viterbi_reference(model, emissions, 6)
+    assert [p.states for p in paths] == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)
+    ]
+
+
+def test_last_step_too_few_finite_leaders():
+    """Fewer than k leaders (and, second, exactly k) are finite: every
+    finite path comes back, and no -inf one."""
+    initial = np.array([0.5, 0.3, 0.2])
+    transition = np.array([[0.7, 0.3, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    model = HiddenMarkovModel(_States(3), initial, transition)
+    emissions = np.full((2, 3), 1.0 / 3)
+    for k, expected in ((30, 4), (4, 4), (3, 3)):
+        paths = list_viterbi(model, emissions, k)
+        assert paths == list_viterbi_reference(model, emissions, k)
+        assert len(paths) == expected
+        assert all(p.log_probability > float("-inf") for p in paths)
+
+
+def test_last_step_with_impossible_transitions():
+    """Transitions hold -inf: the cell that a full step would truncate
+    (two tied candidates, k=1) keeps the first-generated one, (1, 0, 2),
+    although the global order alone would pick the lexicographically
+    smaller (0, 1, 2)."""
+    initial = np.array([1.0, 1.0, 0.0])
+    transition = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+    model = HiddenMarkovModel(_States(3), initial, transition)
+    emissions = np.array([[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]])
+    for k in (1, 2, 30):
+        paths = list_viterbi(model, emissions, k)
+        assert paths == list_viterbi_reference(model, emissions, k)
+    assert list_viterbi(model, emissions, 1)[0].states == (1, 0, 2)
+
+
 def test_degenerate_ties_order_lexicographically():
     """All-uniform model: every sequence ties, order must be path-lex."""
     n, T, k = 3, 3, 8
