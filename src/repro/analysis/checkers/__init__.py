@@ -10,6 +10,7 @@ from repro.analysis.checkers.faultpoints import FaultPointChecker
 from repro.analysis.checkers.forksafety import ForkSafetyChecker
 from repro.analysis.checkers.journaling import JournalDisciplineChecker
 from repro.analysis.checkers.lockorder import LockOrderChecker
+from repro.analysis.checkers.sqlbinding import SqlBoundValuesChecker
 
 
 def all_checkers() -> list[Checker]:
@@ -22,6 +23,7 @@ def all_checkers() -> list[Checker]:
         FaultPointChecker(),
         ClockDisciplineChecker(),
         CachedHashChecker(),
+        SqlBoundValuesChecker(),
     ]
 
 
@@ -36,4 +38,5 @@ __all__ = [
     "ForkSafetyChecker",
     "JournalDisciplineChecker",
     "LockOrderChecker",
+    "SqlBoundValuesChecker",
 ]

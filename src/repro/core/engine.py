@@ -137,18 +137,20 @@ class Quest:
     def version(self) -> tuple:
         """Revision of every result-affecting mutable input.
 
-        ``(feedback revision, source mutation counter, schema-graph
-        revision, settings)`` — any change through the engine's own
-        mutation surfaces (source writes, ``set_feedback_model``,
-        ``add_edge``, reassigning :attr:`settings`) moves at least one
-        component, so the serving tier's result cache cannot serve
-        across them. Out-of-band surgery on engine internals (e.g.
-        swapping :attr:`pipeline` for one with different semantics) is
-        not tracked; the serving tier's TTL bounds that exposure.
+        ``(feedback revision, source mutation counter, lexicon revision,
+        schema-graph revision, settings)`` — any change through the
+        engine's own mutation surfaces (source writes, lexicon synonyms
+        and hypernyms, ``set_feedback_model``, ``add_edge``, reassigning
+        :attr:`settings`) moves at least one component, so the serving
+        tier's result cache cannot serve across them. Out-of-band
+        surgery on engine internals (e.g. swapping :attr:`pipeline` for
+        one with different semantics) is not tracked; the serving tier's
+        TTL bounds that exposure.
         """
         return (
             self._feedback_revision,
             self.wrapper.source_version,
+            self.wrapper.lexicon_version,
             self.schema_graph.version,
             self.settings,
         )

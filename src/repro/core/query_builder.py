@@ -5,6 +5,8 @@ fixes the FROM clause (the tables its Steiner tree touches), the join
 conditions (the tree's primary/foreign key edges) and the WHERE clause
 (keywords mapped to attribute domains become containment predicates);
 keywords mapped to attribute names drive the projection.
+:func:`query_identity` reads the built query's structural signature off
+the interpretation, so callers can drop duplicates before building.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from repro.core.configuration import Configuration
 from repro.core.interpretation import Interpretation
 from repro.db.query import Comparison, JoinCondition, Predicate, SelectQuery, TableRef
 from repro.db.schema import Schema, TableSchema
+from repro.steiner.tree import SteinerTree
 
-__all__ = ["build_query"]
+__all__ = ["build_query", "query_identity"]
 
 
 def _display_column(table: TableSchema) -> str:
@@ -96,3 +99,40 @@ def build_query(
         distinct=True,
         limit=limit,
     )
+
+
+def query_identity(
+    interpretation: Interpretation,
+    joins_of: dict[SteinerTree, frozenset],
+    predicates_of: dict[Configuration, frozenset],
+) -> tuple:
+    """``build_query(schema, interpretation).signature()``, without the query.
+
+    The query's tables are the interpretation's, its joins are the
+    tree's foreign keys, and its predicates are the configuration's
+    domain mappings as CONTAINS, so the signature's three parts are read
+    off those directly. Trees and configurations repeat across a
+    search's interpretations; *joins_of* and *predicates_of* memoise
+    their parts for one search.
+    """
+    tree = interpretation.tree
+    joins = joins_of.get(tree)
+    if joins is None:
+        joins = joins_of[tree] = frozenset(
+            frozenset({(fk.table, fk.column), (fk.ref_table, fk.ref_column)})
+            for fk in tree.foreign_keys()
+        )
+    configuration = interpretation.configuration
+    predicates = predicates_of.get(configuration)
+    if predicates is None:
+        predicates = predicates_of[configuration] = frozenset(
+            (
+                m.state.table,
+                m.state.column,
+                Comparison.CONTAINS.value,
+                m.keyword.casefold(),
+            )
+            for m in configuration.domain_mappings()
+            if m.state.column is not None
+        )
+    return (interpretation.tables, joins, predicates)

@@ -7,8 +7,10 @@ The executor implements a straightforward but index-aware strategy:
    the caller hands in the full-text postings, CONTAINS predicates seed
    them from the intersection of their keyword tokens' posting lists;
    only without either does the occurrence scan. Every predicate is
-   re-checked on the candidates, so the seed only narrows. An occurrence
-   without local predicates reads the table's live rows in place;
+   re-checked on the candidates, except a one-token CONTAINS keyword
+   whose posting list seeded them: the list already decides it. An
+   occurrence without local predicates reads the table's live rows in
+   place;
 2. join occurrences one at a time, always preferring an occurrence connected
    to the already-joined ones through an equi-join condition. An
    occurrence without local predicates that has more rows than there are
@@ -54,8 +56,10 @@ __all__ = [
 ]
 
 #: ``lookup(token, ref)``: the sorted physical row positions whose
-#: ``ref.column`` holds *token* under :func:`tokenize_value`, or ``None``
-#: when ``ref`` is not indexed that way (its CONTAINS predicates scan).
+#: ``ref.column`` holds *token* under :func:`tokenize_value` — exactly
+#: those, tombstoned positions aside, since a one-token CONTAINS is
+#: decided by its list alone — or ``None`` when ``ref`` is not indexed
+#: that way (its CONTAINS predicates scan).
 PostingLookup = Callable[[str, ColumnRef], Sequence[int] | None]
 
 
@@ -187,43 +191,60 @@ def _match(value: Any, predicate: Predicate) -> bool:
 
 def _posting_candidates(
     table: Table, predicates: list[Predicate], postings: PostingLookup | None
-) -> list[Row] | None:
-    """Live rows in every CONTAINS token's posting list, in insertion order.
+) -> tuple[list[Row] | None, list[Predicate]]:
+    """Rows in every CONTAINS token's posting list, and what they leave open.
 
     A row can satisfy ``CONTAINS(column, keyword)`` only if each of the
     keyword's tokens occurs in its value, i.e. only if it sits in each
-    token's posting list for that column — so the intersection is a
-    superset of the matches, and the caller's exact re-check makes it
-    exact. ``None`` (scan) without *postings* or when no CONTAINS
-    predicate is on an indexed column.
+    token's posting list for that column — so the live rows in the
+    intersection, in insertion order, are a superset of the matches.
+    The second element lists the predicates the caller must still check
+    on them: all of them, except a CONTAINS predicate whose keyword is
+    exactly one token and whose posting list took part. For that token
+    :func:`contains_match` is membership in :func:`tokenize_value` of the
+    value, which is what the list holds: the lookup tokenises the same
+    values the same way (:data:`PostingLookup`), tombstoned positions
+    are dropped here, and rows are never updated in place. A multi-token
+    keyword is a phrase, so its lists only narrow and it stays.
+
+    ``(None, predicates)`` (scan) without *postings* or when no CONTAINS
+    predicate is on a column the lookup covers; ``([], ...)`` when a
+    keyword has no tokens (it matches nothing).
     """
     if postings is None:
-        return None
+        return None, predicates
     lists: list[Sequence[int]] = []
+    decided: list[Predicate] = []
     for predicate in predicates:
         if predicate.op is not Comparison.CONTAINS:
             continue
         tokens = _keyword_tokens(str(predicate.value))
         if not tokens:
-            return []  # a keyword without tokens matches nothing
+            return [], predicates  # a keyword without tokens matches nothing
         ref = ColumnRef(table.name, predicate.column)
         for token in dict.fromkeys(tokens):
             found = postings(token, ref)
             if found is None:
                 break
             lists.append(found)
+        else:
+            if len(tokens) == 1:
+                decided.append(predicate)
     if not lists:
-        return None
+        return None, predicates
     lists.sort(key=len)
     narrowed = set(lists[0])
     for found in lists[1:]:
         narrowed.intersection_update(found)
     storage = table.storage_rows
-    return [
+    candidates = [
         storage[position]
         for position in sorted(narrowed)
         if not table.is_deleted(position)
     ]
+    if decided:
+        predicates = [p for p in predicates if not any(p is d for d in decided)]
+    return candidates, predicates
 
 
 def _filter_base(
@@ -232,9 +253,12 @@ def _filter_base(
     """Rows of *table* satisfying all local *predicates*, in insertion order.
 
     Equality predicates on indexed values short-circuit through a hash
-    index; CONTAINS predicates through the posting lists, when given;
-    everything else scans. Without predicates this is the table's live
-    row list itself (read, never mutated).
+    index, and every other predicate is checked on its candidates;
+    otherwise CONTAINS predicates seed the candidates from the posting
+    lists, when given, and the check skips what those decide (see
+    :func:`_posting_candidates`); everything else scans. Without
+    predicates this is the table's live row list itself (read, never
+    mutated).
     """
     equality = [p for p in predicates if p.op is Comparison.EQ]
     if equality:
@@ -242,9 +266,8 @@ def _filter_base(
         candidates = table.lookup(seed.column, seed.value)
         rest = [p for p in predicates if p is not seed]
     else:
-        seeded = _posting_candidates(table, predicates, postings)
+        seeded, rest = _posting_candidates(table, predicates, postings)
         candidates = table.rows if seeded is None else seeded
-        rest = predicates
     if not rest:
         return candidates
     positions = {p: table.column_position(p.column) for p in rest}

@@ -31,13 +31,14 @@ from repro.core.interpretation import (
     InterpretationFrame,
     tree_score,
 )
-from repro.core.query_builder import build_query
+from repro.core.query_builder import build_query, query_identity
 from repro.dst.belief import rank_hypotheses
 from repro.dst.combine import dempster_combine
 from repro.dst.mass import FrameInterning, MassFunction
 from repro.errors import AccessDeniedError, CombinationError, QuestError, SteinerError
 from repro.pipeline.context import SearchContext
 from repro.steiner.topk import top_k_steiner_trees
+from repro.steiner.tree import SteinerTree
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.core.engine import Quest
@@ -310,15 +311,22 @@ class ExplainStage(PipelineStage):
 
     Distinct interpretations can denote the same SQL (e.g. two
     configurations differing only in schema-term kinds); only the
-    best-ranked explanation per structural query survives. When the
-    wrapper can execute, explanations with fewer than
-    ``settings.min_explanation_results`` rows are dropped; the exact
-    count runs backend-side through ``wrapper.result_count`` (a
-    ``COUNT(*)`` pushdown on SQL backends — no result rows cross the
-    storage boundary here). Both backends narrow every CONTAINS
-    predicate of the count to its keyword's posting lists before the
-    exact per-row check, so a count costs work proportional to the
-    matching postings, not to the table size.
+    best-ranked explanation per structural query survives. The
+    structural identity (:meth:`~repro.db.query.SelectQuery.signature`)
+    is read off the interpretation
+    (:func:`~repro.core.query_builder.query_identity`) before any
+    query is built, so each distinct query is built once per search and
+    a duplicate costs one key lookup. When the wrapper can execute,
+    explanations with fewer than ``settings.min_explanation_results``
+    rows are dropped; the exact count runs backend-side through
+    ``wrapper.result_count`` (a ``COUNT(*)`` pushdown on SQL backends —
+    no result rows cross the storage boundary here). Both backends
+    narrow every CONTAINS predicate of the count to its keyword's
+    posting lists and skip the exact per-row check where a one-token
+    keyword's list already decides it, so a count costs work
+    proportional to the matching postings, not to the table size. The
+    SQLite backend compiles each count once per query shape and binds
+    the keywords as parameters.
     """
 
     name = "explain"
@@ -328,6 +336,8 @@ class ExplainStage(PipelineStage):
         deadline = context.deadline
         explanations: list[Explanation] = []
         seen_queries: set[tuple] = set()
+        joins_of: dict[SteinerTree, frozenset] = {}
+        predicates_of: dict[Configuration, frozenset] = {}
         for interpretation in context.ranked:
             if (
                 deadline is not None
@@ -341,11 +351,11 @@ class ExplainStage(PipelineStage):
                     f"{len(explanations)} explanations"
                 )
                 break
-            query = build_query(engine.schema, interpretation)
-            identity = query.signature()
+            identity = query_identity(interpretation, joins_of, predicates_of)
             if identity in seen_queries:
                 continue
             seen_queries.add(identity)
+            query = build_query(engine.schema, interpretation)
             result_count: int | None = None
             if settings.execute_explanations:
                 try:
@@ -369,3 +379,4 @@ class ExplainStage(PipelineStage):
 
     def candidates(self, context: SearchContext) -> int:
         return len(context.explanations)
+

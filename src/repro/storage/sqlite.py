@@ -2,8 +2,8 @@
 
 Relations live in a SQLite database (a file or ``:memory:``); generated
 :class:`~repro.db.query.SelectQuery` plans are rendered to SQLite SQL by
-:func:`repro.db.sqlgen.render_sql` and executed by SQLite itself — joins,
-DISTINCT, LIMIT and result counting all happen engine-side. Emission
+:mod:`repro.db.sqlgen` and executed by SQLite itself — joins, DISTINCT,
+LIMIT and result counting all happen engine-side. Emission
 scoring is served from an inverted index stored *in* SQLite:
 
 - ``_quest_postings(term, tbl, col, pos, tf)`` — the per-attribute
@@ -32,14 +32,26 @@ comparison predicates are rejected eagerly for the whole query rather
 than lazily per evaluated row (the engine itself only generates CONTAINS
 predicates, so neither divergence is reachable through a search).
 
+Statements are compiled once per query shape. The sqlite dialect binds
+every value as a parameter, so queries that differ only in keywords or
+constants share one text: the backend renders it once per
+:class:`~repro.db.sqlgen.StatementShape` (a bounded cache on the
+backend, filled lazily by the first query of each shape) and binds each
+query's values, and the connection's ``cached_statements`` (set well
+above the shape count, on every connect) keeps SQLite from compiling it
+again. ``execute`` and ``result_count`` share this path.
+
 CONTAINS is index-driven: each predicate is preceded by one
-``_quest_pos IN (posting list)`` conjunct per keyword token, and every
-relation indexes ``_quest_pos`` and its foreign-key columns, so SQLite
-seeks the posting rows and joins outward instead of calling
-``QUEST_CONTAINS`` on every row. The postings are maintained in the same
-transaction as every write through the backend; rows written into the
-file behind its back need :meth:`SQLiteBackend.refresh` before CONTAINS
-(like scoring) sees them. Writes are batched: a bulk load, an
+``_quest_pos IN (posting list)`` conjunct per distinct keyword token,
+and every relation indexes ``_quest_pos`` and its foreign-key columns,
+so SQLite seeks the posting rows and joins outward instead of calling
+``QUEST_CONTAINS`` on every row. The exact ``QUEST_CONTAINS`` check runs
+on those rows only when the keyword has more than one token (a phrase)
+or none; a one-token keyword's posting list already decides it (see
+:meth:`SQLiteBackend._narrow_contains`). The postings are maintained in
+the same transaction as every write through the backend; rows written
+into the file behind its back need :meth:`SQLiteBackend.refresh` before
+CONTAINS (like scoring) sees them. Writes are batched: a bulk load, an
 ``add_rows`` batch or a single insert stores its rows, posting rows, FTS
 documents and field counters with one ``executemany`` per statement.
 """
@@ -52,17 +64,24 @@ from collections import Counter
 import re
 import sqlite3
 import threading
-from dataclasses import replace
 from datetime import date
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
+from repro.cache import LRUCache
 from repro.db.database import Database
 from repro.db.executor import ResultSet, contains_match, like_match
 from repro.db.fulltext import tokenize_value
 from repro.db.query import Comparison, SelectQuery
 from repro.db.schema import ColumnRef, Schema, TableSchema
 from repro.forksafe import register_lock_holder
-from repro.db.sqlgen import quote_identifier, render_literal, render_sql
+from repro.db.sqlgen import (
+    Narrowing,
+    StatementShape,
+    quote_identifier,
+    render_shape,
+    sqlite_shape,
+    sqlite_value,
+)
 from repro.db.table import Row, normalise_row
 from repro.db.types import DataType, coerce
 from repro.errors import ExecutionError, IntegrityError, UnknownTableError
@@ -103,14 +122,27 @@ _POSITION_COLUMN = "_quest_pos"
 #: is locked" would shed healthy requests.
 _BUSY_TIMEOUT_MS = 5_000
 
+#: Rendered statements kept per backend, one per query shape. The
+#: explain counts of the dblp ``papers=1000`` gold queries (111
+#: searches) have 116 shapes.
+_SHAPE_CACHE_SIZE = 256
 
-def _encode(value: Any) -> Any:
-    """A Python value as stored in SQLite (bool -> int, date -> ISO text)."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, date):
-        return value.isoformat()
-    return value
+#: Compiled statements SQLite keeps per connection (``cached_statements``,
+#: keyed on the text): every shape's SELECT and COUNT plus the backend's
+#: own fixed statements, with room to spare.
+_STATEMENT_CACHE_SIZE = 512
+
+#: The narrowing of a keyword without tokens: it matches nothing.
+_MATCHES_NOTHING = Narrowing(("0",), (), False)
+
+
+class _Statement(NamedTuple):
+    """One shape's rendered statements and output columns."""
+
+    select: str
+    count: str
+    columns: tuple[str, ...]
+    dtypes: tuple[DataType, ...]
 
 
 def _reset_sqlite_lock(backend: "SQLiteBackend") -> None:
@@ -148,6 +180,8 @@ class SQLiteBackend(StorageBackend):
         # via the existing per-pid reconnect in _connection().
         self._lock = threading.RLock()
         register_lock_holder(self, _reset_sqlite_lock)
+        #: Rendered statements by (query shape, version); see _statement.
+        self._shapes = LRUCache(_SHAPE_CACHE_SIZE, label="sql_shape")
         self._conn = self._connect()
         self._pid = os.getpid()
         #: next insertion position per table (mirrors memory row positions)
@@ -177,7 +211,11 @@ class SQLiteBackend(StorageBackend):
         self._create_indexes()
 
     def _connect(self) -> sqlite3.Connection:
-        connection = sqlite3.connect(self.path, check_same_thread=False)
+        connection = sqlite3.connect(
+            self.path,
+            check_same_thread=False,
+            cached_statements=_STATEMENT_CACHE_SIZE,
+        )
         connection.isolation_level = None  # autocommit; we batch manually
         # Multi-process read posture (file-backed stores only — a
         # ``:memory:`` database is private to this process and supports
@@ -208,7 +246,8 @@ class SQLiteBackend(StorageBackend):
         of the preforked serving tier would otherwise share the parent's open file description (and its
         POSIX locks, which fork silently drops). The guard is keyed on
         pid: the first statement a forked child runs opens its own
-        connection, which re-applies the WAL/busy_timeout pragmas.
+        connection, which re-applies the WAL/busy_timeout pragmas and the
+        statement-cache size.
         ``:memory:`` databases are exempt: fork copies the whole
         in-process store, so the child's connection is private (and
         reconnecting would open an empty database).
@@ -464,7 +503,7 @@ class SQLiteBackend(StorageBackend):
                 f"INSERT INTO {quote_identifier(table.name)} ({column_list}) "
                 f"VALUES ({placeholders})",
                 (
-                    [_encode(value) for value in row] + [position]
+                    [sqlite_value(value) for value in row] + [position]
                     for position, row in enumerate(rows, first)
                 ),
             )
@@ -592,7 +631,7 @@ class SQLiteBackend(StorageBackend):
         with self._lock:
             row = self._connection.execute(
                 f"SELECT 1 FROM {quote_identifier(table)} WHERE {where}",
-                [_encode(part) for part in key],
+                [sqlite_value(part) for part in key],
             ).fetchone()
         return row is not None
 
@@ -649,7 +688,7 @@ class SQLiteBackend(StorageBackend):
             cursor.execute("BEGIN")
             try:
                 for key in keys:
-                    parameters = [_encode(part) for part in key]
+                    parameters = [sqlite_value(part) for part in key]
                     row = cursor.execute(
                         f"SELECT {column_list} FROM {quote_identifier(table)} "
                         f"WHERE {where}",
@@ -731,7 +770,7 @@ class SQLiteBackend(StorageBackend):
         # scores stay bit-identical across backends.
         return math.log(1.0 + self._n_fields / field_count)
 
-    def _read_sql(self, thunk, label: str):
+    def _read_sql(self, thunk, label: str, sql: str | None = None):
         """Run one read-path SQL operation with the resilience wrapping.
 
         Every read funnels through here: the ``storage.query`` fault
@@ -741,7 +780,8 @@ class SQLiteBackend(StorageBackend):
         jittered-exponential schedule, and every final outcome lands in
         the circuit breaker — failures push it toward open, successes
         heal it. Non-transient SQLite errors are wrapped into
-        :class:`ExecutionError`.
+        :class:`ExecutionError`, whose message names *label* and the
+        statement *sql*, if given (formatted only then).
         """
 
         def attempt():
@@ -756,7 +796,8 @@ class SQLiteBackend(StorageBackend):
             )
         except sqlite3.Error as exc:
             self.breaker.record_failure()
-            raise ExecutionError(f"sqlite error {label}: {exc}") from exc
+            where = label if sql is None else f"{label} {sql!r}"
+            raise ExecutionError(f"sqlite error {where}: {exc}") from exc
         self.breaker.record_success()
         return result
 
@@ -899,34 +940,56 @@ class SQLiteBackend(StorageBackend):
 
     def _narrow_contains(
         self, alias: str, table: str, column: str, keyword: Any
-    ) -> list[str]:
+    ) -> Narrowing | None:
         """Conjuncts restricting a CONTAINS predicate to its posting lists.
 
         One ``_quest_pos IN (posting list)`` per distinct keyword token:
         a row can contain the keyword only if it holds every token, so
-        the conjuncts only narrow and ``QUEST_CONTAINS`` stays the exact
-        check. With ``_quest_pos`` indexed, SQLite drives the alias from
-        the posting rows instead of scanning it. The postings tokenise
-        the very values ``QUEST_CONTAINS`` sees (booleans through the
-        renderer's ``True``/``False`` unwrapping), with the same
-        ``tokenize_value``; a column outside the index gets no conjunct
-        and keeps the scan.
+        the conjuncts narrow, and with ``_quest_pos`` indexed SQLite
+        drives the alias from the posting rows instead of scanning it.
+        The postings tokenise the very values ``QUEST_CONTAINS`` sees
+        (booleans through the renderer's ``True``/``False`` unwrapping),
+        with the same ``tokenize_value``; a column outside the index gets
+        no narrowing and keeps the scan.
+
+        For a keyword of exactly one token the conjunct is also the exact
+        check, so the narrowing is marked ``exact`` and ``QUEST_CONTAINS``
+        is left out. ``contains_match`` of a one-token keyword is token
+        membership in ``tokenize_value`` of the value, which is what the
+        posting list holds. The postings change in the same transaction
+        as every write through the backend, and rows are only inserted or
+        deleted, never updated in place, so no posting row outlives or
+        predates the value it was taken from. A multi-token keyword is a
+        phrase: each token's list only narrows it, and the check stays,
+        as it does for a repeated token (``paris paris``). A keyword
+        without tokens matches nothing (``0``).
         """
         if ColumnRef(table, column) not in self._field_sizes:
-            return []
+            return None
         tokens = tokenize_value(str(keyword))
         if not tokens:
-            return ["0"]  # a keyword without tokens matches nothing
+            return _MATCHES_NOTHING
+        distinct = dict.fromkeys(tokens)
         target = f"{quote_identifier(alias)}.{quote_identifier(_POSITION_COLUMN)}"
-        field = f"tbl = {render_literal(table)} AND col = {render_literal(column)}"
-        return [
+        conjunct = (
             f'{target} IN (SELECT pos FROM "_quest_postings" '
-            f"WHERE term = {render_literal(token)} AND {field})"
-            for token in dict.fromkeys(tokens)
-        ]
+            "WHERE term = ? AND tbl = ? AND col = ?)"
+        )
+        return Narrowing(
+            (conjunct,) * len(distinct),
+            tuple(value for token in distinct for value in (token, table, column)),
+            len(tokens) == 1,
+        )
 
-    def _prepare(self, query: SelectQuery) -> tuple[str, tuple[tuple[str, DataType], ...]]:
-        """Validate, expand and render *query* for SQLite execution."""
+    def _statement(self, query: SelectQuery) -> tuple[_Statement, list[Any]]:
+        """Validate *query*; its shape's statement and the values to bind.
+
+        The statement is rendered once per shape and kept in
+        :attr:`_shapes`, so SQLite's statement cache (keyed on the text)
+        compiles it once too. The key carries the backend version: no
+        write changes a shape's text, so after a write each shape renders
+        once more and the entries of older versions age out.
+        """
         for predicate in query.predicates:
             if predicate.value is None or predicate.op in (
                 Comparison.CONTAINS,
@@ -947,56 +1010,63 @@ class SQLiteBackend(StorageBackend):
                 raise ExecutionError(
                     f"type mismatch evaluating {predicate}: {predicate.value!r}"
                 )
-        if query.projection:
-            targets = list(query.projection)
-            prepared = query
-        else:
+        shape, params = sqlite_shape(query, self._narrow_contains)
+        key = (shape, self._version)
+        statement = self._shapes.get(key)
+        if statement is None:
+            statement = self._render(shape)
+            self._shapes.put(key, statement)
+        return statement, params
+
+    def _render(self, shape: StatementShape) -> _Statement:
+        """The statement texts and output columns of one shape."""
+        if not shape.projection:
             # The in-memory executor projects every column of every alias
             # (and applies DISTINCT to those full-width rows); expanding
             # the projection reproduces that, including column labels.
-            targets = [
-                (alias, column)
-                for alias in query.aliases
-                for column in self.schema.table(query.table_of(alias)).column_names
-            ]
-            prepared = replace(query, projection=tuple(targets))
-        dtypes = tuple(
-            (
-                f"{alias}.{column}",
-                self.schema.table(query.table_of(alias)).column(column).dtype,
+            shape = shape._replace(
+                projection=tuple(
+                    (ref.alias, column)
+                    for ref in shape.tables
+                    for column in self.schema.table(ref.table).column_names
+                )
             )
-            for alias, column in targets
+        tables = {ref.alias: ref.table for ref in shape.tables}
+        sql = render_shape(shape, self.schema)
+        return _Statement(
+            sql,
+            f"SELECT COUNT(*) FROM ({sql})",
+            tuple(f"{alias}.{column}" for alias, column in shape.projection),
+            tuple(
+                self.schema.table(tables[alias]).column(column).dtype
+                for alias, column in shape.projection
+            ),
         )
-        sql = render_sql(
-            prepared, dialect="sqlite", schema=self.schema, narrow=self._narrow_contains
-        )
-        return sql, dtypes
 
     def execute(self, query: SelectQuery) -> ResultSet:
-        sql, columns = self._prepare(query)
+        statement, params = self._statement(query)
 
         def fetch():
             with self._lock:
-                return self._connection.execute(sql).fetchall()
+                return self._connection.execute(statement.select, params).fetchall()
 
-        fetched = self._read_sql(fetch, f"for {sql!r}")
-        dtypes = [dtype for _name, dtype in columns]
+        fetched = self._read_sql(fetch, "for", statement.select)
+        dtypes = statement.dtypes
         rows = [
             tuple(coerce(value, dtype) for value, dtype in zip(row, dtypes))
             for row in fetched
         ]
-        return ResultSet(tuple(name for name, _dtype in columns), rows)
+        return ResultSet(statement.columns, rows)
 
     def result_count(self, query: SelectQuery) -> int:
         """Count results engine-side — no rows cross the boundary."""
-        sql, _columns = self._prepare(query)
-        counted = f"SELECT COUNT(*) FROM ({sql})"
+        statement, params = self._statement(query)
 
         def fetch():
             with self._lock:
-                return self._connection.execute(counted).fetchone()
+                return self._connection.execute(statement.count, params).fetchone()
 
-        row = self._read_sql(fetch, f"for {sql!r}")
+        row = self._read_sql(fetch, "for", statement.select)
         return int(row[0])
 
     # -- lifecycle ---------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.db.schema import Schema
 from repro.cache import CacheStats, LRUCache
 from repro.forksafe import register_lock_holder
 from repro.hmm.states import StateSpace
+from repro.wrapper.ontology import SchemaOntology
 
 __all__ = ["SourceWrapper"]
 
@@ -56,11 +57,15 @@ class SourceWrapper(abc.ABC):
     def __init__(
         self,
         schema: Schema,
+        ontology: SchemaOntology | None = None,
         emission_cache_size: int = DEFAULT_EMISSION_CACHE_SIZE,
     ) -> None:
         self.schema = schema
+        #: Scores schema terms; its lexicon's version is part of the
+        #: emission-cache stamp (see :meth:`_cache_sync`).
+        self._ontology = ontology if ontology is not None else SchemaOntology(schema)
         self._emission_cache = LRUCache(emission_cache_size, label="emission")
-        self._emission_version = self._source_version()
+        self._emission_version = self._emission_stamp()
         self._emission_sync_lock = threading.Lock()
         register_lock_holder(self, _reset_wrapper_lock)
 
@@ -115,24 +120,42 @@ class SourceWrapper(abc.ABC):
             [self.compute_emission_scores(keyword, states) for keyword in keywords]
         )
 
-    def _cache_sync(self) -> int:
-        """The observed source version, dropping cached vectors on mutation.
+    @property
+    def lexicon_version(self) -> int:
+        """Mutation counter of the ontology's lexicon.
 
-        The returned version is folded into the cache keys of the read
-        that observed it: a vector computed from pre-mutation data but
-        *stored* after a concurrent mutation (and after another thread's
-        sync cleared the cache) lands under the old version's key, where
-        no post-mutation reader can find it — the clear-then-stale-put
-        race cannot poison the cache.
+        Schema-term scores read the lexicon live, so a synonym or
+        hypernym added after a search changes the emissions of every
+        keyword it relates.
         """
-        version = self._source_version()
+        return self._ontology.lexicon.version
+
+    def _emission_stamp(self) -> tuple[int, int]:
+        """``(source version, lexicon version)``: what emissions are read from."""
+        return (self._source_version(), self.lexicon_version)
+
+    def _cache_sync(self) -> tuple[int, int]:
+        """The observed emission stamp, dropping cached vectors on mutation.
+
+        The returned stamp is folded into the cache keys of the read
+        that observed it: a vector computed from pre-mutation data or
+        vocabulary but *stored* after a concurrent mutation (and after
+        another thread's sync cleared the cache) lands under the old
+        stamp's key, where no post-mutation reader can find it — the
+        clear-then-stale-put race cannot poison the cache.
+        """
+        version = self._emission_stamp()
         with self._emission_sync_lock:
-            # Adopt only *forward* moves (mutation counters are
-            # monotonic): a thread resuming with a stale read must not
-            # write the version backwards and trigger clear ping-pong.
-            if version > self._emission_version:
+            # Adopt only *forward* moves (both counters are monotonic):
+            # a thread resuming with a stale read must not write a
+            # counter backwards and trigger clear ping-pong.
+            current = self._emission_version
+            if version[0] > current[0] or version[1] > current[1]:
                 self._emission_cache.clear()
-                self._emission_version = version
+                self._emission_version = (
+                    max(version[0], current[0]),
+                    max(version[1], current[1]),
+                )
         return version
 
     def emission_scores(self, keyword: str, states: StateSpace) -> np.ndarray:
@@ -144,7 +167,8 @@ class SourceWrapper(abc.ABC):
         reused for a state space with identical content *and order* (a
         foreign feedback model may legally carry a same-length space with
         different ordering — see ``Quest.set_feedback_model``) — plus the
-        source version observed at lookup time (see :meth:`_cache_sync`).
+        source and lexicon versions observed at lookup time (see
+        :meth:`_cache_sync`).
         """
         version = self._cache_sync()
         key = (keyword, states.states, version)

@@ -64,9 +64,8 @@ class FullAccessWrapper(SourceWrapper):
         # Set before super().__init__: the base class snapshots the
         # source version for emission-cache invalidation.
         self._backend = backend
-        super().__init__(backend.schema, emission_cache_size=emission_cache_size)
-        self._ontology = (
-            ontology if ontology is not None else SchemaOntology(backend.schema)
+        super().__init__(
+            backend.schema, ontology=ontology, emission_cache_size=emission_cache_size
         )
         #: Per-state-space index arrays for the batched emission path,
         #: keyed by the state tuple (an engine has one space; a foreign

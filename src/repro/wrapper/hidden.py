@@ -48,13 +48,14 @@ class HiddenSourceWrapper(SourceWrapper):
         ontology: SchemaOntology | None = None,
         emission_cache_size: int = DEFAULT_EMISSION_CACHE_SIZE,
     ) -> None:
-        super().__init__(schema, emission_cache_size=emission_cache_size)
+        super().__init__(
+            schema, ontology=ontology, emission_cache_size=emission_cache_size
+        )
         # The endpoint may be any storage backend — the Deep Web source's
         # engine is as much a deployment choice as the owned sources' —
         # but setup-phase reads stay forbidden either way.
         self._remote = as_backend(remote_db) if remote_db is not None else None
         self._catalog = Catalog.schema_only(schema)
-        self._ontology = ontology if ontology is not None else SchemaOntology(schema)
 
     # -- capabilities --------------------------------------------------------
 

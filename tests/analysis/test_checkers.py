@@ -14,6 +14,7 @@ from repro.analysis.checkers import (
     ForkSafetyChecker,
     JournalDisciplineChecker,
     LockOrderChecker,
+    SqlBoundValuesChecker,
 )
 
 
@@ -516,6 +517,76 @@ def test_cached_hash_ignores_hash_computed_per_call(tmp_path):
                 return hash(self.name)
     """
     assert run_checker(tmp_path, CachedHashChecker(), {"mod.py": source}) == []
+
+
+# -- sql-bound-values ------------------------------------------------------
+
+
+BAD_SQL = """
+    from repro.db.sqlgen import quote_identifier, render_literal
+
+    class Backend:
+        def count(self, table, term):
+            where = f"term = {render_literal(term)}"
+            return self._conn.execute(
+                f"SELECT COUNT(*) FROM {quote_identifier(table)} WHERE {where}"
+            )
+
+        def lookup(self, table, key):
+            sql = "SELECT * FROM %s WHERE id = %s" % (quote_identifier(table), key)
+            return self._conn.execute(sql)
+"""
+
+GOOD_SQL = """
+    from repro.db.sqlgen import quote_identifier
+
+    _POSITION = "_pos"
+
+    class Backend:
+        def count(self, table, terms):
+            placeholders = ", ".join("?" * len(terms))
+
+            def fetch():
+                return self._conn.execute(
+                    f"SELECT COUNT(*) FROM {quote_identifier(table)} "
+                    f"WHERE term IN ({placeholders}) "
+                    f"ORDER BY {quote_identifier(_POSITION)}",
+                    terms,
+                )
+
+            return fetch()
+
+        def delete(self, table, columns, key):
+            where = " AND ".join(f"{quote_identifier(c)} = ?" for c in columns)
+            values = ", ".join(["?"] * (len(columns) + 1))
+            self._conn.execute(f"DELETE FROM {quote_identifier(table)} WHERE {where}", key)
+            self._conn.executemany(f"INSERT INTO {quote_identifier(table)} VALUES ({values})", [])
+            self._conn.execute(self._statement.count, key)
+"""
+
+
+def test_sql_bound_values_flags_spliced_values(tmp_path):
+    findings = run_checker(
+        tmp_path, SqlBoundValuesChecker(), {"storage/mod.py": BAD_SQL}
+    )
+    messages = [finding.message for finding in findings]
+    assert len(findings) == 3, messages
+    assert sum("render_literal" in message for message in messages) == 1
+    assert any("'where'" in message for message in messages)
+    assert any("'key'" in message for message in messages)
+
+
+def test_sql_bound_values_accepts_identifiers_and_placeholders(tmp_path):
+    assert (
+        run_checker(tmp_path, SqlBoundValuesChecker(), {"storage/mod.py": GOOD_SQL})
+        == []
+    )
+
+
+def test_sql_bound_values_ignores_other_layers(tmp_path):
+    assert (
+        run_checker(tmp_path, SqlBoundValuesChecker(), {"db/mod.py": BAD_SQL}) == []
+    )
 
 
 # -- whole-tree self-gate --------------------------------------------------

@@ -389,8 +389,8 @@ def test_postings_tokenise_what_the_exact_check_sees(scenario):
                 predicates=(Predicate(table.name, column.name, Comparison.CONTAINS, "?"),),
                 projection=((table.name, "id"),),
             )
-            sql = render_sql(probe, dialect="sqlite", schema=schema)
-            assert sqlite._connection.execute(sql).fetchall() == []
+            sql, params = render_sql(probe, dialect="sqlite", schema=schema)
+            assert sqlite._connection.execute(sql, params).fetchall() == []
             stored = [
                 position
                 for (position,) in sqlite._connection.execute(

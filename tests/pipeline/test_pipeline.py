@@ -202,3 +202,28 @@ class TestPipelineComposition:
         assert contexts[1].explanations == []
         with pytest.raises(ValueError):
             engine.pipeline.run_many(engine, ["poison"])
+
+
+class TestExplainIdentity:
+    """The explain stage's dedup key is the built query's signature."""
+
+    def test_query_identity_equals_built_signature(self):
+        from repro import FullAccessWrapper
+        from repro.core.query_builder import build_query, query_identity
+        from repro.datasets import mondial
+
+        db = mondial.generate(countries=10, seed=23)
+        engine = Quest(FullAccessWrapper(db))
+        checked = duplicates = 0
+        for gold in mondial.workload(db, queries_per_kind=3, seed=5):
+            ranked = engine.search_context(gold.text).ranked
+            joins_of, predicates_of = {}, {}
+            seen = set()
+            for interpretation in ranked:
+                identity = query_identity(interpretation, joins_of, predicates_of)
+                query = build_query(engine.schema, interpretation)
+                assert identity == query.signature()
+                duplicates += identity in seen
+                seen.add(identity)
+                checked += 1
+        assert checked >= 100 and duplicates > 0

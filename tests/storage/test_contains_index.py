@@ -103,10 +103,12 @@ def test_plan_seeks_the_contains_alias_by_position(dblp_1000):
     for query in queries:
         if not _contains(query):
             continue
-        sql, _columns = sqlite._prepare(query)
+        statement, params = sqlite._statement(query)
         plan = [
             row[-1]
-            for row in sqlite._connection.execute("EXPLAIN QUERY PLAN " + sql)
+            for row in sqlite._connection.execute(
+                "EXPLAIN QUERY PLAN " + statement.select, params
+            )
         ]
         # One CONTAINS alias drives the plan from its posting rows; any
         # other is reached by a join key and filtered by its postings.
@@ -129,6 +131,70 @@ def test_plan_seeks_the_contains_alias_by_position(dblp_1000):
                 re.match(rf"SCAN {table}( AS {alias})?\b", line) for line in plan
             ), plan
         assert any(seeks), plan
+
+
+@pytest.fixture(scope="module")
+def dblp_count_shapes(dblp_1000):
+    """One count per shape of the dblp gold pass, with its bound values."""
+    db, _memory, sqlite, _queries = dblp_1000
+    engine = Quest(FullAccessWrapper(sqlite))
+    shapes = {}
+    counted = sqlite.result_count
+
+    def first_of_each_shape(query):
+        statement, params = sqlite._statement(query)
+        shapes.setdefault(statement.count, (query, params))
+        return counted(query)
+
+    sqlite.result_count = first_of_each_shape
+    try:
+        for gold in dblp.workload(db, queries_per_kind=30):
+            engine.search(gold.text, 10)
+    finally:
+        del sqlite.result_count
+    return sqlite, shapes
+
+
+def test_bound_count_shapes_keep_their_index_plans(dblp_count_shapes):
+    """Binding the keywords as parameters leaves the planner its indexes:
+    every CONTAINS alias of every count shape is sought through
+    ``_quest_idx_<table>__quest_pos``, never scanned, and every posting
+    list is read through the postings' key (term, tbl, col)."""
+    sqlite, shapes = dblp_count_shapes
+    assert len(shapes) >= 100
+    guarded = 0
+    for sql, (query, params) in shapes.items():
+        plan = [
+            row[-1]
+            for row in sqlite._connection.execute("EXPLAIN QUERY PLAN " + sql, params)
+        ]
+        contains = _contains(query)
+        if not contains:
+            continue
+        guarded += 1
+        for predicate in contains:
+            table = re.escape(query.table_of(predicate.alias))
+            assert not any(
+                re.match(rf"SCAN {table}( AS \w+)?$", line) for line in plan
+            ), plan
+        assert any(
+            re.match(
+                rf"SEARCH \w+( AS \w+)? USING INDEX _quest_idx_\w+__quest_pos "
+                rf"\(_quest_pos=\?\)",
+                line,
+            )
+            for line in plan
+        ), plan
+        postings = [line for line in plan if "_quest_postings" in line]
+        assert postings and all(
+            re.match(
+                r"SEARCH _quest_postings USING COVERING INDEX \w+ "
+                r"\(term=\? AND tbl=\? AND col=\?\)",
+                line,
+            )
+            for line in postings
+        ), plan
+    assert guarded >= 100
 
 
 def _quest_indexes(backend: SQLiteBackend) -> set[str]:

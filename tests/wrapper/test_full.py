@@ -67,3 +67,31 @@ class TestEmissions:
         scores = mini_wrapper.emission_scores("1968", space)
         domain = space.index(space.domain_state("movie", "year"))
         assert scores[domain] > 0
+
+
+class TestLexiconMutation:
+    """A lexicon mutation reaches cached emissions and the engine version."""
+
+    def test_synonym_ring_refreshes_emissions_and_version(self):
+        from repro import Quest
+        from repro.datasets import mondial
+        from repro.hmm.states import StateKind
+
+        wrapper = FullAccessWrapper(mondial.generate(countries=10))
+        engine = Quest(wrapper)
+        states = engine.apriori_model.states
+        column = next(
+            i
+            for i, state in enumerate(states.states)
+            if state.kind is StateKind.TABLE and state.table == "country"
+        )
+        stale = wrapper.emission_matrix(["kingdom"], states)[0, column]
+        before = engine.version
+
+        wrapper._ontology.lexicon.add_synonym_ring("kingdom", "country")
+
+        direct = wrapper.compute_emission_matrix(["kingdom"], states)[0, column]
+        assert direct == pytest.approx(0.72) and stale < 0.01
+        assert wrapper.emission_matrix(["kingdom"], states)[0, column] == direct
+        assert wrapper.emission_scores("kingdom", states)[column] == direct
+        assert engine.version != before
