@@ -41,7 +41,8 @@ class Configuration:
     are the *same hypothesis* regardless of who scored them, which is what
     lets Dempster's rule intersect evidence from the two operating modes.
 
-    Identity is computed once: the hash of ``mappings`` is stored at
+    The mapped tables are collected once, at construction, like the
+    hash. Identity is computed once: the hash of ``mappings`` is stored at
     construction (like :class:`~repro.db.schema.ColumnRef`'s), carried
     over by :meth:`with_score`, recomputed on unpickle (string hashes are
     salted per process), and lets ``__eq__`` reject unequal hashes before
@@ -51,9 +52,13 @@ class Configuration:
     mappings: tuple[KeywordMapping, ...]
     score: float = 0.0
     _hash: int = field(init=False, repr=False, compare=False)
+    _tables: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(self.mappings))
+        object.__setattr__(
+            self, "_tables", frozenset(m.state.table for m in self.mappings)
+        )
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -83,7 +88,7 @@ class Configuration:
     @property
     def tables(self) -> frozenset[str]:
         """Tables touched by any mapped term."""
-        return frozenset(m.state.table for m in self.mappings)
+        return self._tables
 
     def domain_mappings(self) -> tuple[KeywordMapping, ...]:
         """Mappings onto attribute domains (these become WHERE predicates)."""
@@ -126,6 +131,7 @@ class Configuration:
         object.__setattr__(clone, "mappings", self.mappings)
         object.__setattr__(clone, "score", score)
         object.__setattr__(clone, "_hash", self._hash)
+        object.__setattr__(clone, "_tables", self._tables)
         return clone
 
     def __str__(self) -> str:

@@ -491,6 +491,10 @@ class ColumnarPostings:
         lo, hi = int(self.entry_offsets[e]), int(self.entry_offsets[e + 1])
         return [int(p) for p in self.row_positions[lo:hi]]
 
+    def has_postings(self, term: str, ref: ColumnRef) -> bool:
+        """Whether *term* has a (term, field) entry: one probe, no list."""
+        return self._entry_of(term, ref) is not None
+
     def emission_block(
         self,
         keywords: Sequence[str],
@@ -1039,6 +1043,25 @@ class FullTextIndex:
                 return snapshot.matching_row_positions(keyword, ref)
             by_field = self._postings.get(term, {})
             return sorted(by_field.get(ref, {}))
+
+    def has_postings(self, token: str, ref: ColumnRef) -> bool:
+        """Whether some live row's ``ref.column`` holds *token*.
+
+        The existence half of :meth:`matching_row_positions`, routed the
+        same way (snapshot, layered snapshot, or the delta dicts) but
+        answered by one entry probe or dict lookup, never by building
+        the position list. Deleted rows are unindexed on refresh, so a
+        ``False`` here means no live row holds the token.
+        """
+        snapshot = self._current()
+        if snapshot is not None:
+            return snapshot.has_postings(token, ref)
+        with self._reading():
+            snapshot = self._layered_locked(token)
+            if snapshot is not None:
+                return snapshot.has_postings(token, ref)
+            by_field = self._postings.get(token)
+            return bool(by_field and by_field.get(ref))
 
     def selectivity(self, keyword: str, ref: ColumnRef) -> float:
         """Fraction of the attribute's values matching *keyword*.

@@ -60,6 +60,10 @@ class SearchTrace:
             instead of running to completion) or a fallback route was
             taken. Why is always recorded in ``notes``. Degraded results
             are never published to the serving tier's result cache.
+        provably_empty: interpretations the explain stage skipped without
+            building or counting their SQL, because a CONTAINS token of
+            their configuration has no posting in its column (see
+            :class:`~repro.pipeline.stages.ExplainStage`).
         stale_revision: the engine revision this ranking was computed at,
             stamped by the serving tier *only* when the ranking is served
             from the revision-stale fallback cache — ``None`` on every
@@ -83,6 +87,7 @@ class SearchTrace:
     steiner_subset_cache: CacheStats = field(default_factory=CacheStats)
     notes: list[str] = field(default_factory=list)
     degraded: bool = False
+    provably_empty: int = 0
     stale_revision: Any = None
 
     @property
@@ -104,7 +109,8 @@ class SearchTrace:
         )
         return (
             f"{self.query!r}: {stages} | "
-            f"emissions[{self.emission_cache}] steiner[{self.steiner_cache}]"
+            f"emissions[{self.emission_cache}] steiner[{self.steiner_cache}] "
+            f"explain[skipped {self.provably_empty} provably empty]"
         )
 
 

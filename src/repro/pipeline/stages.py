@@ -22,7 +22,7 @@ supplies the models, settings, schema graph and wrapper.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.configuration import Configuration
 from repro.core.explanation import Explanation
@@ -32,10 +32,13 @@ from repro.core.interpretation import (
     tree_score,
 )
 from repro.core.query_builder import build_query, query_identity
+from repro.db.fulltext import tokenize_value
+from repro.db.schema import ColumnRef
 from repro.dst.belief import rank_hypotheses
 from repro.dst.combine import dempster_combine
 from repro.dst.mass import FrameInterning, MassFunction
 from repro.errors import AccessDeniedError, CombinationError, QuestError, SteinerError
+from repro.hmm.states import StateKind
 from repro.pipeline.context import SearchContext
 from repro.steiner.topk import top_k_steiner_trees
 from repro.steiner.tree import SteinerTree
@@ -49,6 +52,7 @@ __all__ = [
     "ExplainStage",
     "ForwardStage",
     "PipelineStage",
+    "PostingsCheck",
 ]
 
 
@@ -306,6 +310,57 @@ class CombineStage(PipelineStage):
         return len(context.ranked)
 
 
+class PostingsCheck:
+    """One search's answers to "does this configuration match no row?".
+
+    A configuration provably matches no row when some domain mapping's
+    keyword has a distinct :func:`~repro.db.fulltext.tokenize_value`
+    token with no posting in the mapped column (*has_postings* answers
+    ``False``). A keyword without tokens matches nothing; it is asked as
+    the empty token, which no posting holds, so an indexed column answers
+    ``False`` (where the backends' narrowing answers "matches nothing")
+    and an undecided source still answers ``None``.
+
+    Built once per explain run: the lookups are memoised per (token,
+    column) and the verdicts per (keyword, column), for that run only.
+    """
+
+    __slots__ = ("_has_postings", "_present", "_absent")
+
+    def __init__(self, has_postings: Callable[[str, ColumnRef], bool | None]) -> None:
+        self._has_postings = has_postings
+        self._present: dict[tuple[str, ColumnRef], bool | None] = {}
+        self._absent: dict[tuple[str, str, str | None], bool] = {}
+
+    def provably_empty(self, configuration: Configuration) -> bool:
+        """Whether every tree of *configuration* provably matches no row."""
+        for mapping in configuration.mappings:
+            state = mapping.state
+            if state.kind is not StateKind.DOMAIN:
+                continue
+            key = (mapping.keyword, state.table, state.column)
+            absent = self._absent.get(key)
+            if absent is None:
+                absent = self._absent[key] = self._some_token_absent(
+                    mapping.keyword, ColumnRef(state.table, state.column)
+                )
+            if absent:
+                return True
+        return False
+
+    def _some_token_absent(self, keyword: str, ref: ColumnRef) -> bool:
+        present = self._present
+        for token in dict.fromkeys(tokenize_value(keyword)) or ("",):
+            key = (token, ref)
+            if key in present:
+                found = present[key]
+            else:
+                found = present[key] = self._has_postings(token, ref)
+            if found is False:
+                return True
+        return False
+
+
 class ExplainStage(PipelineStage):
     """``E <- QueryBuilder(E)`` — ranked interpretations to SQL answers.
 
@@ -327,6 +382,29 @@ class ExplainStage(PipelineStage):
     proportional to the matching postings, not to the table size. The
     SQLite backend compiles each count once per query shape and binds
     the keywords as parameters.
+
+    Before any of that, when counts run and at least one row is
+    required, each configuration is checked with a
+    :class:`PostingsCheck`, and the interpretations of a provably empty
+    one are skipped without building or counting a query (their number
+    is ``trace.provably_empty``). The skip drops nothing the count would
+    have kept:
+
+    - a count that survives the narrowing needs a live row holding every
+      token of every CONTAINS keyword in its column;
+    - the postings tokenise the very values ``contains_match`` sees, and
+      rows are never updated in place;
+    - so a token with an empty posting list in its column means zero
+      rows for every tree of that configuration;
+    - two interpretations with one ``query_identity`` have the same
+      predicates, so skipping one before it is marked seen cannot let a
+      duplicate through.
+
+    The existence answers come from ``wrapper.has_postings`` and are
+    memoised per (token, column) for this run only, so a token added by
+    a later write is looked up afresh by the next search. ``None`` (a
+    hidden source, a column outside the index) decides nothing and the
+    count runs as before.
     """
 
     name = "explain"
@@ -338,6 +416,12 @@ class ExplainStage(PipelineStage):
         seen_queries: set[tuple] = set()
         joins_of: dict[SteinerTree, frozenset] = {}
         predicates_of: dict[Configuration, frozenset] = {}
+        check = (
+            PostingsCheck(engine.wrapper.has_postings)
+            if settings.execute_explanations and settings.min_explanation_results >= 1
+            else None
+        )
+        skipped = 0
         for interpretation in context.ranked:
             if (
                 deadline is not None
@@ -351,6 +435,11 @@ class ExplainStage(PipelineStage):
                     f"{len(explanations)} explanations"
                 )
                 break
+            if check is not None and check.provably_empty(
+                interpretation.configuration
+            ):
+                skipped += 1
+                continue
             identity = query_identity(interpretation, joins_of, predicates_of)
             if identity in seen_queries:
                 continue
@@ -376,6 +465,7 @@ class ExplainStage(PipelineStage):
             if context.limit is not None and len(explanations) >= context.limit:
                 break
         context.explanations = explanations
+        context.trace.provably_empty += skipped
 
     def candidates(self, context: SearchContext) -> int:
         return len(context.explanations)

@@ -26,10 +26,10 @@ class SteinerTree:
     tree per configuration, so the per-instance ``__dict__`` is worth
     dropping on this hot path.
 
-    The node set and the :meth:`signature` are computed once, at
-    construction: trees come out of the cross-query Steiner cache and are
-    re-read by every query that reuses them, and the signature is half of
-    every interpretation's identity.
+    The node set, its tables and the :meth:`signature` are computed
+    once, at construction: trees come out of the cross-query Steiner
+    cache and are re-read by every query that reuses them, and the
+    signature is half of every interpretation's identity.
 
     Attributes:
         terminals: the attributes the tree was required to connect.
@@ -41,6 +41,7 @@ class SteinerTree:
     edges: frozenset
     weight: float
     _nodes: frozenset = field(init=False, repr=False, compare=False, hash=False)
+    _tables: frozenset = field(init=False, repr=False, compare=False, hash=False)
     _signature: frozenset = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
@@ -49,6 +50,7 @@ class SteinerTree:
             nodes.add(edge.left)
             nodes.add(edge.right)
         object.__setattr__(self, "_nodes", frozenset(nodes))
+        object.__setattr__(self, "_tables", frozenset(node.table for node in nodes))
         object.__setattr__(
             self, "_signature", frozenset(edge.key for edge in self.edges)
         )
@@ -68,7 +70,7 @@ class SteinerTree:
     @property
     def tables(self) -> frozenset:
         """Tables the tree's nodes belong to (the FROM clause)."""
-        return frozenset(node.table for node in self._nodes)
+        return self._tables
 
     def join_edges(self) -> tuple[SchemaEdge, ...]:
         """The pk/fk edges (deterministically ordered)."""

@@ -389,6 +389,18 @@ class StorageBackend(abc.ABC):
     def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
         """Sorted row positions whose ``ref.column`` contains *keyword*."""
 
+    def has_postings(self, token: str, ref: ColumnRef) -> bool | None:
+        """Whether some live row of ``ref`` holds *token* (one lookup).
+
+        *token* is one :func:`~repro.db.fulltext.tokenize_value` token
+        of a CONTAINS keyword. ``False`` is a proof: the postings
+        tokenise the very values the exact CONTAINS check sees, so no
+        row of ``ref`` can contain a keyword with that token. ``None``
+        decides nothing — the default, and a backend's answer for a
+        column outside its index.
+        """
+        return None
+
     # -- execution ---------------------------------------------------------
 
     @abc.abstractmethod

@@ -159,6 +159,12 @@ class MemoryBackend(StorageBackend):
     def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
         return self.fulltext.matching_row_positions(keyword, ref)
 
+    def has_postings(self, token: str, ref: ColumnRef) -> bool | None:
+        # Decides exactly the columns _postings narrows.
+        if not self.fulltext.indexes(ref):
+            return None
+        return self.fulltext.has_postings(token, ref)
+
     # -- execution ---------------------------------------------------------
 
     def _postings(self, token: str, ref: ColumnRef) -> list[int] | None:

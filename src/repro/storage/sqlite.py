@@ -54,6 +54,9 @@ into the file behind its back need :meth:`SQLiteBackend.refresh` before
 CONTAINS (like scoring) sees them. Writes are batched: a bulk load, an
 ``add_rows`` batch or a single insert stores its rows, posting rows, FTS
 documents and field counters with one ``executemany`` per statement.
+The explain stage asks :meth:`SQLiteBackend.has_postings` whether a
+token has any posting row in a column (one primary-key seek) before it
+counts anything: a configuration with an absent token is never counted.
 """
 
 from __future__ import annotations
@@ -930,6 +933,26 @@ class SQLiteBackend(StorageBackend):
 
         rows = self._read_sql(fetch, f"matching positions for {term!r}")
         return [int(row[0]) for row in rows]
+
+    def has_postings(self, token: str, ref: ColumnRef) -> bool | None:
+        """One seek on the postings' primary key; ``None`` off the index.
+
+        Decides exactly the columns :meth:`_narrow_contains` narrows, from
+        the same ``_quest_postings`` rows, which change in the same
+        transaction as every write through the backend.
+        """
+        if ref not in self._field_sizes:
+            return None
+
+        def fetch():
+            with self._lock:
+                return self._connection.execute(
+                    'SELECT 1 FROM "_quest_postings" '
+                    "WHERE term = ? AND tbl = ? AND col = ? LIMIT 1",
+                    (token, ref.table, ref.column),
+                ).fetchone()
+
+        return self._read_sql(fetch, f"postings of {token!r}") is not None
 
     @property
     def fts_enabled(self) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.db.catalog import Catalog
 from repro.db.executor import ResultSet
 from repro.db.query import SelectQuery
-from repro.db.schema import Schema
+from repro.db.schema import ColumnRef, Schema
 from repro.cache import CacheStats, LRUCache
 from repro.forksafe import register_lock_holder
 from repro.hmm.states import StateSpace
@@ -245,6 +245,15 @@ class SourceWrapper(abc.ABC):
     def result_count(self, query: SelectQuery) -> int:
         """Number of rows *query* yields (default: execute and count)."""
         return len(self.execute(query))
+
+    def has_postings(self, token: str, ref: ColumnRef) -> bool | None:
+        """Whether any row of ``ref`` holds the CONTAINS token *token*.
+
+        ``None`` (the default) decides nothing: a source whose postings
+        the engine cannot read, such as a hidden one, keeps counting
+        every explanation through :meth:`result_count`.
+        """
+        return None
 
     def __repr__(self) -> str:
         access = "full" if self.has_instance_access else "hidden"

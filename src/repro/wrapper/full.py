@@ -25,6 +25,7 @@ from repro.db.database import Database
 from repro.db.executor import ResultSet
 from repro.db.fulltext import FullTextIndex
 from repro.db.query import SelectQuery
+from repro.db.schema import ColumnRef
 from repro.errors import QuestError
 from repro.hmm.states import StateKind, StateSpace
 from repro.storage import MemoryBackend, StorageBackend, as_backend
@@ -199,3 +200,6 @@ class FullAccessWrapper(SourceWrapper):
     def result_count(self, query: SelectQuery) -> int:
         """Count backend-side: SQLite answers with ``COUNT(*)``, no rows move."""
         return self._backend.result_count(query)
+
+    def has_postings(self, token: str, ref: ColumnRef) -> bool | None:
+        return self._backend.has_postings(token, ref)

@@ -32,6 +32,10 @@ relation, with no early stop — the executor before it learned index
 nested loops. The join-parity tests hold the executor and the memory
 backend's ``result_count`` to its rows, row order and counts.
 
+:func:`has_postings_reference` is the explain stage's postings check
+switched off: it answers "undecided" for every token, so every
+configuration is built and counted.
+
 :func:`term_score_reference` is the schema ontology's twin: one
 keyword-identifier score computed from the two strings alone, re-stemming,
 re-splitting and re-trigramming both for every pair, as the ontology did
@@ -68,6 +72,17 @@ from repro.semantics.tokenize import split_identifier
 from repro.steiner import SchemaGraph, SteinerTree, top_k_steiner_trees_reference
 from repro.wrapper.ontology import SchemaOntology
 
+
+def has_postings_reference(wrapper: Any, token: str, ref: ColumnRef) -> None:
+    """Decides nothing: the explain stage counts every configuration.
+
+    The twin of ``FullAccessWrapper.has_postings``. With it the explain
+    stage skips no configuration as provably empty, so every distinct
+    query is built and counted, as before the postings check existed.
+    """
+    return None
+
+
 #: Patch target -> the reference twin bound there.
 TWINS: dict[str, Callable[..., Any]] = {
     "repro.core.engine.list_viterbi": list_viterbi_reference,
@@ -77,6 +92,9 @@ TWINS: dict[str, Callable[..., Any]] = {
     "repro.pipeline.stages.dempster_combine": dempster_combine_reference,
     "repro.core.multisource.dempster_combine": dempster_combine_reference,
     "repro.pipeline.stages.top_k_steiner_trees": top_k_steiner_trees_reference,
+    "repro.wrapper.full.FullAccessWrapper.has_postings": (
+        has_postings_reference
+    ),
 }
 
 

@@ -93,6 +93,7 @@ CALL_SITES = {
     "repro.pipeline.stages.dempster_combine",
     "repro.core.multisource.dempster_combine",
     "repro.pipeline.stages.top_k_steiner_trees",
+    "repro.wrapper.full.FullAccessWrapper.has_postings",
 }
 
 

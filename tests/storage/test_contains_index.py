@@ -24,6 +24,7 @@ from repro.db.query import Comparison
 from repro.db.schema import ColumnRef
 from repro.storage import MemoryBackend
 from repro.storage.sqlite import SQLiteBackend
+from tests.oracle import reference_kernels
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +136,12 @@ def test_plan_seeks_the_contains_alias_by_position(dblp_1000):
 
 @pytest.fixture(scope="module")
 def dblp_count_shapes(dblp_1000):
-    """One count per shape of the dblp gold pass, with its bound values."""
+    """One count per shape of the dblp gold pass, with its bound values.
+
+    The explain stage's postings check is switched off (its reference
+    twin), so every distinct query of the pass is counted, including
+    those the check would skip as provably empty.
+    """
     db, _memory, sqlite, _queries = dblp_1000
     engine = Quest(FullAccessWrapper(sqlite))
     shapes = {}
@@ -148,8 +154,9 @@ def dblp_count_shapes(dblp_1000):
 
     sqlite.result_count = first_of_each_shape
     try:
-        for gold in dblp.workload(db, queries_per_kind=30):
-            engine.search(gold.text, 10)
+        with reference_kernels("repro.wrapper.full.FullAccessWrapper.has_postings"):
+            for gold in dblp.workload(db, queries_per_kind=30):
+                engine.search(gold.text, 10)
     finally:
         del sqlite.result_count
     return sqlite, shapes
