@@ -11,15 +11,16 @@ or, for whole searches, swapped in by ``tests.oracle.reference_kernels()``):
 * **cold_search** — a fresh-engine ``search_many`` pass per storage
   backend (cold caches), with per-stage trace seconds and cache counters.
 * **index** — full-text index lifecycle on a larger (imdb) instance:
-  ``fulltext-build`` (cold build + seal; columnar vs dict layout) and
-  ``fulltext-load`` (re-attaching the saved ``.npz`` artifact, the
-  warm-process path that skips the build). The artifact lives in
-  ``--index-cache`` so CI can carry it between steps/runs. The columnar
-  layout's gain is on the load path: its build is the dict build plus
-  the seal into arrays, so ``fulltext-build`` reads below 1x (about
-  0.8x; on 2 vCPUs the seal took 1.4 of 5.3 ms on mondial
-  ``countries=25`` and 7.9 of 51.6 ms on imdb ``movies=1000``). The entry
-  keeps that cost from growing; it does not measure a speedup.
+  ``fulltext-build`` (cold build + seal, against the dict build alone)
+  and ``fulltext-load`` (re-attaching the saved ``.npz`` artifact, the
+  warm-process path that skips the build, against the same load plus
+  rebuilding the dicts from the snapshot). The artifact lives in
+  ``--index-cache`` so CI can carry it between steps/runs. The snapshot's
+  gain is on the load path: the build is the dict build plus the seal
+  into arrays, so ``fulltext-build`` reads below 1x (about 0.8x; on 2
+  vCPUs the seal took 1.4 of 5.3 ms on mondial ``countries=25`` and 7.9
+  of 51.6 ms on imdb ``movies=1000``). The entry keeps that cost from
+  growing; it does not measure a speedup.
 * **service_throughput** — concurrent ``QuestService`` wall time over a
   warm engine: N threads replaying the workload with request coalescing
   off vs on (an identical-query storm collapses onto one pipeline run
@@ -262,11 +263,13 @@ def _kernel_measurements(sc) -> dict[str, dict[str, object]]:
 def _index_measurements(repeats: int, cache_dir: Path) -> dict[str, dict[str, dict]]:
     """Index lifecycle entries: cold build+seal vs artifact load.
 
-    Build interleaves the columnar ("optimized") and dict ("reference")
-    layouts; load interleaves re-attaching the ``.npz`` artifact in each
-    layout (the reference side pays the dict rehydration). The artifact is
-    created through ``load_or_build``, so a cached copy from a previous
-    run/step is validated and reused rather than rebuilt.
+    Build interleaves the sealed build ("optimized") with the dict build
+    alone ("reference": ``refresh`` without the seal); load interleaves
+    re-attaching the ``.npz`` artifact with the same attach plus rebuilding
+    the dicts from the snapshot ("reference"), the cost a dict-read index
+    paid on every load. The artifact is created through ``load_or_build``,
+    so a cached copy from a previous run/step is validated and reused
+    rather than rebuilt.
     """
     db = imdb.generate(**INDEX_SCALE)
     rows = db.total_rows()
@@ -274,10 +277,17 @@ def _index_measurements(repeats: int, cache_dir: Path) -> dict[str, dict[str, di
     FullTextIndex.load_or_build(artifact, db)
 
     def build(optimized: bool):
-        FullTextIndex(db, columnar=optimized).warm()
+        index = FullTextIndex(db)
+        if optimized:
+            index.warm()
+        else:
+            index.refresh()
 
     def load(optimized: bool):
-        FullTextIndex.load(artifact, db, columnar=optimized)
+        index = FullTextIndex.load(artifact, db)
+        if not optimized:
+            with index._lock:
+                index._hydrate_locked()
 
     def variants(fn):
         return {

@@ -28,22 +28,24 @@ reseals the CSR layout. A delta that outgrows ``DELTA_HARD_LIMIT`` drops
 the snapshot (the next read reseals synchronously, the pre-delta
 behaviour).
 
-Two storage layouts back the read paths:
+Reads have one layout, plus the delta dicts behind it:
 
-* the **dict layout** — term -> {field -> {row -> tf}} nested dicts, the
-  mutable structure incremental refreshes append into. Retained verbatim
-  as the reference path (``FullTextIndex(db, columnar=False)``).
-* the **columnar layout** (the default) — a :class:`ColumnarPostings`
-  snapshot sealed from the dicts after each refresh: an interned
-  vocabulary plus CSR-style numpy arrays (per-term entry offsets, field
-  ids, match counts, row positions), with per-field document-frequency
-  vectors. Scoring becomes array slicing, whole queries can be scored in
-  one :meth:`ColumnarPostings.emission_block` pass, and the snapshot is
-  immutable — reads run lock-free on it after a single version check.
+* the **columnar snapshot** — a :class:`ColumnarPostings` sealed from
+  the dicts: an interned vocabulary plus CSR-style numpy arrays
+  (per-term entry offsets, field ids, match counts, row positions), with
+  per-field document-frequency vectors. Scoring is array slicing, whole
+  queries are scored in one :meth:`ColumnarPostings.emission_block`
+  pass, and the snapshot is immutable — reads run lock-free on it after
+  a single version check.
+* the **delta dicts** — term -> {field -> {row -> tf}}, the mutable
+  structure refreshes append into and the snapshot is sealed from. They
+  answer only the terms a write touched since the last seal.
 
-Both layouts compute scores from the same integers with the same float
-operations, so they are **bit-identical** (asserted by the hypothesis
-parity suite in ``tests/perf/test_index_parity.py``).
+Both compute scores from the same integers with the same float
+operations, so a layered read is **bit-identical** to a fresh seal. The
+hypothesis parity suite in ``tests/perf/test_index_parity.py`` holds
+both to a brute-force reference built straight from the table rows
+(``tests/oracle.py``).
 
 The columnar snapshot is also a **persistable artifact**: ``save(path)``
 writes one ``.npz`` file (arrays + a JSON catalog header), ``load(path,
@@ -249,8 +251,8 @@ class ColumnarPostings:
       token counts (the TF normaliser), in schema field order.
 
     Scores are computed from the same integers with the same operations
-    as the dict layout (``count / field_size`` then ``* idf``), so every
-    float is bit-identical to the reference path.
+    as the delta dicts' path (``count / field_size`` then ``* idf``), so
+    every float is bit-identical whichever side answers a term.
     """
 
     __slots__ = (
@@ -376,8 +378,8 @@ class ColumnarPostings:
     def to_postings(
         self,
     ) -> dict[str, dict[ColumnRef, dict[int, int]]]:
-        """Rebuild the mutable dict layout (for incremental refresh after
-        a pure artifact load, and for the ``columnar=False`` reference)."""
+        """Rebuild the mutable dicts (for incremental refresh after a
+        pure artifact load)."""
         postings: dict[str, dict[ColumnRef, dict[int, int]]] = defaultdict(dict)
         for term, t in self.vocabulary.items():
             by_field = postings[term]
@@ -417,7 +419,7 @@ class ColumnarPostings:
         return e
 
     def _idf(self, entry_count: int) -> float:
-        # Same expression over the same integers as the dict layout.
+        # Same expression over the same integers as FullTextIndex._idf.
         return math.log(1.0 + self.n_fields / entry_count)
 
     def attribute_scores(
@@ -445,43 +447,6 @@ class ColumnarPostings:
             for field, value, size in zip(fields, values, sizes)
             if size > 0
         }
-
-    def score(
-        self,
-        keyword: str,
-        ref: ColumnRef,
-        field_sizes: np.ndarray | None = None,
-    ) -> float:
-        """Relevance of *keyword* for one attribute (0.0 when absent)."""
-        term = keyword.casefold()
-        e = self._entry_of(term, ref)
-        if e is None:
-            return 0.0
-        all_sizes = self.field_sizes if field_sizes is None else field_sizes
-        field_size = int(all_sizes[self.field_ids[ref]])
-        if field_size == 0:
-            return 0.0
-        entries = self._term_entries(term)
-        assert entries is not None
-        return (int(self.entry_counts[e]) / field_size) * self._idf(
-            entries.stop - entries.start
-        )
-
-    def selectivity(
-        self,
-        keyword: str,
-        ref: ColumnRef,
-        field_sizes: np.ndarray | None = None,
-    ) -> float:
-        """Fraction of the attribute's values matching *keyword*."""
-        e = self._entry_of(keyword.casefold(), ref)
-        if e is None:
-            return 0.0
-        all_sizes = self.field_sizes if field_sizes is None else field_sizes
-        field_size = int(all_sizes[self.field_ids[ref]])
-        if field_size == 0:
-            return 0.0
-        return int(self.entry_counts[e]) / field_size
 
     def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
         """Sorted row positions of *keyword* in ``ref`` (stored sorted)."""
@@ -591,9 +556,8 @@ class FullTextIndex:
     #: would serve most reads from the dicts anyway.
     DELTA_HARD_LIMIT = 4096
 
-    def __init__(self, db: Database, columnar: bool = True) -> None:
+    def __init__(self, db: Database) -> None:
         self._db = db
-        self._columnar = columnar
         #: term -> {ColumnRef -> {row_position -> term frequency}} — the
         #: mutable layout refreshes append into. Empty (and flagged
         #: unhydrated) right after an artifact load; rebuilt from the
@@ -645,11 +609,6 @@ class FullTextIndex:
         register_lock_holder(self, _reset_fulltext_lock)
 
     @property
-    def columnar(self) -> bool:
-        """Whether reads are served from the columnar snapshot."""
-        return self._columnar
-
-    @property
     def mmapped(self) -> bool:
         """Whether the snapshot is memory-mapped from a saved artifact."""
         return self._mmapped
@@ -674,7 +633,7 @@ class FullTextIndex:
         """
         with self._lock:
             self._refresh_locked()
-            if self._columnar and (self._snapshot is None or self._delta_terms):
+            if self._snapshot is None or self._delta_terms:
                 self._seal_locked()
 
     def merge(self) -> None:
@@ -686,7 +645,7 @@ class FullTextIndex:
         """
         with self._lock:
             self._refresh_locked()
-            if self._columnar and (self._snapshot is None or self._delta_terms):
+            if self._snapshot is None or self._delta_terms:
                 self._seal_locked()
 
     @property
@@ -755,16 +714,13 @@ class FullTextIndex:
             self._indexed_rows[table.name] = end
         if changed:
             self._live_sizes = None
-            if not self._columnar or self._snapshot is None:
-                self._snapshot = None  # stale: resealed on the next read
-                self._mmapped = False  # the reseal materialises in heap
-                self._delta_terms.clear()
-            else:
-                # Keep the sealed snapshot and layer the delta over it.
+            # With no sealed snapshot there is nothing to layer over: the
+            # next read seals one. Otherwise keep it and layer the delta.
+            if self._snapshot is not None:
                 self._delta_terms |= touched
                 if len(self._delta_terms) > self.DELTA_HARD_LIMIT:
-                    self._snapshot = None
-                    self._mmapped = False
+                    self._snapshot = None  # resealed on the next read
+                    self._mmapped = False  # the reseal materialises in heap
                     self._delta_terms.clear()
                 else:
                     self._maybe_merge_in_background_locked()
@@ -833,15 +789,11 @@ class FullTextIndex:
 
         Every public read calls this exactly once: the mutation counter is
         compared (and a lazy refresh run) under the lock a single time,
-        and columnar reads then proceed lock-free on the immutable
-        snapshot. Returns ``None`` when the index runs in dict mode — the
-        caller falls back to the reference path under :meth:`_reading` —
-        *or* while a write delta is layered over the snapshot, in which
-        case the caller's ``_reading`` block routes each term to the
+        and reads then proceed lock-free on the immutable snapshot.
+        Returns ``None`` while a write delta is layered over the snapshot:
+        the caller's :meth:`_reading` block then routes each term to the
         delta dicts or the snapshot (with live field sizes) per term.
         """
-        if not self._columnar:
-            return None
         with self._lock:
             self._refresh_locked()
             if self._snapshot is None:
@@ -852,10 +804,10 @@ class FullTextIndex:
 
     @contextmanager
     def _reading(self):
-        """Serialise dict-layout reads against refreshes (lazily refreshing).
+        """Serialise layered reads against refreshes (lazily refreshing).
 
-        Dict read paths iterate the posting dicts a concurrent refresh
-        would mutate, so the whole read holds the lock; the version
+        Layered reads iterate the delta dicts a concurrent refresh would
+        mutate, so the whole read holds the lock; the version
         counter is checked once on entry. Covers both the lazy initial
         build (_built_version starts at -1, below any real version) and
         later inserts.
@@ -868,14 +820,14 @@ class FullTextIndex:
     def _layered_locked(self, term: str) -> ColumnarPostings | None:
         """The snapshot to answer *term* from under a write delta.
 
-        ``None`` routes the term to the mutable dicts: either the index
-        runs in dict mode, no snapshot exists, or *term* was touched
-        since the seal. Untouched terms read the snapshot arrays with
+        ``None`` routes the term to the mutable dicts: either no delta or
+        no snapshot exists, or *term* was touched since the seal.
+        Untouched terms read the snapshot arrays with
         :meth:`_live_sizes_locked` substituted — bit-identical to a full
         rebuild because neither the term's postings nor its entry span
         changed, and the tf denominator is taken from the live counts.
         """
-        if not self._columnar or not self._delta_terms:
+        if not self._delta_terms:
             return None
         if self._snapshot is None or term in self._delta_terms:
             return None
@@ -969,13 +921,13 @@ class FullTextIndex:
         self, keywords: Sequence[str], refs: Sequence[ColumnRef]
     ) -> np.ndarray:
         """Batched keyword-vs-attribute score matrix (see
-        :meth:`ColumnarPostings.emission_block`); works in both layouts."""
+        :meth:`ColumnarPostings.emission_block`); layered under a delta."""
         snapshot = self._current()
         if snapshot is not None:
             return snapshot.emission_block(keywords, refs)
         out = np.zeros((len(keywords), len(refs)))
         with self._reading():
-            snapshot = self._snapshot if self._columnar else None
+            snapshot = self._snapshot
             if snapshot is not None and self._delta_terms:
                 # Layered batch: untouched keywords in one snapshot pass
                 # (live sizes substituted), touched ones from the dicts.
@@ -998,34 +950,6 @@ class FullTextIndex:
                 if scores:
                     out[i] = [scores.get(ref, 0.0) for ref in refs]
         return out
-
-    def score(self, keyword: str, ref: ColumnRef) -> float:
-        """Relevance of *keyword* for one attribute (0.0 when absent).
-
-        A direct posting lookup — O(log entries) in the columnar layout,
-        O(1) dict probes in the reference layout — unlike
-        :meth:`attribute_scores` which materialises the full dict.
-        """
-        snapshot = self._current()
-        if snapshot is not None:
-            return snapshot.score(keyword, ref)
-        with self._reading():
-            term = keyword.casefold()
-            snapshot = self._layered_locked(term)
-            if snapshot is not None:
-                return snapshot.score(
-                    keyword, ref, field_sizes=self._live_sizes_locked(snapshot)
-                )
-            by_field = self._postings.get(term)
-            if not by_field:
-                return 0.0
-            rows = by_field.get(ref)
-            if not rows:
-                return 0.0
-            field_size = self._field_sizes.get(ref, 0)
-            if field_size == 0:
-                return 0.0
-            return (len(rows) / field_size) * self._idf(by_field)
 
     # -- retrieval -----------------------------------------------------------
 
@@ -1062,28 +986,6 @@ class FullTextIndex:
                 return snapshot.has_postings(token, ref)
             by_field = self._postings.get(token)
             return bool(by_field and by_field.get(ref))
-
-    def selectivity(self, keyword: str, ref: ColumnRef) -> float:
-        """Fraction of the attribute's values matching *keyword*.
-
-        Reads the postings directly (no sort, no full-dict rebuild):
-        only the matching-row *count* is needed, not the positions.
-        """
-        snapshot = self._current()
-        if snapshot is not None:
-            return snapshot.selectivity(keyword, ref)
-        with self._reading():
-            term = keyword.casefold()
-            snapshot = self._layered_locked(term)
-            if snapshot is not None:
-                return snapshot.selectivity(
-                    keyword, ref, field_sizes=self._live_sizes_locked(snapshot)
-                )
-            field_size = self._field_sizes.get(ref, 0)
-            if field_size == 0:
-                return 0.0
-            by_field = self._postings.get(term, {})
-            return len(by_field.get(ref, ())) / field_size
 
     # -- persistence ---------------------------------------------------------
 
@@ -1161,7 +1063,6 @@ class FullTextIndex:
         cls,
         path: str | Path,
         db: Database,
-        columnar: bool = True,
         mmap: bool = False,
     ) -> "FullTextIndex":
         """Attach a saved artifact to *db*, skipping the build entirely.
@@ -1204,7 +1105,7 @@ class FullTextIndex:
                     f"{name!r} (expected {expected}, got {actual}) — "
                     f"the artifact is truncated or corrupt"
                 )
-        index = cls(db, columnar=columnar)
+        index = cls(db)
         fields = [str(ref) for ref in index._field_sizes]
         artifact_fields = header.get("fields") or []
         if artifact_fields != fields:
@@ -1249,13 +1150,9 @@ class FullTextIndex:
         }
         index._built_version = int(header["source_version"])
         index.generation = int(header.get("generation", 0))
-        # The dict layout is rebuilt from the snapshot only when needed:
-        # lazily on the next mutation (columnar mode) or right now
-        # (dict mode, whose reads walk the dicts).
+        # The dicts are rebuilt from the snapshot only if a later
+        # mutation needs appending.
         index._postings_hydrated = False
-        if not columnar:
-            index._postings = defaultdict(dict, snapshot.to_postings())
-            index._postings_hydrated = True
         return index
 
     @staticmethod
@@ -1283,7 +1180,6 @@ class FullTextIndex:
         cls,
         path: str | Path,
         db: Database,
-        columnar: bool = True,
         mmap: bool = False,
         readonly: bool = False,
     ) -> "FullTextIndex":
@@ -1312,7 +1208,7 @@ class FullTextIndex:
         for delay in itertools.chain(schedule.delays(), (None,)):
             if artifact.exists():
                 try:
-                    return cls.load(artifact, db, columnar=columnar, mmap=mmap)
+                    return cls.load(artifact, db, mmap=mmap)
                 except IndexArtifactError as exc:
                     stale = exc
             if not readonly or delay is None:
@@ -1323,12 +1219,12 @@ class FullTextIndex:
                 f"index artifact {artifact} unusable in read-only mode "
                 f"({stale if stale is not None else 'no artifact present'})"
             )
-        index = cls(db, columnar=columnar)
+        index = cls(db)
         index.warm()
         index.save(artifact)
         if mmap:
             try:
-                return cls.load(artifact, db, columnar=columnar, mmap=True)
+                return cls.load(artifact, db, mmap=True)
             except IndexArtifactError:
                 # A racing writer replaced the file between our save and
                 # re-open; the in-heap build we just made is still correct.
@@ -1336,8 +1232,7 @@ class FullTextIndex:
         return index
 
     def __repr__(self) -> str:
-        layout = "columnar" if self._columnar else "dict"
         return (
-            f"FullTextIndex(fields={self._n_fields}, layout={layout}, "
+            f"FullTextIndex(fields={self._n_fields}, "
             f"built_version={self._built_version})"
         )

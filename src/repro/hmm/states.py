@@ -11,7 +11,7 @@ assignment of every keyword to a database term.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.db.schema import ColumnRef, Schema
 
@@ -33,24 +33,35 @@ class StateKind(enum.Enum):
 
 @dataclass(frozen=True)
 class State:
-    """One database term: a table, an attribute, or an attribute domain."""
+    """One database term: a table, an attribute, or an attribute domain.
+
+    States key the configurations' mappings and the state space's index,
+    so the hash is computed once at construction, like ``ColumnRef``'s,
+    and so is :attr:`column_ref`. String hashes are salted per process:
+    unpickling rebuilds the state through the constructor.
+    """
 
     kind: StateKind
     table: str
     column: str | None = None
+    #: Qualified column for ATTRIBUTE/DOMAIN states, ``None`` for TABLE.
+    column_ref: ColumnRef | None = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is StateKind.TABLE and self.column is not None:
             raise ValueError("TABLE states carry no column")
         if self.kind is not StateKind.TABLE and self.column is None:
             raise ValueError(f"{self.kind.value} states need a column")
+        ref = None if self.column is None else ColumnRef(self.table, self.column)
+        object.__setattr__(self, "column_ref", ref)
+        object.__setattr__(self, "_hash", hash((self.kind, self.table, self.column)))
 
-    @property
-    def column_ref(self) -> ColumnRef | None:
-        """Qualified column for ATTRIBUTE/DOMAIN states, ``None`` for TABLE."""
-        if self.column is None:
-            return None
-        return ColumnRef(self.table, self.column)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (State, (self.kind, self.table, self.column))
 
     def __str__(self) -> str:
         if self.kind is StateKind.TABLE:

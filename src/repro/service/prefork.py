@@ -43,8 +43,9 @@ Only the parent ever writes the artifact; workers open it read-only
 (``load_or_build(..., readonly=True)``), so a crashed-and-restarted
 worker can never race a sibling through the file. A worker that cannot
 use the artifact at all (corrupt or replaced mid-read) falls back to
-building a dict-layout index in-process — slower to start, but
-rank-identical — and marks itself degraded in
+building the same columnar index in-process from its database — slower
+to start and private to the worker, but rank-identical — and marks
+itself degraded in
 :data:`~repro.resilience.health.process_health`.
 """
 
@@ -202,16 +203,17 @@ def shared_artifact_engine(
             )
         except Exception as exc:
             # Degraded-but-correct: a corrupt (or mid-replacement)
-            # artifact must not keep the worker down. The dict-layout
-            # index is built from the same database, so rankings are
-            # bit-identical — only startup cost and per-query constants
-            # change. The mark surfaces through /readyz.
+            # artifact must not keep the worker down. The index is
+            # rebuilt and sealed from the same database, so rankings are
+            # bit-identical — only startup cost and the worker's private
+            # (unshared) index pages change. The mark surfaces through
+            # /readyz.
             process_health.mark(
                 "index-artifact-fallback",
-                f"columnar artifact unusable ({exc}); "
-                "serving from an in-process dict-layout index",
+                f"index artifact unusable ({exc}); "
+                "serving from an index rebuilt in-process",
             )
-            index = FullTextIndex(db, columnar=False)
+            index = FullTextIndex(db)
             index.warm()
         backend = MemoryBackend(db, fulltext=index)
         engine = Quest(FullAccessWrapper(backend), engine_settings)

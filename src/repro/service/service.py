@@ -370,7 +370,8 @@ class QuestService:
         """The service's current degradation state, for health endpoints.
 
         Aggregates three signals: process-level health marks (e.g. a
-        worker that fell back to the dict-layout index), the storage
+        worker that rebuilt its index in-process after finding the
+        shared artifact unusable), the storage
         circuit breaker's state, and recent stale-cache serving. Returns
         ``{"degraded": bool, "reasons": [str, ...]}`` — an empty reason
         list means fully healthy.

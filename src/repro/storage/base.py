@@ -378,14 +378,6 @@ class StorageBackend(abc.ABC):
         return False
 
     @abc.abstractmethod
-    def score(self, keyword: str, ref: ColumnRef) -> float:
-        """Relevance of *keyword* for one attribute (0.0 when absent)."""
-
-    @abc.abstractmethod
-    def selectivity(self, keyword: str, ref: ColumnRef) -> float:
-        """Fraction of the attribute's indexed values matching *keyword*."""
-
-    @abc.abstractmethod
     def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
         """Sorted row positions whose ``ref.column`` contains *keyword*."""
 

@@ -131,9 +131,7 @@ class MemoryBackend(StorageBackend):
         """Replace the index with the artifact at *path* (validated
         against the wrapped database — see :meth:`FullTextIndex.load`).
         ``mmap=True`` maps the arrays instead of materialising them."""
-        self.fulltext = FullTextIndex.load(
-            path, self.database, columnar=self.fulltext.columnar, mmap=mmap
-        )
+        self.fulltext = FullTextIndex.load(path, self.database, mmap=mmap)
         return True
 
     def maybe_reload_index(self, path: str | Path, mmap: bool = False) -> bool:
@@ -149,12 +147,6 @@ class MemoryBackend(StorageBackend):
         if published is None or published <= self.fulltext.generation:
             return False
         return self.load_index(path, mmap=mmap)
-
-    def score(self, keyword: str, ref: ColumnRef) -> float:
-        return self.fulltext.score(keyword, ref)
-
-    def selectivity(self, keyword: str, ref: ColumnRef) -> float:
-        return self.fulltext.selectivity(keyword, ref)
 
     def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
         return self.fulltext.matching_row_positions(keyword, ref)

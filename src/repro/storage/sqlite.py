@@ -1,25 +1,26 @@
-"""SQLite storage backend: persistent relations, SQL execution, FTS scoring.
+"""SQLite storage backend: persistent relations, SQL execution, scoring.
 
 Relations live in a SQLite database (a file or ``:memory:``); generated
 :class:`~repro.db.query.SelectQuery` plans are rendered to SQLite SQL by
 :mod:`repro.db.sqlgen` and executed by SQLite itself — joins, DISTINCT,
 LIMIT and result counting all happen engine-side. Emission
-scoring is served from an inverted index stored *in* SQLite:
+scoring, CONTAINS narrowing and the explain stage's existence checks
+all read one inverted index stored *in* SQLite:
 
 - ``_quest_postings(term, tbl, col, pos, tf)`` — the per-attribute
   posting lists, built with the exact tokenisation of
   :func:`repro.db.fulltext.tokenize_value`;
 - ``_quest_fields(tbl, col, indexed, tokens)`` — per-attribute document
-  counts (the TF normaliser);
-- ``_quest_fts`` — an FTS5 mirror of the token streams, used to
-  accelerate keyword-to-row retrieval when SQLite is compiled with FTS5
-  (the backend degrades to the posting table transparently when not).
+  counts (the TF normaliser).
 
 Scores are computed from SQL-aggregated integer counts with the same
 float arithmetic as :class:`~repro.db.fulltext.FullTextIndex`, so they
 are **bit-identical** to the memory backend's — which is what keeps
-rankings independent of the storage engine. FTS5's own BM25 ranking is
-deliberately not used: it would break that parity guarantee.
+rankings independent of the storage engine. SQLite's own full-text
+ranking is deliberately not used: it would break that parity guarantee,
+and a second token store would add to every write. A file written when
+the backend still kept such a mirror table opens normally; the table is
+never read or written again.
 
 Predicate semantics are shared too: the backend registers the executor's
 ``contains_match``/``like_match`` as the ``QUEST_CONTAINS``/``QUEST_LIKE``
@@ -52,8 +53,8 @@ or none; a one-token keyword's posting list already decides it (see
 the same transaction as every write through the backend; rows written
 into the file behind its back need :meth:`SQLiteBackend.refresh` before
 CONTAINS (like scoring) sees them. Writes are batched: a bulk load, an
-``add_rows`` batch or a single insert stores its rows, posting rows, FTS
-documents and field counters with one ``executemany`` per statement.
+``add_rows`` batch or a single insert stores its rows, posting rows and
+field counters with one ``executemany`` per statement.
 The explain stage asks :meth:`SQLiteBackend.has_postings` whether a
 token has any posting row in a column (one primary-key seek) before it
 counts anything: a configuration with an absent token is never counted.
@@ -64,7 +65,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-import re
 import sqlite3
 import threading
 from datetime import date
@@ -114,8 +114,6 @@ _COMPARABLE: dict[DataType, tuple[type, ...]] = {
     DataType.BOOLEAN: (bool, int, float),
     DataType.DATE: (date,),
 }
-
-_FTS_TERM_RE = re.compile(r"[a-z0-9]+$")
 
 _POSITION_COLUMN = "_quest_pos"
 
@@ -201,12 +199,10 @@ class SQLiteBackend(StorageBackend):
         self._n_fields = len(self._field_sizes)
         if initialize:
             self._create_tables()
-            self._fts_enabled = self._create_fts()
             self._has_meta = True
             for table in schema.tables:
                 self._positions[table.name] = 0
         else:
-            self._fts_enabled = self._table_exists("_quest_fts")
             self._has_meta = self._table_exists("_quest_meta")
             self._load_state()
         # On open, a file built before these indexes existed gains them
@@ -362,17 +358,6 @@ class SQLiteBackend(StorageBackend):
             except BaseException:
                 cursor.execute("ROLLBACK")
                 raise
-
-    def _create_fts(self) -> bool:
-        try:
-            self._connection.execute('DROP TABLE IF EXISTS "_quest_fts"')
-            self._connection.execute(
-                'CREATE VIRTUAL TABLE "_quest_fts" USING fts5('
-                "tbl UNINDEXED, col UNINDEXED, pos UNINDEXED, doc)"
-            )
-        except sqlite3.OperationalError:
-            return False
-        return True
 
     def _table_exists(self, name: str) -> bool:
         row = self._connection.execute(
@@ -530,14 +515,13 @@ class SQLiteBackend(StorageBackend):
         streams: Iterable[tuple[str, int, list[str]]],
     ) -> None:
         """Record ``(column, position, tokens)`` streams of one relation in
-        the postings, the FTS mirror and the per-attribute counters.
+        the postings and the per-attribute counters.
 
         The single indexing path for both the insert route and the
         ``refresh`` rebuild — the bit-parity guarantee depends on the two
         never diverging. Empty token streams are not indexed.
         """
         postings: list[tuple[str, str, str, int, int]] = []
-        documents: list[tuple[str, str, int, str]] = []
         indexed: Counter = Counter()
         totals: Counter = Counter()
         for column, position, tokens in streams:
@@ -550,8 +534,6 @@ class SQLiteBackend(StorageBackend):
                     (term, table, column, position, tf)
                     for term, tf in Counter(tokens).items()
                 )
-            if self._fts_enabled:
-                documents.append((table, column, position, " ".join(tokens)))
             indexed[column] += 1
             totals[column] += len(tokens)
         cursor.executemany(
@@ -559,11 +541,6 @@ class SQLiteBackend(StorageBackend):
             "VALUES (?, ?, ?, ?, ?)",
             postings,
         )
-        if documents:
-            cursor.executemany(
-                'INSERT INTO "_quest_fts" (tbl, col, pos, doc) VALUES (?, ?, ?, ?)',
-                documents,
-            )
         cursor.executemany(
             'UPDATE "_quest_fields" SET indexed = indexed + ?, '
             "tokens = tokens + ? WHERE tbl = ? AND col = ?",
@@ -584,8 +561,6 @@ class SQLiteBackend(StorageBackend):
             try:
                 cursor.execute('DELETE FROM "_quest_postings"')
                 cursor.execute('UPDATE "_quest_fields" SET indexed = 0, tokens = 0')
-                if self._fts_enabled:
-                    cursor.execute('DELETE FROM "_quest_fts"')
                 for ref in self._field_sizes:
                     self._field_sizes[ref] = 0
                 for table in self.schema.tables:
@@ -714,11 +689,6 @@ class SQLiteBackend(StorageBackend):
                         'DELETE FROM "_quest_postings" WHERE tbl = ? AND pos = ?',
                         (table, position),
                     )
-                    if self._fts_enabled:
-                        cursor.execute(
-                            'DELETE FROM "_quest_fts" WHERE tbl = ? AND pos = ?',
-                            (table, position),
-                        )
                     cursor.execute(
                         f"DELETE FROM {quote_identifier(table)} WHERE {where}",
                         parameters,
@@ -871,60 +841,11 @@ class SQLiteBackend(StorageBackend):
             by_term[term] = scores
         return [by_term[term] for term in terms]
 
-    def score(self, keyword: str, ref: ColumnRef) -> float:
-        term = keyword.casefold()
-        field_size = self._field_sizes.get(ref, 0)
-        if field_size == 0:
-            return 0.0
-
-        def fetch():
-            with self._lock:
-                matches = self._connection.execute(
-                    'SELECT COUNT(*) FROM "_quest_postings" '
-                    "WHERE term = ? AND tbl = ? AND col = ?",
-                    (term, ref.table, ref.column),
-                ).fetchone()[0]
-                if not matches:
-                    return 0, 0
-                fields = self._connection.execute(
-                    'SELECT COUNT(*) FROM (SELECT 1 FROM "_quest_postings" '
-                    "WHERE term = ? GROUP BY tbl, col)",
-                    (term,),
-                ).fetchone()[0]
-            return matches, fields
-
-        matches, fields = self._read_sql(fetch, f"scoring {term!r}")
-        if not matches:
-            return 0.0
-        return (matches / field_size) * self._idf(fields)
-
-    def selectivity(self, keyword: str, ref: ColumnRef) -> float:
-        field_size = self._field_sizes.get(ref, 0)
-        if field_size == 0:
-            return 0.0
-
-        def fetch():
-            with self._lock:
-                return self._connection.execute(
-                    'SELECT COUNT(*) FROM "_quest_postings" '
-                    "WHERE term = ? AND tbl = ? AND col = ?",
-                    (keyword.casefold(), ref.table, ref.column),
-                ).fetchone()[0]
-
-        return self._read_sql(fetch, "selectivity") / field_size
-
     def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
         term = keyword.casefold()
 
         def fetch():
             with self._lock:
-                if self._fts_enabled and _FTS_TERM_RE.fullmatch(term):
-                    return self._connection.execute(
-                        'SELECT pos FROM "_quest_fts" '
-                        'WHERE "_quest_fts" MATCH ? AND tbl = ? AND col = ? '
-                        "ORDER BY pos",
-                        (f'doc:"{term}"', ref.table, ref.column),
-                    ).fetchall()
                 return self._connection.execute(
                     'SELECT pos FROM "_quest_postings" '
                     "WHERE term = ? AND tbl = ? AND col = ? ORDER BY pos",
@@ -953,11 +874,6 @@ class SQLiteBackend(StorageBackend):
                 ).fetchone()
 
         return self._read_sql(fetch, f"postings of {token!r}") is not None
-
-    @property
-    def fts_enabled(self) -> bool:
-        """Whether the FTS5 retrieval accelerator is active."""
-        return self._fts_enabled
 
     # -- execution ---------------------------------------------------------
 
@@ -1099,8 +1015,4 @@ class SQLiteBackend(StorageBackend):
             self._connection.close()
 
     def __repr__(self) -> str:
-        fts = "fts5" if self._fts_enabled else "emulated"
-        return (
-            f"SQLiteBackend({self.schema.name!r}, path={self.path!r}, "
-            f"index={fts})"
-        )
+        return f"SQLiteBackend({self.schema.name!r}, path={self.path!r})"

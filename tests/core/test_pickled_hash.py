@@ -1,7 +1,7 @@
 """Hashes stored at construction are recomputed on unpickle.
 
-``ColumnRef``, ``Configuration`` and ``Interpretation`` compute their hash
-once, when they are built. String hashes are salted per process, so an
+``ColumnRef``, ``State``, ``Configuration`` and ``Interpretation``
+compute their hash once, when they are built. String hashes are salted per process, so an
 object pickled under one ``PYTHONHASHSEED`` and loaded under another must
 rebuild its hash there — or it compares equal to a fresh object yet
 misses every dict lookup. The writer and the reader are separate
@@ -40,7 +40,8 @@ def build():
         frozenset({SchemaEdge(pk, title, 0.5, EdgeKind.INTRA)}),
         0.5,
     )
-    return [title, configuration, Interpretation(configuration, tree, 0.25)]
+    state = State(StateKind.ATTRIBUTE, "movie", "title")
+    return [title, state, configuration, Interpretation(configuration, tree, 0.25)]
 """
 
 WRITER = BUILD + """
@@ -56,6 +57,7 @@ for old, fresh in zip(loaded, build(), strict=True):
     assert hash(old) == hash(fresh), type(old).__name__
     assert {fresh: 1}.get(old) == 1, type(old).__name__
     assert getattr(old, "score", None) == getattr(fresh, "score", None)
+    assert getattr(old, "column_ref", None) == getattr(fresh, "column_ref", None)
 print("ok", len(loaded))
 """
 
@@ -76,7 +78,7 @@ def _run(code: str, seed: int, data: bytes = b"") -> bytes:
 
 def test_unpickled_under_another_hash_seed_finds_fresh_keys():
     payload = _run(WRITER, seed=1)
-    assert _run(READER, seed=2, data=payload).split() == [b"ok", b"3"]
+    assert _run(READER, seed=2, data=payload).split() == [b"ok", b"4"]
 
 
 def test_columnref_round_trip_in_process():

@@ -3,6 +3,13 @@
 from repro.db import ColumnRef, FullTextIndex
 from repro.db.fulltext import tokenize_value
 
+from tests.oracle import PostingsReference
+
+
+def _tf_idf(db, term: str, matches: int, field_size: int) -> float:
+    """The index's score expression with tf = *matches* / *field_size*."""
+    return (matches / field_size) * PostingsReference(db).idf(term)
+
 
 class TestTokenizeValue:
     def test_null_gives_nothing(self):
@@ -42,7 +49,8 @@ class TestIndex:
 
     def test_score_zero_for_absent(self, mini_db):
         index = FullTextIndex(mini_db)
-        assert index.score("nothing", ColumnRef("movie", "title")) == 0.0
+        assert index.attribute_scores("nothing") == {}
+        assert ColumnRef("movie", "year") not in index.attribute_scores("the")
 
     def test_matching_row_positions(self, mini_db):
         index = FullTextIndex(mini_db)
@@ -52,17 +60,19 @@ class TestIndex:
         assert positions == [0]
 
     def test_selectivity(self, mini_db):
+        # tf = the fraction of the attribute's values matching the term.
         index = FullTextIndex(mini_db)
         ref = ColumnRef("movie", "title")
-        assert index.selectivity("the", ref) == 2 / 5
-        assert index.selectivity("zzz", ref) == 0.0
+        assert index.attribute_scores("the")[ref] == _tf_idf(mini_db, "the", 2, 5)
+        assert ref not in index.attribute_scores("zzz")
 
     def test_more_selective_term_scores_higher(self, mini_db):
         index = FullTextIndex(mini_db)
         ref = ColumnRef("movie", "title")
         # "odyssey" appears in 1/5 titles, "the" in 2/5 — idf equal or lower
         # for the more common term, so tf dominates.
-        assert index.score("the", ref) > index.score("odyssey", ref)
+        scores = {k: index.attribute_scores(k)[ref] for k in ("the", "odyssey")}
+        assert scores["the"] > scores["odyssey"]
 
     def test_fields_cover_all_columns(self, mini_db):
         index = FullTextIndex(mini_db)
@@ -105,28 +115,36 @@ class TestRefresh:
             },
         )
         rebuilt = FullTextIndex(mini_db)  # built fresh over the final state
+        reference = PostingsReference(mini_db)
         for keyword in ("kubrick", "akerman", "documentary", "2001", "the"):
             assert incremental.attribute_scores(
                 keyword
             ) == rebuilt.attribute_scores(keyword), keyword
+            # Same tf denominators as the live rows give.
+            assert incremental.attribute_scores(
+                keyword
+            ) == reference.attribute_scores(keyword), keyword
             for ref in (ColumnRef("person", "name"), ColumnRef("movie", "title")):
                 assert incremental.matching_row_positions(
                     keyword, ref
                 ) == rebuilt.matching_row_positions(keyword, ref)
-                assert incremental.selectivity(
-                    keyword, ref
-                ) == rebuilt.selectivity(keyword, ref)
 
     def test_selectivity_denominator_tracks_inserts(self, mini_db):
         index = FullTextIndex(mini_db)
         ref = ColumnRef("movie", "title")
-        assert index.selectivity("the", ref) == 2 / 5
+        assert index.attribute_scores("the")[ref] == _tf_idf(mini_db, "the", 2, 5)
         mini_db.insert(
             "movie",
             {"id": 9, "title": "The Return", "year": 2002, "director_id": 1,
              "genre_id": 1},
         )
-        assert index.selectivity("the", ref) == 3 / 6
+        assert index.attribute_scores("the")[ref] == _tf_idf(mini_db, "the", 3, 6)
+        # ... and deletes: "The Shining", then "Alien" (no "the").
+        mini_db.table("movie").delete_rows([(2,)])
+        assert index.attribute_scores("the")[ref] == _tf_idf(mini_db, "the", 2, 5)
+        mini_db.table("movie").delete_rows([(3,)])
+        assert index.attribute_scores("the")[ref] == _tf_idf(mini_db, "the", 2, 4)
+        assert PostingsReference(mini_db).field_sizes[ref] == 4
 
     def test_explicit_refresh_is_idempotent(self, mini_db):
         index = FullTextIndex(mini_db)
@@ -144,17 +162,18 @@ class TestDeltaLayer:
 
     def _assert_matches_rebuild(self, index, db):
         rebuilt = FullTextIndex(db)
+        reference = PostingsReference(db)
         for keyword in self.KEYWORDS:
             assert index.attribute_scores(keyword) == rebuilt.attribute_scores(
                 keyword
             ), keyword
+            assert index.attribute_scores(
+                keyword
+            ) == reference.attribute_scores(keyword), keyword
             for ref in (ColumnRef("person", "name"), ColumnRef("movie", "title")):
                 assert index.matching_row_positions(
                     keyword, ref
                 ) == rebuilt.matching_row_positions(keyword, ref)
-                assert index.selectivity(keyword, ref) == rebuilt.selectivity(
-                    keyword, ref
-                )
 
     def test_insert_after_seal_layers_a_delta(self, mini_db):
         index = FullTextIndex(mini_db)

@@ -36,6 +36,12 @@ backend's ``result_count`` to its rows, row order and counts.
 switched off: it answers "undecided" for every token, so every
 configuration is built and counted.
 
+:class:`PostingsReference` is the full-text index's twin: brute-force
+postings read straight from a database's live rows, with the index's
+float expressions. The index-parity tests hold the in-memory
+``FullTextIndex`` (sealed, layered and freshly loaded) and SQLite's
+``_quest_postings`` to its scores, row positions and existence answers.
+
 :func:`term_score_reference` is the schema ontology's twin: one
 keyword-identifier score computed from the two strings alone, re-stemming,
 re-splitting and re-trigramming both for every pair, as the ontology did
@@ -49,12 +55,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
+import math
 from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 from unittest import mock
 
 from repro.db.database import Database
 from repro.db.executor import ResultSet, _match
+from repro.db.fulltext import tokenize_value
 from repro.db.query import JoinCondition, SelectQuery
 from repro.db.schema import ColumnRef
 from repro.db.table import Row, Table
@@ -558,3 +566,70 @@ def term_score_reference(
     ]
     partial = partial_scale * max(part_scores, default=0.0)
     return max(direct, semantic, partial)
+
+
+# -- the full-text oracle: postings from the live rows ------------------------
+
+
+class PostingsReference:
+    """Brute-force postings of *db*, built from its live rows once.
+
+    ``postings`` maps term -> field -> {row position: tf}, taken with
+    ``tokenize_value`` from every live row of ``Table.rows`` at its
+    physical position (``storage_rows`` minus tombstones, which is what
+    the positions of both backends' indexes speak in). ``field_sizes``
+    counts each field's indexed (non-empty) values: the tf denominator.
+    Scores are the index's expressions over the same integers, so the
+    parity tests compare bit for bit. A later mutation of *db* is not
+    seen: build a new reference after it.
+    """
+
+    def __init__(self, db: Database) -> None:
+        self.postings: dict[str, dict[ColumnRef, dict[int, int]]] = {}
+        self.field_sizes: dict[ColumnRef, int] = {}
+        for table in db.tables:
+            for column in table.schema.columns:
+                ref = ColumnRef(table.name, column.name)
+                self.field_sizes[ref] = 0
+                at = table.column_position(column.name)
+                for position, row in enumerate(table.storage_rows):
+                    if table.is_deleted(position):
+                        continue
+                    tokens = tokenize_value(row[at])
+                    if not tokens:
+                        continue
+                    self.field_sizes[ref] += 1
+                    for term, tf in Counter(tokens).items():
+                        by_field = self.postings.setdefault(term, {})
+                        by_field.setdefault(ref, {})[position] = tf
+
+    def __contains__(self, term: str) -> bool:
+        return term.casefold() in self.postings
+
+    @property
+    def vocabulary_size(self) -> int:
+        return len(self.postings)
+
+    def idf(self, term: str) -> float:
+        """``log(1 + fields / fields holding term)``; *term* must be held."""
+        return math.log(1.0 + len(self.field_sizes) / len(self.postings[term]))
+
+    def attribute_scores(self, keyword: str) -> dict[ColumnRef, float]:
+        """tf * idf per field holding *keyword*; tf = matches / field size."""
+        term = keyword.casefold()
+        if term not in self.postings:
+            return {}
+        idf = self.idf(term)
+        return {
+            ref: (len(rows) / self.field_sizes[ref]) * idf
+            for ref, rows in self.postings[term].items()
+        }
+
+    def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
+        return sorted(self.postings.get(keyword.casefold(), {}).get(ref, {}))
+
+    def has_postings(self, token: str, ref: ColumnRef) -> bool | None:
+        """Whether a live row of ``ref`` holds *token*; ``None`` off the index."""
+        if ref not in self.field_sizes:
+            return None
+        return ref in self.postings.get(token, {})

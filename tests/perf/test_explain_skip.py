@@ -9,6 +9,8 @@ none (:class:`repro.pipeline.stages.PostingsCheck`). The oracles:
   configuration (scans, ``contains_match`` on every row): all must be 0;
 - ``tests/oracle.py::has_postings_reference`` switches the check off, and
   the explanations and ``search_many`` rankings must not change.
+- ``tests/oracle.py::PostingsReference`` reads the postings straight from
+  the live rows: each backend's ``has_postings`` must give its answer.
 
 Hypothesis draws small tables over memory and SQLite and interleaves
 batched ``add_rows``/``delete_rows`` with the checks, on one engine per
@@ -32,14 +34,13 @@ from repro.core.interpretation import Interpretation
 from repro.core.query_builder import build_query
 from repro.datasets import mondial
 from repro.db import Column, Database, Schema, TableSchema
-from repro.db.fulltext import FullTextIndex
 from repro.db.schema import ColumnRef, ForeignKey
 from repro.db.types import DataType
 from repro.hmm import State, StateKind
 from repro.storage import MemoryBackend
 from repro.storage.sqlite import SQLiteBackend
 from repro.wrapper import FullAccessWrapper, HiddenSourceWrapper
-from tests.oracle import execute_reference, reference_kernels
+from tests.oracle import PostingsReference, execute_reference, reference_kernels
 
 #: The patch target of the check's reference twin (never skip).
 TWIN = "repro.wrapper.full.FullAccessWrapper.has_postings"
@@ -352,7 +353,8 @@ def test_lookups_are_memoised_per_token_and_column():
 )
 @given(scenario=_scenarios())
 def test_has_postings_is_a_nonempty_posting_list(scenario):
-    """Memory (columnar, layered, dict) and SQLite agree with the lists."""
+    """Memory (sealed and layered) and SQLite agree with the lists and
+    with brute-force postings read from the live rows."""
     rows, ops, _configurations = scenario
     db = Database(_schema())
     ids = dict.fromkeys(_ROWS, 0)
@@ -361,17 +363,17 @@ def test_has_postings_is_a_nonempty_posting_list(scenario):
             db.insert(table, {"id": ids[table], **value})
             ids[table] += 1
     memory = MemoryBackend(db)
-    dict_mode = MemoryBackend(db, FullTextIndex(db, columnar=False))
     sqlite = SQLiteBackend.from_database(db)
     tokens = ["", "alpha", "brien", "true", "false", "7", "absent", "alpha beta"]
     refs = [ColumnRef(table.name, c.name) for table in db.schema.tables for c in table.columns]
 
     def agree() -> None:
+        reference = PostingsReference(db)
         for token in tokens:
             for ref in refs:
                 want = bool(memory.matching_row_positions(token, ref))
                 assert memory.has_postings(token, ref) is want, (token, ref)
-                assert dict_mode.has_postings(token, ref) is want, (token, ref)
+                assert reference.has_postings(token, ref) is want, (token, ref)
                 assert sqlite.has_postings(token, ref) is want, (token, ref)
         outside = ColumnRef("person", "no_such_column")
         assert memory.has_postings("alpha", outside) is None

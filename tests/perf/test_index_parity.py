@@ -2,9 +2,11 @@
 
 Three contracts, each asserted as *bit identity*:
 
-- the columnar (CSR numpy) index layout returns exactly the scores,
-  selectivities and row positions of the retained dict layout on any
-  data (hypothesis-generated random tables included);
+- the columnar (CSR numpy) index, sealed or with a write delta layered
+  over it, returns exactly the scores, row positions and existence
+  answers of brute-force postings read straight from the rows
+  (``tests.oracle.PostingsReference``) on any data (hypothesis-generated
+  random tables included);
 - the batched emission path — ``emission_block`` on the index/backends,
   ``emission_matrix`` on the wrappers and on ``HiddenMarkovModel`` —
   produces the same floats as the per-keyword reference walk
@@ -32,7 +34,7 @@ from repro.errors import IndexArtifactError
 from repro.storage import MemoryBackend, create_backend
 from repro.wrapper import FullAccessWrapper
 
-from tests.oracle import reference_kernels
+from tests.oracle import PostingsReference, reference_kernels
 
 # -- random-table parity (hypothesis) ----------------------------------------
 
@@ -100,9 +102,9 @@ def _probe_terms(db: Database) -> list[str]:
 
 @settings(max_examples=60, deadline=None)
 @given(db=_databases())
-def test_columnar_matches_dict_layout(db: Database):
-    columnar = FullTextIndex(db, columnar=True)
-    reference = FullTextIndex(db, columnar=False)
+def test_columnar_index_matches_brute_force_postings(db: Database):
+    columnar = FullTextIndex(db)
+    reference = PostingsReference(db)
     refs = [
         ColumnRef(table.name, column.name)
         for table in db.tables
@@ -114,13 +116,12 @@ def test_columnar_matches_dict_layout(db: Database):
         assert (term in columnar) == (term in reference)
         assert columnar.attribute_scores(term) == reference.attribute_scores(term)
         for ref in refs:
-            assert columnar.score(term, ref) == reference.score(term, ref)
-            assert columnar.selectivity(term, ref) == reference.selectivity(
-                term, ref
-            )
             assert columnar.matching_row_positions(
                 term, ref
             ) == reference.matching_row_positions(term, ref)
+            assert columnar.has_postings(term, ref) == reference.has_postings(
+                term, ref
+            )
     block = columnar.emission_block(terms, refs)
     for i, term in enumerate(terms):
         scores = reference.attribute_scores(term)
@@ -132,12 +133,12 @@ def test_columnar_matches_dict_layout(db: Database):
 @settings(max_examples=20, deadline=None)
 @given(db=_databases(), extra=st.lists(_WORDS, min_size=1, max_size=4))
 def test_columnar_layout_stays_correct_under_inserts(db, extra):
-    columnar = FullTextIndex(db, columnar=True)
-    reference = FullTextIndex(db, columnar=False)
-    assert columnar.vocabulary_size == reference.vocabulary_size  # build both
+    columnar = FullTextIndex(db)
+    assert columnar.vocabulary_size == PostingsReference(db).vocabulary_size
     base = db.row_count("left")
     for offset, word in enumerate(extra):
         db.insert("left", {"id": 1000 + offset, "words": word, "num": None})
+    reference = PostingsReference(db)  # over the final rows
     ref = ColumnRef("left", "words")
     for term in set(extra):
         assert columnar.attribute_scores(term) == reference.attribute_scores(term)

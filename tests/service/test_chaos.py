@@ -593,7 +593,7 @@ class TestDeadlineEnforcement:
         assert outcomes.count("expired") == budgeted  # 1µs never survives
 
 
-# -- artifact corruption: dict-layout fallback --------------------------------
+# -- artifact corruption: in-process rebuild fallback -------------------------
 
 
 class TestArtifactFallback:

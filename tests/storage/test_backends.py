@@ -6,11 +6,13 @@ result counts — so rankings never depend on where the bytes live.
 """
 
 import math
+import sqlite3
 
 import pytest
 
 from repro.core import Quest
-from repro.datasets import mondial
+from repro.datasets import dblp, mondial
+from repro.db.fulltext import tokenize_value
 from repro.db import (
     ColumnRef,
     Comparison,
@@ -32,6 +34,7 @@ from repro.storage import (
 from repro.wrapper import FullAccessWrapper
 
 from tests.conftest import build_mini_db
+from tests.oracle import PostingsReference
 
 KEYWORDS = ["kubrick", "scott", "scifi", "alien", "1979", "the", "shining", "absent"]
 REFS = [
@@ -93,23 +96,17 @@ class TestRowParity:
 class TestFullTextParity:
     def test_attribute_scores_bit_identical(self, mini_backends):
         memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
+        # Brute-force postings from the rows: tf = matches / field size.
+        reference = PostingsReference(memory.database)
         for keyword in KEYWORDS:
             left, right = (
                 memory.attribute_scores(keyword),
                 sqlite.attribute_scores(keyword),
             )
             assert left == right  # exact float equality is the contract
+            assert left == reference.attribute_scores(keyword)
             for ref, score in left.items():
                 assert math.isfinite(score) and score > 0.0
-
-    def test_point_scores_and_selectivity(self, mini_backends):
-        memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
-        for keyword in KEYWORDS:
-            for ref in REFS:
-                assert memory.score(keyword, ref) == sqlite.score(keyword, ref)
-                assert memory.selectivity(keyword, ref) == sqlite.selectivity(
-                    keyword, ref
-                )
 
     def test_matching_row_positions(self, mini_backends):
         memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
@@ -245,7 +242,8 @@ class TestMutation:
                 backend.insert("person", {"id": 1, "name": "Kubrick Clone"})
         memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
         ref = ColumnRef("person", "name")
-        assert sqlite.selectivity("kubrick", ref) == 1 / 3
+        idf = PostingsReference(memory.database).idf("kubrick")
+        assert sqlite.attribute_scores("kubrick")[ref] == (1 / 3) * idf
         assert memory.attribute_scores("kubrick") == sqlite.attribute_scores(
             "kubrick"
         )
@@ -289,10 +287,92 @@ class TestSQLitePersistence:
         backend.refresh()
         assert backend.attribute_scores("kubrick") == before
 
-    def test_repr_reports_index_kind(self):
-        backend = SQLiteBackend.from_database(build_mini_db())
-        assert "SQLiteBackend" in repr(backend)
-        assert ("fts5" in repr(backend)) == backend.fts_enabled
+    def test_repr_names_schema_and_path(self):
+        db = build_mini_db()
+        backend = SQLiteBackend.from_database(db)
+        assert repr(backend) == f"SQLiteBackend({db.schema.name!r}, path=':memory:')"
+
+
+def _fts5_available() -> bool:
+    try:
+        sqlite3.connect(":memory:").execute(
+            "CREATE VIRTUAL TABLE probe USING fts5(doc)"
+        )
+    except sqlite3.OperationalError:
+        return False
+    return True
+
+
+def _mirror_rows(path: str) -> int:
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute('SELECT COUNT(*) FROM "_quest_fts"').fetchone()[0]
+    finally:
+        connection.close()
+
+
+class TestSQLiteOldFile:
+    """A file written while the backend still kept a full-text mirror
+    table next to ``_quest_postings`` opens, takes writes and answers
+    exactly like a fresh build; the stale mirror is never touched."""
+
+    @pytest.mark.skipif(not _fts5_available(), reason="SQLite lacks FTS5")
+    def test_old_mirror_is_ignored_under_writes(self, tmp_path):
+        db = dblp.generate(papers=60)
+        gold = dblp.workload(db, queries_per_kind=4)
+        path = str(tmp_path / "old.db")
+        SQLiteBackend.from_database(db, path=path).close()
+        # The mirror as older files hold it: one document per indexed value.
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute(
+                'CREATE VIRTUAL TABLE "_quest_fts" USING fts5('
+                "tbl UNINDEXED, col UNINDEXED, pos UNINDEXED, doc)"
+            )
+            connection.execute(
+                'INSERT INTO "_quest_fts" (tbl, col, pos, doc) '
+                "SELECT tbl, col, pos, group_concat(term, ' ') "
+                'FROM "_quest_postings" GROUP BY tbl, col, pos'
+            )
+        connection.close()
+        mirrored = _mirror_rows(path)
+        assert mirrored > 0
+
+        old = SQLiteBackend.open(db.schema, path)
+        memory = MemoryBackend(db)  # the same writes, for the fresh build
+        doomed = db.table("author").rows[:3]
+        paper_id = doomed[0][1]
+        for backend in (old, memory):
+            backend.add_rows("person", [{"id": 9001, "name": "Quentin Zyxwell"}])
+            backend.add_rows(
+                "author", [{"person_id": 9001, "paper_id": paper_id, "position": 9}]
+            )
+            backend.delete_rows("author", [row[:2] for row in doomed])
+        assert _mirror_rows(path) == mirrored
+
+        fresh = SQLiteBackend.from_database(db)
+        refs = [
+            ColumnRef(table.name, column.name)
+            for table in db.schema.tables
+            for column in table.columns
+        ]
+        keywords = {"zyxwell", "quentin"}
+        for query in gold:
+            keywords.update(query.text.split())
+            keywords.update(tokenize_value(query.text))
+            assert old.result_count(query.gold_query) == fresh.result_count(
+                query.gold_query
+            ), query.text
+        for keyword in sorted(keywords):
+            assert old.attribute_scores(keyword) == fresh.attribute_scores(keyword)
+            for ref in refs:
+                assert old.has_postings(keyword, ref) == fresh.has_postings(
+                    keyword, ref
+                ), (keyword, ref)
+        assert old.has_postings("zyxwell", ColumnRef("person", "name"))
+        old.close()
+        fresh.close()
+        assert _mirror_rows(path) == mirrored
 
 
 class TestSQLiteServingPosture:
