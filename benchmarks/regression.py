@@ -20,21 +20,14 @@ or, for whole searches, swapped in by ``tests.oracle.reference_kernels()``):
   into arrays, so ``fulltext-build`` reads below 1x (about 0.8x; on 2
   vCPUs the seal took 1.4 of 5.3 ms on mondial ``countries=25`` and 7.9
   of 51.6 ms on imdb ``movies=1000``). The entry keeps that cost from
-  growing; it does not measure a speedup.
-* **service_throughput** — concurrent ``QuestService`` wall time over a
-  warm engine: N threads replaying the workload with request coalescing
-  off vs on (an identical-query storm collapses onto one pipeline run
-  per burst), with requests/sec and the service's own executed/coalesced
-  counters. Recorded, not gated (thread scheduling is runner-dependent).
-* **serving_storm** — the preforked HTTP tier end to end: per-worker
-  warm-start seconds (mmap-attaching the shared ``.npz`` artifact vs
-  rebuilding the index from rows), then a real fleet (2 forked workers
-  on one listener) stormed by concurrent HTTP clients. Requests/sec,
-  p50/p95 latency and the single-process in-memory baseline are
-  recorded, not gated (1-cpu runners serve slower than they search);
-  the two hard claims are that every storm response is 200 and that
-  every worker's ranking is byte-identical to a direct in-process
-  ``QuestService`` call over the same artifact.
+  growing; it does not measure a speedup. The section also times a
+  prefork worker's warm start (``warm_start``): mmap-attaching the same
+  artifact against rebuilding the index from rows. An attach less than
+  ``WARM_START_MIN_SPEEDUP`` times faster fails the run.
+
+The serving tier (HTTP, prefork, result cache, coalescing) is measured
+end to end by ``perfbench/``; its correctness claims are tests
+(``tests/service``, ``tests/core/test_concurrent_search.py``).
 
 ``--profile`` skips measurement entirely and prints a per-stage cProfile
 (top 20 by cumulative time) of one cold query instead, so the next
@@ -65,10 +58,8 @@ It also reports the headline number the optimisation PR is accountable
 for: the cold-query speedup of the current optimized run against the
 committed baseline's reference kernels.
 
-The paired sections (kernels, cold_search, index) are timed with the
-process pinned to its lowest CPU, so both kernel sets of a pair run on the
-same core; the original affinity is restored before the service and
-serving sections start their threads and forked workers.
+Every section is timed with the process pinned to its lowest CPU, so
+both kernel sets of a pair run on the same core.
 
 Usage::
 
@@ -138,9 +129,10 @@ KERNEL_ALTERNATIONS = {"top-k-steiner k=10": 5}
 #: Scale of the index-lifecycle measurements: large enough that the
 #: build-vs-load gap reflects real row counts, small enough for CI.
 INDEX_SCALE = {"movies": 1000, "seed": 7}
-#: Thread count of the service-throughput storm (the acceptance
-#: criterion's ">= 8 concurrent callers" scenario).
-SERVICE_THREADS = 8
+#: The serving tier's warm-start contract: a prefork worker attaching the
+#: shared artifact must be at least this much faster than rebuilding the
+#: index.
+WARM_START_MIN_SPEEDUP = 5.0
 
 
 @contextlib.contextmanager
@@ -260,7 +252,7 @@ def _kernel_measurements(sc) -> dict[str, dict[str, object]]:
     }
 
 
-def _index_measurements(repeats: int, cache_dir: Path) -> dict[str, dict[str, dict]]:
+def _index_measurements(repeats: int, cache_dir: Path) -> dict[str, dict]:
     """Index lifecycle entries: cold build+seal vs artifact load.
 
     Build interleaves the sealed build ("optimized") with the dict build
@@ -270,6 +262,10 @@ def _index_measurements(repeats: int, cache_dir: Path) -> dict[str, dict[str, di
     paid on every load. The artifact is created through ``load_or_build``,
     so a cached copy from a previous run/step is validated and reused
     rather than rebuilt.
+
+    ``warm_start`` times what a prefork worker pays to become servable:
+    the mmap attach of the artifact against the cold rebuild (the
+    optimized ``fulltext-build`` runs), as the ratio of the minimums.
     """
     db = imdb.generate(**INDEX_SCALE)
     rows = db.total_rows()
@@ -303,430 +299,21 @@ def _index_measurements(repeats: int, cache_dir: Path) -> dict[str, dict[str, di
     for name, pair in measurements.items():
         for kernelset, stats in _measure_pair(pair, repeats).items():
             entries[kernelset][name] = stats
-    return {
+    attach_runs: list[float] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        FullTextIndex.load(artifact, db, mmap=True)
+        attach_runs.append(time.perf_counter() - start)
+    rebuild = entries["optimized"][f"fulltext-build rows={rows}"]
+    section: dict[str, dict] = {
         kernelset: {"entries": kernel_entries}
         for kernelset, kernel_entries in entries.items()
     }
-
-
-def _service_throughput(sc, repeats: int) -> dict:
-    """Concurrent ``QuestService`` storm, coalescing off vs on (not gated).
-
-    One engine, warmed over the workload first (this measures the
-    serving tier, not cold cache builds). Each run fires
-    ``SERVICE_THREADS`` threads through the service; every query text is
-    enqueued once per thread *consecutively*, so identical requests are
-    in flight together — exactly the burst shape coalescing exists for.
-    The result cache stays off in both modes: with it on, every repeat
-    after the first is a cache hit and nothing distinguishes the modes.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.service import QuestService, ServiceSettings
-
-    texts = [q.text for q in sc.workload]
-    engine = Quest(FullAccessWrapper(create_backend("memory", sc.db)))
-    engine.search_many(texts)  # warm the emission/Steiner caches
-    jobs = [text for text in texts for _ in range(SERVICE_THREADS)]
-    report: dict[str, object] = {
-        "cpus": os.cpu_count(),
-        "threads": SERVICE_THREADS,
-        "queries": len(texts),
-        "requests_per_run": len(jobs),
+    section["warm_start"] = {
+        "mmap_attach": _stats_of(attach_runs),
+        "speedup": rebuild["min_s"] / min(attach_runs),
     }
-    medians: dict[str, float] = {}
-    for mode, coalesce in (("uncoalesced", False), ("coalesced", True)):
-        service = QuestService(
-            engine,
-            ServiceSettings(
-                coalesce=coalesce,
-                cache_results=False,
-                max_concurrent=SERVICE_THREADS,
-                max_queue=len(jobs),
-            ),
-        )
-        runs: list[float] = []
-        for _ in range(repeats):
-            with ThreadPoolExecutor(max_workers=SERVICE_THREADS) as pool:
-                start = time.perf_counter()
-                list(pool.map(service.search, jobs))
-                runs.append(time.perf_counter() - start)
-        snapshot = service.metrics()
-        stats = _stats_of(runs)
-        medians[mode] = stats["median_s"]  # type: ignore[assignment]
-        report[mode] = {
-            **stats,
-            "requests_per_second": len(jobs) / medians[mode],
-            "executed": snapshot.executed,
-            "coalesced": snapshot.coalesced,
-            "shed": snapshot.shed,
-        }
-    report["coalesce_speedup"] = medians["uncoalesced"] / medians["coalesced"]
-    return report
-
-
-#: Flake probability of the degraded-mode section's storage faults, and
-#: the seed that makes its schedule replayable across runs.
-DEGRADED_FLAKE_RATE = 0.10
-DEGRADED_FAULT_SEED = 17
-
-
-def _degraded_mode(sc, repeats: int) -> dict:
-    """Service throughput under a 10% storage-flake rate (not gated).
-
-    One SQLite-backed engine (the ``storage.query`` fault point fires
-    inside its SQL read path), warmed over the workload, then stormed
-    twice per repeat: once healthy, once with a seeded ``FaultPlan``
-    flipping 10% of storage reads into transient
-    ``sqlite3.OperationalError``. The in-call retry absorbs most flakes;
-    a read that exhausts its retries falls through to the revision-stale
-    cache (primed by a healthy pass over every distinct query), so every
-    request is still answered. Everything here is recorded, never
-    gated — the section exists so the cost of running degraded shows up
-    in the BENCH history, not to fail CI on a slow runner.
-    """
-    import sqlite3
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro import faults
-    from repro.faults import FaultPlan
-    from repro.service import QuestService, ServiceSettings
-    from repro.storage.sqlite import SQLiteBackend
-
-    texts = [q.text for q in sc.workload]
-    backend = SQLiteBackend.from_database(sc.db)
-    engine = Quest(FullAccessWrapper(backend))
-    engine.search_many(texts)  # warm the emission/Steiner caches
-    jobs = [text for text in texts for _ in range(SERVICE_THREADS)]
-    service = QuestService(
-        engine,
-        ServiceSettings(
-            cache_results=False,
-            coalesce=False,
-            max_concurrent=SERVICE_THREADS,
-            max_queue=len(jobs),
-        ),
-    )
-    for text in texts:  # prime the revision-stale tier once per query
-        service.search(text)
-
-    def answered(text: str) -> str:
-        try:
-            response = service.search(text)
-        except Exception:
-            return "failed"
-        return "stale" if response.stale else "ok"
-
-    report: dict[str, object] = {
-        "cpus": os.cpu_count(),
-        "threads": SERVICE_THREADS,
-        "queries": len(texts),
-        "requests_per_run": len(jobs),
-        "flake_rate": DEGRADED_FLAKE_RATE,
-        "fault_seed": DEGRADED_FAULT_SEED,
-    }
-    medians: dict[str, float] = {}
-    for mode in ("healthy", "degraded"):
-        plan = None
-        if mode == "degraded":
-            plan = FaultPlan(seed=DEGRADED_FAULT_SEED).inject(
-                "storage.query",
-                kind="error",
-                rate=DEGRADED_FLAKE_RATE,
-                error=sqlite3.OperationalError,
-            )
-        before = service.metrics()
-        runs: list[float] = []
-        outcomes: list[str] = []
-        with faults.injected(plan) if plan is not None else _noop():
-            for _ in range(repeats):
-                with ThreadPoolExecutor(max_workers=SERVICE_THREADS) as pool:
-                    start = time.perf_counter()
-                    outcomes.extend(pool.map(answered, jobs))
-                    runs.append(time.perf_counter() - start)
-        after = service.metrics()
-        stats = _stats_of(runs)
-        medians[mode] = stats["median_s"]  # type: ignore[assignment]
-        entry: dict[str, object] = {
-            **stats,
-            "requests_per_second": len(jobs) / medians[mode],
-            "answered": outcomes.count("ok") + outcomes.count("stale"),
-            "failed": outcomes.count("failed"),
-            "stale_served": after.stale_served - before.stale_served,
-            "errors": after.errors - before.errors,
-        }
-        if plan is not None:
-            decisions = plan.decisions("storage.query")
-            entry["storage_reads"] = len(decisions)
-            entry["injected_faults"] = decisions.count("error")
-        report[mode] = entry
-    report["degraded_overhead"] = medians["degraded"] / medians["healthy"]
-    return report
-
-
-def _noop():
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
-#: Mixed read/write workload shape: ops per pass and generator seed.
-MIXED_OPS = 80
-MIXED_SEED = 11
-MIXED_PROFILES = ("ecommerce", "oltp")
-
-
-def _mixed_workload(repeats: int) -> dict:
-    """Search latency while writers churn (the live-mutation section).
-
-    One memory-backed engine per profile over a *private* mondial
-    instance (the shared scenario database must survive this section
-    unmutated), driven by :func:`repro.datasets.mixed.generate_ops` —
-    a deterministic interleaving of searches, batched journaled inserts
-    and batched deletes. Three latency families are recorded per
-    profile: plain searches racing the writer, write applies
-    (validate + journal-ack + delta-index), and **fresh reads** — a
-    search for the probe keyword an ``add`` just inserted, answerable
-    only by the delta layer over the sealed snapshot.
-
-    Timings are recorded, never gated. The one hard claim (enforced by
-    ``--mixed-only``) is read-your-writes: every probe is visible in
-    the index the moment its batch is acknowledged.
-    """
-    from repro.datasets import mixed, mondial
-    from repro.journal import MutationJournal
-
-    report: dict[str, object] = {
-        "ops": MIXED_OPS,
-        "seed": MIXED_SEED,
-        "repeats": repeats,
-        "profiles": {},
-        "missing_probes": 0,
-    }
-    missing_probes = 0
-    for profile in MIXED_PROFILES:
-        searches: list[float] = []
-        fresh_reads: list[float] = []
-        write_applies: list[float] = []
-        totals: list[float] = []
-        counts = {"search": 0, "add": 0, "delete": 0}
-        with tempfile.TemporaryDirectory() as scratch:
-            for repeat in range(repeats):
-                db = mondial.generate(countries=10, seed=31)
-                backend = create_backend("memory", db)
-                journal = MutationJournal(
-                    Path(scratch) / f"{profile}-{repeat}.journal"
-                )
-                backend.attach_journal(journal)
-                engine = Quest(FullAccessWrapper(backend))
-                ops = mixed.generate_ops(
-                    db, MIXED_OPS, profile=profile, seed=MIXED_SEED
-                )
-                engine.search(ops[0].query or "quest", 5)  # warm caches
-                pass_start = time.perf_counter()
-                for op in ops:
-                    if repeat == 0:
-                        counts[op.kind] += 1
-                    if op.kind == "search":
-                        start = time.perf_counter()
-                        engine.search(op.query, 5)
-                        searches.append(time.perf_counter() - start)
-                        continue
-                    start = time.perf_counter()
-                    mixed.apply_op(backend, op)
-                    write_applies.append(time.perf_counter() - start)
-                    if op.kind == "add":
-                        start = time.perf_counter()
-                        engine.search(op.probe, 5)
-                        fresh_reads.append(time.perf_counter() - start)
-                        # Read-your-writes: an acknowledged batch's rows
-                        # are searchable immediately (delta layer).
-                        if not backend.fulltext.attribute_scores(op.probe):
-                            missing_probes += 1
-                totals.append(time.perf_counter() - pass_start)
-                journal.close()
-        entry: dict[str, object] = {
-            **counts,
-            "total": _stats_of(totals),
-            "ops_per_second": MIXED_OPS / statistics.median(totals),
-        }
-        if searches:
-            entry["search"] = _stats_of(searches)
-        if fresh_reads:
-            entry["fresh_read"] = _stats_of(fresh_reads)
-        if write_applies:
-            entry["write_apply"] = _stats_of(write_applies)
-        report["profiles"][profile] = entry  # type: ignore[index]
-    report["missing_probes"] = missing_probes
-    return report
-
-
-#: Client threads and forked workers of the serving storm.
-STORM_CLIENTS = 8
-STORM_WORKERS = 2
-#: Workload queries the storm replays (each once per client thread).
-STORM_QUERIES = 6
-#: The serving tier's warm-start contract: a worker attaching the shared
-#: artifact must be at least this much faster than rebuilding the index.
-WARM_START_MIN_SPEEDUP = 5.0
-
-
-def _quantile(sorted_values: list[float], q: float) -> float:
-    return sorted_values[min(len(sorted_values) - 1, int(q * len(sorted_values)))]
-
-
-def _serving_storm(
-    repeats: int, cache_dir: Path
-) -> tuple[dict, list[str]]:
-    """The preforked HTTP tier under a concurrent client storm.
-
-    Returns ``(report, failures)``. Timings are recorded, never gated;
-    *failures* carries the two hard claims — every response a 200, every
-    worker's ranking byte-identical to an in-process engine over the
-    same artifact — plus the warm-start contract (mmap-attaching the
-    shared artifact must beat rebuilding the index from rows).
-    """
-    import threading
-    from urllib.parse import quote
-
-    from repro.service import (
-        PreforkServer,
-        PreforkSettings,
-        QuestService,
-        shared_artifact_engine,
-    )
-    from repro.service.http import explanation_payload
-    from repro.service.prefork import fetch_json
-
-    sc = scenario("mondial")
-    texts = [q.text for q in sc.workload][:STORM_QUERIES]
-    artifact = cache_dir / "mondial-serving.npz"
-    prepare, factory = shared_artifact_engine(sc.db, artifact)
-    prepare()
-
-    # Per-worker warm start: what one forked worker pays to become
-    # servable — attach the shared artifact (mmap) vs build the index
-    # from the rows (what every worker would do without the artifact).
-    # Measured at the index section's imdb scale: the mondial demo index
-    # builds in single-digit milliseconds, too small to resolve the gap
-    # a production-sized index shows. The artifact name matches
-    # ``_index_measurements`` so a shared ``--index-cache`` reuses it.
-    index_db = imdb.generate(**INDEX_SCALE)
-    index_artifact = cache_dir / "imdb-fulltext.npz"
-    FullTextIndex.load_or_build(index_artifact, index_db)
-    warm_runs: dict[str, list[float]] = {"mmap_attach": [], "cold_rebuild": []}
-    for _ in range(repeats):
-        start = time.perf_counter()
-        FullTextIndex.load(index_artifact, index_db, mmap=True)
-        warm_runs["mmap_attach"].append(time.perf_counter() - start)
-        start = time.perf_counter()
-        FullTextIndex(index_db).warm()
-        warm_runs["cold_rebuild"].append(time.perf_counter() - start)
-    warm_speedup = min(warm_runs["cold_rebuild"]) / min(warm_runs["mmap_attach"])
-    report: dict[str, object] = {
-        "cpus": os.cpu_count(),
-        "workers": STORM_WORKERS,
-        "clients": STORM_CLIENTS,
-        "queries": len(texts),
-        "warm_start_rows": index_db.total_rows(),
-        "worker_warm_start": {
-            mode: _stats_of(runs) for mode, runs in warm_runs.items()
-        },
-        "warm_start_speedup": warm_speedup,
-    }
-    failures: list[str] = []
-    if warm_speedup < WARM_START_MIN_SPEEDUP:
-        failures.append(
-            f"mmap warm start ({min(warm_runs['mmap_attach']) * 1e3:.1f}ms) "
-            f"is less than {WARM_START_MIN_SPEEDUP:.0f}x faster than a cold "
-            f"rebuild ({min(warm_runs['cold_rebuild']) * 1e3:.1f}ms)"
-        )
-
-    # The in-process expectation per query: what every worker must
-    # reproduce byte for byte through the wire.
-    expected = {}
-    in_process = QuestService(factory())
-    for text in texts:
-        response = in_process.search(text)
-        expected[text] = json.loads(
-            json.dumps(explanation_payload(response.explanations))
-        )
-
-    server = PreforkServer(
-        factory,
-        settings=PreforkSettings(workers=STORM_WORKERS),
-        prepare=prepare,
-    )
-    latencies: list[float] = []
-    statuses: dict[int, int] = {}
-    pids: set[int] = set()
-    lock = threading.Lock()
-    with server:
-        server.wait_ready(120.0)
-        port = server.port
-
-        def client(thread_index: int) -> None:
-            for text in texts:
-                path = f"/search?q={quote(text)}"
-                start = time.perf_counter()
-                try:
-                    status, body = fetch_json("127.0.0.1", port, path, timeout=120)
-                except OSError as exc:
-                    with lock:
-                        failures.append(f"request {path!r} failed: {exc}")
-                    continue
-                elapsed = time.perf_counter() - start
-                with lock:
-                    latencies.append(elapsed)
-                    statuses[status] = statuses.get(status, 0) + 1
-                    if status != 200:
-                        failures.append(f"{path!r} returned {status}: {body}")
-                    else:
-                        pids.add(body["pid"])
-                        if body["results"] != expected[text]:
-                            failures.append(
-                                f"worker {body['pid']} ranking for {text!r} "
-                                "differs from the in-process engine"
-                            )
-
-        start = time.perf_counter()
-        threads = [
-            threading.Thread(target=client, args=(i,))
-            for i in range(STORM_CLIENTS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - start
-
-    ordered = sorted(latencies)
-    requests = len(latencies)
-    report.update(
-        {
-            "requests": requests,
-            "statuses": statuses,
-            "distinct_worker_pids": len(pids),
-            "wall_s": wall,
-            "requests_per_second": requests / wall if wall else 0.0,
-            "p50_latency_s": _quantile(ordered, 0.50) if ordered else None,
-            "p95_latency_s": _quantile(ordered, 0.95) if ordered else None,
-            "rank_identity": not any("differs" in f for f in failures),
-        }
-    )
-
-    # The single-process floor: the same storm served by one in-process
-    # QuestService (no sockets, no forks) — the number the multi-worker
-    # req/s should exceed on multi-core runners.
-    jobs = [text for _ in range(STORM_CLIENTS) for text in texts]
-    start = time.perf_counter()
-    for text in jobs:
-        in_process.search(text)
-    single_wall = time.perf_counter() - start
-    report["single_process_requests_per_second"] = (
-        len(jobs) / single_wall if single_wall else 0.0
-    )
-    return report, failures
+    return section
 
 
 def profile_cold_query(backend: str) -> None:
@@ -827,8 +414,8 @@ def run_suite(
     smoke: bool,
     index_cache: Path | None = None,
 ) -> dict:
-    """Measure kernels (once), per-backend cold searches, the index
-    lifecycle, the service and serving tiers."""
+    """Measure kernels (once), per-backend cold searches and the index
+    lifecycle."""
     sc = scenario("mondial")
     with _pinned_to_one_cpu():
         print("-- measuring kernels (interleaved kernel sets) ...", flush=True)
@@ -856,21 +443,6 @@ def run_suite(
         else:
             index_cache.mkdir(parents=True, exist_ok=True)
             index = _index_measurements(repeats, index_cache)
-    print("-- measuring service throughput ...", flush=True)
-    service = _service_throughput(sc, repeats)
-    print("-- measuring degraded mode (10% storage flakes) ...", flush=True)
-    degraded = _degraded_mode(sc, repeats)
-    print("-- measuring mixed read/write workload ...", flush=True)
-    mixed_section = _mixed_workload(repeats)
-    print("-- measuring serving storm (preforked HTTP tier) ...", flush=True)
-    if index_cache is None:
-        with tempfile.TemporaryDirectory() as scratch:
-            serving, serving_failures = _serving_storm(repeats, Path(scratch))
-    else:
-        serving, serving_failures = _serving_storm(repeats, index_cache)
-    for failure in serving_failures:
-        print(f"SERVING STORM FAILURE: {failure}")
-    serving["failures"] = serving_failures
     return {
         "workload": "e7-micro",
         "smoke": smoke,
@@ -879,10 +451,6 @@ def run_suite(
         "kernels": kernels,
         "cold_search": cold_search,
         "index": index,
-        "service_throughput": service,
-        "degraded_mode": degraded,
-        "mixed_workload": mixed_section,
-        "serving_storm": serving,
     }
 
 
@@ -907,8 +475,8 @@ def _entry_pairs(report: dict):
     for section in ("kernels", "index"):
         groups = report.get(section, {})
         names: set[str] = set()
-        for kernelset in groups.values():
-            names.update(kernelset.get("entries", {}))
+        for kernelset in KERNELSETS:
+            names.update(groups.get(kernelset, {}).get("entries", {}))
         prefix = "kernel" if section == "kernels" else "index"
         for name in sorted(names):
             yield (
@@ -1063,30 +631,13 @@ def speedup_report(current: dict, baseline: dict | None) -> str:
             f"{load['median_s'] * 1e3:.1f}ms load "
             f"({build['median_s'] / load['median_s']:.1f}x faster warm start)"
         )
-    serving = current.get("serving_storm", {})
-    if serving and serving.get("requests"):
+    warm_start = current.get("index", {}).get("warm_start")
+    if warm_start:
         lines.append(
-            f"  serving storm ({serving.get('workers')} workers, "
-            f"{serving.get('clients')} clients, {serving.get('cpus')} cpus): "
-            f"{serving.get('requests_per_second', 0.0):.1f} req/s, "
-            f"p95 {float(serving.get('p95_latency_s') or 0) * 1e3:.1f}ms; "
-            f"worker warm start mmap vs rebuild "
-            f"{serving.get('warm_start_speedup', 0.0):.1f}x"
+            f"  worker warm start, mmap attach vs cold rebuild: "
+            f"{warm_start['speedup']:.1f}x "
+            f"(contract: >= {WARM_START_MIN_SPEEDUP:.0f}x)"
         )
-    service = current.get("service_throughput", {})
-    if service:
-        uncoalesced = service.get("uncoalesced", {})
-        coalesced = service.get("coalesced", {})
-        if uncoalesced and coalesced:
-            lines.append(
-                f"  service throughput ({service.get('threads')} threads): "
-                f"{uncoalesced['requests_per_second']:.1f} req/s uncoalesced, "
-                f"{coalesced['requests_per_second']:.1f} req/s coalesced "
-                f"({service.get('coalesce_speedup', 0.0):.2f}x; "
-                f"{coalesced.get('executed', 0)} engine runs answered "
-                f"{coalesced.get('executed', 0) + coalesced.get('coalesced', 0)}"
-                " requests)"
-            )
     if baseline is not None:
         for backend, kernelsets in current.get("cold_search", {}).items():
             now = _stat(kernelsets.get("optimized"), "median_s")
@@ -1166,45 +717,6 @@ def main(argv: list[str] | None = None) -> int:
         "query instead of running the measurement suite",
     )
     parser.add_argument(
-        "--service-only",
-        action="store_true",
-        help="measure only the service_throughput section (CI concurrency "
-        "smoke); timings are recorded, not gated — the only failure is "
-        "an identical-query storm that never coalesces",
-    )
-    parser.add_argument(
-        "--serving-only",
-        action="store_true",
-        help="measure only the serving_storm section (CI serving smoke): "
-        "boot the preforked HTTP fleet, storm it with concurrent clients, "
-        "hard-fail on any non-200 or rank-identity break, record req/s, "
-        "p50/p95 and per-worker warm-start (mmap vs rebuild) seconds; "
-        "with --update-baseline the section is merged into the committed "
-        "baseline without touching its other entries",
-    )
-    parser.add_argument(
-        "--degraded-only",
-        action="store_true",
-        help="measure only the degraded_mode section (CI chaos smoke): "
-        "service throughput under a seeded 10%% storage-flake rate, with "
-        "retries absorbing single flakes and the revision-stale tier "
-        "answering double-flakes; recorded, not gated — the only failure "
-        "is a request that goes unanswered; with --update-baseline the "
-        "section is merged into the committed baseline without touching "
-        "its other entries",
-    )
-    parser.add_argument(
-        "--mixed-only",
-        action="store_true",
-        help="measure only the mixed_workload section (CI recovery "
-        "smoke): fresh-read/search/write-apply latency while journaled "
-        "writers churn the delta layer; recorded, not gated — the only "
-        "failure is a broken read-your-writes (an acknowledged batch "
-        "whose probe keyword a search cannot see); with "
-        "--update-baseline the section is merged into the committed "
-        "baseline without touching its other entries",
-    )
-    parser.add_argument(
         "--backward-only",
         action="store_true",
         help="CI smoke of the backward stage alone: one cold-search pass "
@@ -1219,131 +731,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.profile:
         profile_cold_query(backends[0])
-        return 0
-
-    if args.service_only:
-        service = _service_throughput(scenario("mondial"), repeats)
-        print(json.dumps(service, indent=2, sort_keys=True))
-        coalesced = service["coalesced"]
-        # The smoke's one hard claim: the storm coalesced — identical
-        # in-flight requests shared pipeline runs instead of repeating them.
-        if not coalesced["coalesced"]:
-            print("ERROR: the identical-query storm never coalesced")
-            return 1
-        print(
-            f"coalesce speedup: {service['coalesce_speedup']:.2f}x "
-            f"({coalesced['executed']} engine runs for "
-            f"{service['requests_per_run'] * repeats} requests)"
-        )
-        return 0
-
-    if args.serving_only:
-        if args.index_cache is not None:
-            args.index_cache.mkdir(parents=True, exist_ok=True)
-            serving, failures = _serving_storm(repeats, args.index_cache)
-        else:
-            with tempfile.TemporaryDirectory() as scratch:
-                serving, failures = _serving_storm(repeats, Path(scratch))
-        serving["failures"] = failures
-        print(json.dumps(serving, indent=2, sort_keys=True))
-        print(
-            f"serving storm: {serving['requests_per_second']:.1f} req/s over "
-            f"{serving['workers']} workers ({serving['clients']} clients, "
-            f"{serving.get('cpus')} cpus), "
-            f"p95 {float(serving['p95_latency_s'] or 0) * 1e3:.1f}ms; "
-            f"warm start mmap vs rebuild: "
-            f"{serving['warm_start_speedup']:.1f}x"
-        )
-        if failures:
-            for failure in failures:
-                print(f"ERROR: {failure}")
-            return 1
-        if args.update_baseline:
-            # Merge only this section into the committed baseline — the
-            # other entries were measured on a different (possibly
-            # slower/faster) run and must not be silently replaced.
-            baseline = (
-                json.loads(args.baseline.read_text())
-                if args.baseline.exists()
-                else {}
-            )
-            baseline["serving_storm"] = serving
-            args.baseline.write_text(
-                json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"merged serving_storm into {args.baseline}")
-        return 0
-
-    if args.degraded_only:
-        degraded = _degraded_mode(scenario("mondial"), repeats)
-        print(json.dumps(degraded, indent=2, sort_keys=True))
-        flaky = degraded["degraded"]
-        print(
-            f"degraded mode: {flaky['requests_per_second']:.1f} req/s at a "
-            f"{degraded['flake_rate']:.0%} flake rate "
-            f"({flaky['injected_faults']} faults over "
-            f"{flaky['storage_reads']} reads, "
-            f"{flaky['stale_served']} stale answers), "
-            f"{degraded['degraded_overhead']:.2f}x the healthy pass"
-        )
-        # The one hard claim: degradation never loses a request — every
-        # storm request was answered (fresh or revision-stale).
-        unanswered = degraded["healthy"]["failed"] + flaky["failed"]
-        if unanswered:
-            print(f"ERROR: {unanswered} storm requests went unanswered")
-            return 1
-        if args.update_baseline:
-            # Merge only this section into the committed baseline — the
-            # other entries were measured on a different run and must
-            # not be silently replaced.
-            baseline = (
-                json.loads(args.baseline.read_text())
-                if args.baseline.exists()
-                else {}
-            )
-            baseline["degraded_mode"] = degraded
-            args.baseline.write_text(
-                json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"merged degraded_mode into {args.baseline}")
-        return 0
-
-    if args.mixed_only:
-        mixed_section = _mixed_workload(repeats)
-        print(json.dumps(mixed_section, indent=2, sort_keys=True))
-        for profile, entry in sorted(mixed_section["profiles"].items()):
-            fresh = entry.get("fresh_read", {}).get("median_s")
-            search = entry.get("search", {}).get("median_s")
-            apply_ = entry.get("write_apply", {}).get("median_s")
-            print(
-                f"mixed workload [{profile}]: "
-                f"{entry['ops_per_second']:.1f} ops/s "
-                f"(search p50 {float(search or 0) * 1e3:.3f}ms, "
-                f"fresh read p50 {float(fresh or 0) * 1e3:.3f}ms, "
-                f"write apply p50 {float(apply_ or 0) * 1e3:.3f}ms)"
-            )
-        # The one hard claim: read-your-writes — every acknowledged
-        # add's probe keyword was searchable immediately.
-        if mixed_section["missing_probes"]:
-            print(
-                f"ERROR: {mixed_section['missing_probes']} acknowledged "
-                "batches were invisible to an immediate search"
-            )
-            return 1
-        if args.update_baseline:
-            # Merge only this section into the committed baseline — the
-            # other entries were measured on a different run and must
-            # not be silently replaced.
-            baseline = (
-                json.loads(args.baseline.read_text())
-                if args.baseline.exists()
-                else {}
-            )
-            baseline["mixed_workload"] = mixed_section
-            args.baseline.write_text(
-                json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"merged mixed_workload into {args.baseline}")
         return 0
 
     if args.backward_only:
@@ -1404,12 +791,17 @@ def main(argv: list[str] | None = None) -> int:
     print()
     print(speedup_report(current, baseline))
 
-    serving_failures = current.get("serving_storm", {}).get("failures") or []
-    if serving_failures:
+    # The warm-start contract is a hard failure in every mode, baseline
+    # update included: a worker that attaches no faster than it rebuilds
+    # makes the shared artifact pointless.
+    warm_speedup = current["index"]["warm_start"]["speedup"]
+    if warm_speedup < WARM_START_MIN_SPEEDUP:
         print()
-        print("SERVING STORM FAILURES:")
-        for failure in serving_failures:
-            print(f"  {failure}")
+        print(
+            f"ERROR: worker warm start (mmap attach) is only "
+            f"{warm_speedup:.1f}x faster than a cold index rebuild; "
+            f"the contract is >= {WARM_START_MIN_SPEEDUP:.0f}x"
+        )
         return 1
 
     if args.update_baseline:

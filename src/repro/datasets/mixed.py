@@ -2,9 +2,9 @@
 
 The durability work (journal, delta postings, atomic republish) is only
 worth its complexity if search latency holds up *while writers churn* —
-so the chaos suite and ``benchmarks/regression.py``'s ``mixed_workload``
-section replay deterministic interleavings of searches, batched inserts
-and batched deletes against one backend.
+so the recovery suite and perfbench's ``write_oltp`` workload replay
+deterministic interleavings of searches, batched inserts and batched
+deletes against one backend.
 
 Three profiles, named for the workloads they caricature:
 

@@ -625,28 +625,24 @@ class FullTextIndex:
         with self._lock:
             self._refresh_locked()
 
-    def warm(self) -> None:
-        """Force the build now (refresh + seal the columnar snapshot).
-
-        Reads do this lazily; endpoints that want the cost paid at setup
-        time (and the index-build benchmark) call it explicitly.
-        """
-        with self._lock:
-            self._refresh_locked()
-            if self._snapshot is None or self._delta_terms:
-                self._seal_locked()
-
     def merge(self) -> None:
-        """Fold the write delta back into a sealed columnar snapshot.
+        """Index any unindexed tail and seal it into the columnar snapshot.
 
         Runs in the background once a delta outgrows ``DELTA_SOFT_LIMIT``
         (reads stay layered and correct meanwhile); callable directly by
-        anything that wants the CSR layout current *now*.
+        anything that wants the CSR layout current *now*. As :meth:`warm`
+        it forces the first build: reads do that lazily, and endpoints
+        that want the cost paid at setup time call it explicitly.
         """
         with self._lock:
             self._refresh_locked()
             if self._snapshot is None or self._delta_terms:
                 self._seal_locked()
+
+    #: One body, two names: ``warm`` for the first build, ``merge`` for
+    #: folding a write delta. A class-level alias, so wrapping ``merge``
+    #: on an instance does not also wrap ``warm``.
+    warm = merge
 
     @property
     def delta_terms(self) -> frozenset[str]:
@@ -906,16 +902,6 @@ class FullTextIndex:
             tf = len(rows) / field_size
             scores[ref] = tf * idf
         return scores
-
-    def attribute_scores_many(
-        self, keywords: Sequence[str]
-    ) -> list[dict[ColumnRef, float]]:
-        """Per-keyword :meth:`attribute_scores`, one version check total."""
-        snapshot = self._current()
-        if snapshot is not None:
-            return [snapshot.attribute_scores(keyword) for keyword in keywords]
-        with self._reading():
-            return [self._attribute_scores_locked(keyword) for keyword in keywords]
 
     def emission_block(
         self, keywords: Sequence[str], refs: Sequence[ColumnRef]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.db.schema import ColumnRef, Schema
 
-__all__ = ["StateKind", "State", "StateSpace"]
+__all__ = ["StateKind", "State", "StateSpace", "StatesKey"]
 
 
 class StateKind(enum.Enum):
@@ -69,6 +69,31 @@ class State:
         return f"{self.kind.value}:{self.table}.{self.column}"
 
 
+@dataclass(frozen=True)
+class StatesKey:
+    """A state tuple as a cache-key part, hashed once.
+
+    Equal to another key exactly when the tuples are equal, content and
+    order both, so a same-length space in another order never shares an
+    entry. A tuple does not cache its hash, and a cache lookup hashes
+    its key more than once (``LRUCache.get`` probes and then reorders),
+    so keying on the bare tuple rehashes every state per lookup. Like
+    :class:`State`, unpickling rebuilds the hash through the constructor.
+    """
+
+    states: tuple[State, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.states))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (StatesKey, (self.states,))
+
+
 class StateSpace:
     """The ordered set of states derived from a schema.
 
@@ -89,6 +114,8 @@ class StateSpace:
         self._index: dict[State, int] = {
             state: position for position, state in enumerate(states)
         }
+        #: The states as one cache-key part (see :class:`StatesKey`).
+        self.key = StatesKey(self._states)
 
     def __len__(self) -> int:
         return len(self._states)

@@ -115,7 +115,8 @@ class MutationJournal:
     corrupt interior record raises :class:`JournalCorruptError`.
 
     ``readonly=True`` opens a *follower* view for a process that only
-    replays (a prefork worker catching up to a republished artifact):
+    reads (a replica replaying the writer's log, or a check that the
+    writer left the file well-formed):
     the file is opened read-only, a torn tail is skipped but **never**
     truncated (the writer may be mid-append at that very byte), and
     :meth:`append` refuses. Only the owning writer repairs the file.

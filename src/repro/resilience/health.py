@@ -1,7 +1,7 @@
 """Process-level degradation marks, surfaced through ``/readyz``.
 
 Anything that silently switches the process onto a slower-but-correct
-path (artifact corruption → dict-layout index fallback, persistent
+path (artifact corruption → an index rebuilt in-process, persistent
 storage failures → stale-cache serving) records a named mark here; the
 HTTP tier folds the marks into the ``ok`` / ``degraded`` / ``unhealthy``
 readiness answer. Marks are per-process — forked serving workers each
@@ -36,11 +36,6 @@ class HealthRegistry:
         """Record (or refresh) one degradation mark."""
         with self._lock:
             self._marks[reason] = detail
-
-    def clear(self, reason: str) -> None:
-        """Drop one mark (the condition healed)."""
-        with self._lock:
-            self._marks.pop(reason, None)
 
     def reset(self) -> None:
         """Drop every mark (test isolation)."""

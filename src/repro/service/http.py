@@ -89,9 +89,6 @@ class HttpServerSettings:
     Attributes:
         host: interface to bind.
         port: TCP port (0 = ephemeral, read back via ``port``).
-        reuse_port: set ``SO_REUSEPORT`` on the listener so N workers
-            can each bind their own socket to one port (the alternative
-            accept model to parent-listener fd inheritance).
         executor_threads: thread-pool width for blocking engine calls;
             defaults to the service's whole admission house so a full
             house plus its queue never waits on a pool slot.
@@ -101,7 +98,6 @@ class HttpServerSettings:
 
     host: str = "127.0.0.1"
     port: int = 0
-    reuse_port: bool = False
     executor_threads: int | None = None
     drain_timeout_s: float = 10.0
 
@@ -231,7 +227,6 @@ class QuestHttpServer:
                 self._handle_connection,
                 host=self.settings.host,
                 port=self.settings.port,
-                reuse_port=self.settings.reuse_port or None,
             )
         self._accepting = True
         self._ready = True

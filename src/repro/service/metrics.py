@@ -158,22 +158,18 @@ class ServiceMetrics:
         *,
         executed: bool = False,
         coalesced: bool = False,
-        cache_hit: bool | None = None,
+        cache_hit: bool = False,
     ) -> None:
-        """Record one answered search and which tier answered it.
-
-        *cache_hit* is ``None`` when the result cache was never
-        consulted (caching disabled) — neither counter moves then.
-        """
+        """Record one answered search and which tier answered it."""
         with self._lock:
             self._completed += 1
             if executed:
                 self._executed += 1
             if coalesced:
                 self._coalesced += 1
-            if cache_hit is True:
+            if cache_hit:
                 self._cache_hits += 1
-            elif cache_hit is False:
+            else:
                 self._cache_misses += 1
             self._latencies.append((self._clock(), latency_s))
 

@@ -18,13 +18,12 @@ The accept model, in order of events:
    for N at the cost of one. Forked children also inherit the parent's
    Python heap copy-on-write, and the :mod:`repro.forksafe` registry
    hands every registered lock holder a fresh lock, so a worker is
-   immediately safe to serve from.
+   immediately safe to serve from. A worker serves the artifact
+   generation it attached for life.
 3. All workers ``accept()`` on the inherited parent listener fd (the
    classic prefork model — the kernel queues connections in the single
    listen backlog and wakes workers to take them; asyncio absorbs the
-   thundering-herd ``EAGAIN``). With ``reuse_port=True`` each worker
-   instead binds its own ``SO_REUSEPORT`` socket and the kernel
-   load-balances connections across them.
+   thundering-herd ``EAGAIN``).
 4. The parent **supervises**: a poll loop reaps dead workers and forks
    replacements (bounded by ``max_restarts``); ``stop()`` sends SIGTERM,
    which each worker turns into a graceful drain — stop accepting,
@@ -89,8 +88,6 @@ class PreforkSettings:
         workers: serving processes to fork.
         host: interface the listener binds.
         port: TCP port (0 = ephemeral; read back via ``port``).
-        reuse_port: ``SO_REUSEPORT`` per-worker listeners instead of one
-            inherited parent listener fd.
         backlog: listen queue depth of the shared listener.
         drain_timeout_s: seconds a SIGTERM'd worker lets in-flight
             requests finish before exiting anyway.
@@ -106,16 +103,11 @@ class PreforkSettings:
             budget — only crash *storms* should exhaust ``max_restarts``.
         backoff_seed: seed for the respawn jitter (``None`` = entropy);
             fixed in tests so restart schedules replay exactly.
-        artifact_poll_s: seconds between worker checks for a republished
-            index artifact (engines exposing ``artifact_reload`` — see
-            :func:`shared_artifact_engine`). ``0`` disables polling;
-            workers then serve their attached generation for life.
     """
 
     workers: int = 2
     host: str = "127.0.0.1"
     port: int = 0
-    reuse_port: bool = False
     backlog: int = 128
     drain_timeout_s: float = 10.0
     stop_timeout_s: float = 15.0
@@ -124,7 +116,6 @@ class PreforkSettings:
     restart_backoff_max_s: float = 5.0
     healthy_interval_s: float = 30.0
     backoff_seed: int | None = None
-    artifact_poll_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -146,17 +137,12 @@ class PreforkSettings:
             raise ServiceError(
                 f"healthy_interval_s must be positive, got {self.healthy_interval_s}"
             )
-        if self.artifact_poll_s < 0:
-            raise ServiceError(
-                f"artifact_poll_s must be non-negative, got {self.artifact_poll_s}"
-            )
 
 
 def shared_artifact_engine(
     db: Any,
     artifact: str | Path,
     settings: Any = None,
-    journal: str | Path | None = None,
 ) -> tuple[Callable[[], Any], Callable[[], Any]]:
     """``(prepare, factory)`` for serving one database via a shared artifact.
 
@@ -167,28 +153,15 @@ def shared_artifact_engine(
     memory-mapped — N workers share one set of physical pages through the
     OS page cache — and wires a fresh :class:`Quest` over it. Workers
     never write the artifact.
-
-    The built engine exposes an ``artifact_reload()`` callable: a pinned
-    reader's republish hook. It peeks the published artifact generation
-    and, when it has advanced past the attached one, catches the
-    worker's forked database copy up by replaying the mutation
-    *journal* (opened readonly — followers never repair the writer's
-    file) to exactly that generation, then swaps the new artifact in
-    atomically. Any failure leaves the current snapshot serving and is
-    retried on the next poll; a successful swap clears the
-    ``index-artifact-fallback`` health mark. The prefork worker loop
-    calls it every ``PreforkSettings.artifact_poll_s`` seconds.
     """
     from repro.core.engine import Quest
     from repro.core.settings import QuestSettings
     from repro.db.fulltext import FullTextIndex
-    from repro.journal import MutationJournal
     from repro.storage.memory import MemoryBackend
     from repro.wrapper.full import FullAccessWrapper
 
     engine_settings = settings if settings is not None else QuestSettings()
     artifact_path = Path(artifact)
-    journal_path = Path(journal) if journal is not None else None
 
     def prepare() -> None:
         FullTextIndex.load_or_build(artifact_path, db)
@@ -216,28 +189,7 @@ def shared_artifact_engine(
             index = FullTextIndex(db)
             index.warm()
         backend = MemoryBackend(db, fulltext=index)
-        engine = Quest(FullAccessWrapper(backend), engine_settings)
-
-        def artifact_reload() -> bool:
-            try:
-                published = FullTextIndex.peek_generation(artifact_path)
-                if published is None or published <= backend.fulltext.generation:
-                    return False
-                if journal_path is not None and published > backend.applied_seq:
-                    with MutationJournal(journal_path, readonly=True) as follow:
-                        backend.replay_journal(follow, up_to_seq=published)
-                if not backend.maybe_reload_index(artifact_path, mmap=True):
-                    return False
-            except Exception:
-                # Mid-republish torn reads, a journal not yet caught up,
-                # validation mismatches: keep serving the pinned
-                # generation and try again next poll.
-                return False
-            process_health.clear("index-artifact-fallback")
-            return True
-
-        engine.artifact_reload = artifact_reload
-        return engine
+        return Quest(FullAccessWrapper(backend), engine_settings)
 
     return prepare, factory
 
@@ -316,17 +268,9 @@ class PreforkServer:
     def _bind(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.settings.reuse_port:
-            # The parent's socket only *reserves* the port (bound, never
-            # listening, so the kernel excludes it from the accept
-            # group); each worker binds its own listening SO_REUSEPORT
-            # socket to the reserved port.
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            listener.bind((self.settings.host, self.settings.port))
-        else:
-            listener.bind((self.settings.host, self.settings.port))
-            listener.listen(self.settings.backlog)
-            listener.set_inheritable(True)
+        listener.bind((self.settings.host, self.settings.port))
+        listener.listen(self.settings.backlog)
+        listener.set_inheritable(True)
         self._listener = listener
         self._port = listener.getsockname()[1]
 
@@ -420,8 +364,7 @@ class PreforkServer:
         self.start()
         print(
             f"quest-serve: {self.settings.workers} workers on "
-            f"{self.settings.host}:{self.port} "
-            f"({'SO_REUSEPORT' if self.settings.reuse_port else 'shared listener fd'})"
+            f"{self.settings.host}:{self.port} (shared listener fd)"
         )
         while not stop_requested.is_set() and not self.failed:
             stop_requested.wait(timeout=0.5)
@@ -535,17 +478,6 @@ class PreforkServer:
 
     # -- the worker ----------------------------------------------------------
 
-    def _worker_listener(self) -> socket.socket:
-        if self.settings.reuse_port:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            listener.bind((self.settings.host, self.port))
-            listener.listen(self.settings.backlog)
-            return listener
-        assert self._listener is not None
-        return self._listener
-
     def _worker_main(self, slot: int) -> int:
         # Default dispositions first: the parent's run() handler (if
         # any) was inherited across the fork and must not fire here.
@@ -573,35 +505,15 @@ class PreforkServer:
                 drain_timeout_s=self.settings.drain_timeout_s,
             ),
             quotas=quotas,
-            sock=self._worker_listener(),
+            sock=self._listener,
         )
-
-        reload_artifact = getattr(engine, "artifact_reload", None)
-
-        async def poll_artifact() -> None:
-            # Between-requests republish pickup: the swap itself is an
-            # atomic attribute replace, so requests in flight keep the
-            # generation they started on.
-            while True:
-                await asyncio.sleep(self.settings.artifact_poll_s)
-                try:
-                    reload_artifact()
-                except Exception:  # pragma: no cover - reload never raises
-                    pass
 
         async def serve() -> None:
             await server.start()
             stopped = asyncio.Event()
             loop = asyncio.get_running_loop()
             loop.add_signal_handler(signal.SIGTERM, stopped.set)
-            poller = None
-            if reload_artifact is not None and self.settings.artifact_poll_s > 0:
-                poller = asyncio.ensure_future(poll_artifact())
-            try:
-                await stopped.wait()
-            finally:
-                if poller is not None:
-                    poller.cancel()
+            await stopped.wait()
             # Graceful drain: refuse new connections, finish in-flight.
             await server.close()
 

@@ -21,6 +21,10 @@ top of a :class:`~repro.core.engine.Quest` (or
 4. **Metrics** — counters, windowed QPS and p50/p95 latency via
    :meth:`QuestService.metrics`.
 
+When storage fails, a long-TTL stale cache answers with the last good
+ranking (see :meth:`QuestService.search`). Every tier is always on;
+:class:`ServiceSettings` sizes them but switches none of them off.
+
 Requests are tokenised before keying, so ``"capital  Ruritania"`` and
 ``"capital ruritania"`` coalesce. Answers are rank-identical to calling
 the engine directly — every tier changes *when* and *how often* the
@@ -67,32 +71,20 @@ class ServiceSettings:
         max_concurrent: searches executing at once.
         max_queue: admitted searches allowed to wait for a slot; the
             next request past ``max_concurrent + max_queue`` is shed.
-        coalesce: share one computation among identical in-flight
-            requests.
-        cache_results: serve repeated queries from the TTL'd result
-            cache.
         result_ttl_s: seconds a cached ranking stays servable.
         result_cache_size: rankings retained (LRU beyond that).
         metrics_window: completed requests kept for quantiles/QPS.
-        serve_stale: when the engine fails on a *storage* error
-            (:class:`ExecutionError`), answer from the long-TTL stale
-            cache — rankings from an earlier engine revision — instead
-            of failing the request. Stale responses carry
-            ``source="stale"`` (the HTTP tier adds a ``Warning`` header)
-            and count in ``metrics().stale_served``.
-        stale_ttl_s: seconds a ranking stays eligible for stale serving.
+        stale_ttl_s: seconds a ranking stays eligible for stale serving
+            (see :meth:`QuestService.search`).
         stale_cache_size: stale rankings retained (LRU beyond that).
     """
 
     k: int | None = None
     max_concurrent: int = 8
     max_queue: int = 32
-    coalesce: bool = True
-    cache_results: bool = True
     result_ttl_s: float = 30.0
     result_cache_size: int = 256
     metrics_window: int = DEFAULT_WINDOW
-    serve_stale: bool = True
     stale_ttl_s: float = 300.0
     stale_cache_size: int = 256
 
@@ -264,7 +256,11 @@ class QuestService:
         best-so-far answers (``response.degraded``) or, with nothing
         salvageable, raises :class:`DeadlineExceededError` (HTTP 504).
         A storage failure (:class:`ExecutionError`) falls back to the
-        revision-stale cache when ``settings.serve_stale`` allows.
+        long-TTL stale cache: the last good ranking for the query, from
+        any engine revision. Such a response carries ``source="stale"``
+        (the HTTP tier adds a ``Warning`` header) and counts in
+        ``metrics().stale_served``; with no stale entry the error
+        propagates.
         """
         start = self._clock()
         self._metrics.record_request()
@@ -281,10 +277,9 @@ class QuestService:
             k = k if k is not None else self._default_k()
             key = (keywords, k, self._engine_version())
 
-            if self.settings.cache_results:
-                hit = self._results.get(key)
-                if hit is not None:
-                    return self._respond(query, keywords, k, hit, "cache", start)
+            hit = self._results.get(key)
+            if hit is not None:
+                return self._respond(query, keywords, k, hit, "cache", start)
 
             def compute() -> _Computed:
                 try:
@@ -309,25 +304,20 @@ class QuestService:
                 # a partial answer.
                 degraded = computed.trace is not None and computed.trace.degraded
                 if not degraded:
-                    if self.settings.cache_results:
-                        self._results.put(key, computed)
-                    if self.settings.serve_stale:
-                        # Remember the engine revision alongside the
-                        # ranking, so a later stale serve can stamp how
-                        # far behind the answer is (satellite: stale
-                        # responses are auditable in /metrics).
-                        self._stale.put(  # questlint: disable=cache-revision  # deliberately version-free: the stale cache exists to answer ACROSS revisions when storage fails; the revision rides in the value and is stamped into the response
-                            (keywords, k), (computed, self._engine_version())
-                        )
+                    self._results.put(key, computed)
+                    # Remember the engine revision alongside the ranking,
+                    # so a later stale serve can stamp how far behind the
+                    # answer is (stale responses are auditable in
+                    # /metrics).
+                    self._stale.put(  # questlint: disable=cache-revision  # deliberately version-free: the stale cache exists to answer ACROSS revisions when storage fails; the revision rides in the value and is stamped into the response
+                        (keywords, k), (computed, self._engine_version())
+                    )
                 return computed
 
             try:
-                if self.settings.coalesce:
-                    computed, shared = self._flights.do(key, compute)
-                else:
-                    computed, shared = compute(), False
+                computed, shared = self._flights.do(key, compute)
             except ExecutionError:
-                entry = self._stale_lookup(keywords, k)
+                entry = self._stale.get((keywords, k))  # questlint: disable=cache-revision  # deliberately version-free: a stale lookup *wants* the last good answer from any revision (see _stale.put)
                 if entry is None:
                     raise
                 fallback, revision = entry
@@ -426,19 +416,6 @@ class QuestService:
         engine_settings = getattr(self.engine, "settings", None)
         return getattr(engine_settings, "default_deadline_ms", None)
 
-    def _stale_lookup(
-        self, keywords: tuple[str, ...], k: int
-    ) -> tuple[_Computed, Any] | None:
-        """The last good (non-degraded) ranking for this query, any revision.
-
-        Returns the ranking together with the engine revision it was
-        computed at, or ``None`` when stale serving is off or nothing
-        was ever published for the key.
-        """
-        if not self.settings.serve_stale:
-            return None
-        return self._stale.get((keywords, k))  # questlint: disable=cache-revision  # deliberately version-free: a stale lookup *wants* the last good answer from any revision (see _stale.put)
-
     def _run_engine(
         self,
         query: str,
@@ -472,8 +449,7 @@ class QuestService:
             latency,
             executed=source == "engine",
             coalesced=source == "coalesced",
-            # None = the result cache was never consulted for this request.
-            cache_hit=(source == "cache") if self.settings.cache_results else None,
+            cache_hit=source == "cache",
         )
         if source == "stale" or (
             computed.trace is not None and computed.trace.degraded

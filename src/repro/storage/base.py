@@ -331,11 +331,10 @@ class StorageBackend(abc.ABC):
     ) -> list[dict[ColumnRef, float]]:
         """Per-keyword :meth:`attribute_scores` for a whole query at once.
 
-        The batched entry point of the forward stage's emission scoring:
-        backends that can amortise work across keywords (the columnar
-        in-memory index, one grouped SQL query on SQLite) override this;
-        the default simply loops. Cell values are bit-identical to the
-        per-keyword calls either way.
+        Feeds the default :meth:`emission_block`. A backend that can
+        amortise work across keywords (one grouped SQL query on SQLite)
+        overrides it; the default simply loops. Cell values are
+        bit-identical to the per-keyword calls either way.
         """
         return [self.attribute_scores(keyword) for keyword in keywords]
 

@@ -105,11 +105,6 @@ class MemoryBackend(StorageBackend):
     def attribute_scores(self, keyword: str) -> dict[ColumnRef, float]:
         return self.fulltext.attribute_scores(keyword)
 
-    def attribute_scores_many(
-        self, keywords: Sequence[str]
-    ) -> list[dict[ColumnRef, float]]:
-        return self.fulltext.attribute_scores_many(keywords)
-
     def emission_block(
         self, keywords: Sequence[str], refs: Sequence[ColumnRef]
     ) -> np.ndarray:
@@ -133,20 +128,6 @@ class MemoryBackend(StorageBackend):
         ``mmap=True`` maps the arrays instead of materialising them."""
         self.fulltext = FullTextIndex.load(path, self.database, mmap=mmap)
         return True
-
-    def maybe_reload_index(self, path: str | Path, mmap: bool = False) -> bool:
-        """Attach the artifact at *path* iff it is a *newer* generation.
-
-        The warm-reader republish hook: a pinned reader stays on the
-        generation it has open (its mapped inode survives the rename)
-        and calls this between requests; the swap happens only when the
-        published artifact's generation advanced past the attached one
-        and the artifact validates in full. Returns ``True`` on swap.
-        """
-        published = FullTextIndex.peek_generation(path)
-        if published is None or published <= self.fulltext.generation:
-            return False
-        return self.load_index(path, mmap=mmap)
 
     def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
         return self.fulltext.matching_row_positions(keyword, ref)

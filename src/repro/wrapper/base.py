@@ -163,15 +163,15 @@ class SourceWrapper(abc.ABC):
 
         The returned array is shared across callers and marked read-only;
         consumers that need to modify it must copy first. The key carries
-        the full state tuple, not just its length: a vector is only ever
-        reused for a state space with identical content *and order* (a
-        foreign feedback model may legally carry a same-length space with
-        different ordering — see ``Quest.set_feedback_model``) — plus the
-        source and lexicon versions observed at lookup time (see
-        :meth:`_cache_sync`).
+        the full state tuple (``states.key``, hashed once), not just its
+        length: a vector is only ever reused for a state space with
+        identical content *and order* (a foreign feedback model may
+        legally carry a same-length space with different ordering — see
+        ``Quest.set_feedback_model``) — plus the source and lexicon
+        versions observed at lookup time (see :meth:`_cache_sync`).
         """
         version = self._cache_sync()
-        key = (keyword, states.states, version)
+        key = (keyword, states.key, version)
         cached = self._emission_cache.get(key)
         if cached is not None:
             return cached
@@ -195,7 +195,7 @@ class SourceWrapper(abc.ABC):
         batched and per-keyword paths are bit-identical.
         """
         version = self._cache_sync()
-        key_states = states.states
+        key_states = states.key
         vectors: dict[str, np.ndarray] = {}
         misses: list[str] = []
         for keyword in dict.fromkeys(keywords):

@@ -198,9 +198,7 @@ class TestServiceConcurrency:
         engine = Quest(
             FullAccessWrapper(backend_for(stress_db)), pipeline=SlowPipeline()
         )
-        service = QuestService(
-            engine, ServiceSettings(cache_results=False)
-        )
+        service = QuestService(engine)
         barrier = threading.Barrier(THREADS)
 
         def storm(_index):
@@ -225,15 +223,13 @@ class TestServiceConcurrency:
         )
         service = QuestService(
             engine,
-            ServiceSettings(
-                max_concurrent=1,
-                max_queue=0,
-                cache_results=False,
-                coalesce=False,  # every request must face admission alone
-            ),
+            ServiceSettings(max_concurrent=1, max_queue=0),
         )
         barrier = threading.Barrier(6)
-        texts = (stress_texts * 6)[:6]
+        # Distinct texts: no request can coalesce with or hit the cache
+        # entry of another, so every one faces admission alone.
+        texts = stress_texts[:6]
+        assert len(set(texts)) == 6
 
         def request(text):
             barrier.wait()

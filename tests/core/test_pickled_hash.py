@@ -1,9 +1,9 @@
 """Hashes stored at construction are recomputed on unpickle.
 
-``ColumnRef``, ``State``, ``Configuration`` and ``Interpretation``
-compute their hash once, when they are built. String hashes are salted per process, so an
-object pickled under one ``PYTHONHASHSEED`` and loaded under another must
-rebuild its hash there — or it compares equal to a fresh object yet
+``ColumnRef``, ``State``, ``StatesKey``, ``Configuration`` and
+``Interpretation`` compute their hash once, when they are built. String
+hashes are salted per process, so an object pickled under one
+``PYTHONHASHSEED`` and loaded under another must rebuild its hash there — or it compares equal to a fresh object yet
 misses every dict lookup. The writer and the reader are separate
 interpreters with different seeds.
 """
@@ -24,6 +24,7 @@ BUILD = """
 from repro.core import Configuration, Interpretation, KeywordMapping
 from repro.db import ColumnRef
 from repro.hmm import State, StateKind
+from repro.hmm.states import StatesKey
 from repro.steiner import EdgeKind, SchemaEdge, SteinerTree
 
 def build():
@@ -41,7 +42,10 @@ def build():
         0.5,
     )
     state = State(StateKind.ATTRIBUTE, "movie", "title")
-    return [title, state, configuration, Interpretation(configuration, tree, 0.25)]
+    states = StatesKey((state, State(StateKind.TABLE, "movie")))
+    return [
+        title, state, states, configuration, Interpretation(configuration, tree, 0.25)
+    ]
 """
 
 WRITER = BUILD + """
@@ -78,7 +82,7 @@ def _run(code: str, seed: int, data: bytes = b"") -> bytes:
 
 def test_unpickled_under_another_hash_seed_finds_fresh_keys():
     payload = _run(WRITER, seed=1)
-    assert _run(READER, seed=2, data=payload).split() == [b"ok", b"4"]
+    assert _run(READER, seed=2, data=payload).split() == [b"ok", b"5"]
 
 
 def test_columnref_round_trip_in_process():

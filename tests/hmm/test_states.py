@@ -4,6 +4,7 @@ import pytest
 
 from repro.db import ColumnRef
 from repro.hmm import State, StateKind, StateSpace
+from repro.hmm.states import StatesKey
 
 
 class TestState:
@@ -72,3 +73,19 @@ class TestStateSpace:
         space = StateSpace(mini_schema)
         assert State(StateKind.TABLE, "movie") in space
         assert State(StateKind.TABLE, "nope") not in space
+
+
+class TestStatesKey:
+    def test_equal_spaces_share_a_key(self, mini_schema):
+        first, second = StateSpace(mini_schema), StateSpace(mini_schema)
+        assert first.key == second.key
+        assert hash(first.key) == hash(first.states)
+        assert {first.key: 1}.get(second.key) == 1
+
+    def test_order_is_part_of_the_key(self, mini_schema):
+        states = StateSpace(mini_schema).states
+        reordered = StatesKey(tuple(reversed(states)))
+        assert len(reordered.states) == len(states)
+        assert reordered != StatesKey(states)
+        assert {StatesKey(states): 1}.get(reordered) is None
+

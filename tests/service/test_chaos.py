@@ -40,7 +40,6 @@ from repro.service import (
     PreforkSettings,
     QuestService,
     ServiceError,
-    ServiceSettings,
     shared_artifact_engine,
 )
 from repro.service.prefork import fetch_json
@@ -557,17 +556,20 @@ class TestDeadlineEnforcement:
 
     def test_deadline_accounting_sums_under_concurrency(self, mini_db):
         engine = Quest(FullAccessWrapper(MemoryBackend(mini_db)))
-        service = QuestService(
-            engine, ServiceSettings(cache_results=False, coalesce=False)
-        )
+        service = QuestService(engine)
         total, budgeted = 12, 5
         outcomes: list[str] = []
         lock = threading.Lock()
 
         def one(index: int) -> None:
+            # A distinct k per request is a distinct result-cache and
+            # flight key: no request coalesces with or hits the cache
+            # entry of another, so each one runs under its own budget.
             try:
                 response = service.search(
-                    _QUERY, k=3, deadline_ms=0.001 if index < budgeted else None
+                    _QUERY,
+                    k=index + 1,
+                    deadline_ms=0.001 if index < budgeted else None,
                 )
                 outcome = "degraded" if response.degraded else "ok"
             except DeadlineExceededError:
@@ -683,25 +685,63 @@ class TestStaleServing:
                 service.search("scott scifi", k=3)
         assert service.metrics().errors == 1
 
-    def test_serve_stale_false_disables_the_tier(self, mini_db):
-        backend = SQLiteBackend.from_database(
-            mini_db, breaker=_fast_breaker(), retry=_fast_retry()
+    def test_flaky_storage_storm_answers_every_request(self, mini_db):
+        # Eight threads storm the default service while a seeded plan
+        # fails 10% of storage reads. Each read gets two tries: the
+        # retry absorbs a single flake, and a read that flakes twice
+        # falls through to the primed stale tier. No request may go
+        # unanswered, and every answer is the primed ranking.
+        from concurrent.futures import ThreadPoolExecutor
+
+        texts = (
+            "kubrick movies",
+            "scott scifi",
+            "varda documentary",
+            "shining kubrick",
+            "horror movies",
+            "blade runner",
         )
-        service = QuestService(
-            Quest(FullAccessWrapper(backend)),
-            ServiceSettings(serve_stale=False),
-        )
-        service.search(_QUERY, k=3)
-        service.invalidate()
-        plan = FaultPlan(seed=11).inject(
+        backend = SQLiteBackend.from_database(mini_db, retry=_fast_retry())
+        service = QuestService(Quest(FullAccessWrapper(backend)))
+        primed = {text: _ranking(service.search(text, k=3)) for text in texts}
+        assert all(primed.values())
+        plan = FaultPlan(seed=17).inject(
             "storage.query",
             kind="error",
-            rate=1.0,
+            rate=0.10,
             error=sqlite3.OperationalError,
         )
+
+        def answer(text):
+            try:
+                response = service.search(text, k=3)
+            except Exception as exc:  # any failure is an unanswered request
+                return text, f"failed: {exc!r}", None
+            return text, response.source, _ranking(response)
+
+        outcomes = []
         with faults.injected(plan):
-            with pytest.raises(ExecutionError):
-                service.search(_QUERY, k=3)
+            for _ in range(4):
+                # Each round starts with an empty result cache, so every
+                # distinct query runs the engine over the flaky storage.
+                service.invalidate()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    outcomes.extend(pool.map(answer, texts * 8))
+        assert len(outcomes) == 4 * 8 * len(texts)
+        failed = [
+            (text, source)
+            for text, source, _ in outcomes
+            if source.startswith("failed")
+        ]
+        assert failed == []
+        for text, _source, ranking in outcomes:
+            assert ranking == primed[text]
+        assert "error" in plan.decisions("storage.query")  # it did flake
+        snapshot = service.metrics()
+        assert snapshot.errors == 0
+        assert snapshot.stale_served == sum(
+            1 for _text, source, _ in outcomes if source == "stale"
+        )
 
 
 # -- the HTTP surface under chaos ---------------------------------------------

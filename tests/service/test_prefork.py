@@ -32,6 +32,17 @@ from repro.wrapper.full import FullAccessWrapper
 
 _QUERY = "kubrick movies"
 _SEARCH_PATH = "/search?q=kubrick%20movies&k=3"
+#: Distinct queries the fleet storm replays, each with answers on mini_db.
+_STORM_QUERIES = (
+    "kubrick movies",
+    "scott scifi",
+    "varda documentary",
+    "shining kubrick",
+    "horror movies",
+    "blade runner",
+)
+#: Concurrent client threads of the fleet storm.
+_STORM_CLIENTS = 8
 
 
 def _wait_for(predicate, timeout=15.0, message="condition"):
@@ -96,13 +107,51 @@ class TestFleet:
             # the same ranking, serialised bit for bit.
             engine = factory()
             assert engine.wrapper.backend.fulltext.mmapped
-            direct = QuestService(engine).search(_QUERY, k=3)
-            expected = json.loads(
-                json.dumps(explanation_payload(direct.explanations))
-            )
-            assert expected  # a vacuous identity proves nothing
+            in_process = QuestService(engine)
+            expected = {
+                text: json.loads(
+                    json.dumps(
+                        explanation_payload(
+                            in_process.search(text, k=3).explanations
+                        )
+                    )
+                )
+                for text in _STORM_QUERIES
+            }
+            assert all(expected.values())  # a vacuous identity proves nothing
             for pid, results in rankings.items():
-                assert results == expected, f"worker {pid} ranking differs"
+                assert results == expected[_QUERY], f"worker {pid} ranking differs"
+
+            # A storm: concurrent clients each replay every distinct
+            # query; every answer is a 200, byte-equal to the in-process
+            # service.
+            failures = []
+            answered = []
+            lock = threading.Lock()
+
+            def client():
+                for text in _STORM_QUERIES:
+                    path = "/search?q=" + text.replace(" ", "%20") + "&k=3"
+                    status, body = fetch_json("127.0.0.1", server.port, path)
+                    with lock:
+                        answered.append(text)
+                        if status != 200:
+                            failures.append(f"{text!r}: {status} {body}")
+                        elif body["results"] != expected[text]:
+                            failures.append(
+                                f"{text!r}: worker {body['pid']} ranking differs"
+                            )
+
+            clients = [
+                threading.Thread(target=client) for _ in range(_STORM_CLIENTS)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(60)
+            assert failures == []
+            # No client died or hung part way: every request was answered.
+            assert len(answered) == _STORM_CLIENTS * len(_STORM_QUERIES)
 
     def test_crashed_worker_is_replaced_and_serves_again(self, mini_db, tmp_path):
         artifact = tmp_path / "mini.npz"

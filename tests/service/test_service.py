@@ -266,13 +266,6 @@ class TestServiceMetrics:
         metrics.record_completion(0.001)
         assert metrics.snapshot().qps <= 1.0
 
-    def test_cache_counters_untouched_when_never_consulted(self):
-        metrics = ServiceMetrics(clock=FakeClock())
-        metrics.record_completion(0.001, executed=True, cache_hit=None)
-        snapshot = metrics.snapshot()
-        assert snapshot.cache_hits == 0
-        assert snapshot.cache_misses == 0
-
 
 class TestQuestService:
     def test_default_k_comes_from_engine_settings(self, mini_engine):
@@ -391,7 +384,7 @@ class TestQuestService:
 
         service = QuestService(
             mini_engine,
-            ServiceSettings(max_concurrent=1, max_queue=0, cache_results=False),
+            ServiceSettings(max_concurrent=1, max_queue=0),
         )
         ready = threading.Event()
 
@@ -426,15 +419,6 @@ class TestQuestService:
         snapshot = service.metrics()
         assert snapshot.shed == 1  # but admission refused exactly once
         assert snapshot.requests == 4
-
-    def test_disabled_cache_leaves_cache_counters_at_zero(self, mini_engine):
-        service = QuestService(mini_engine, ServiceSettings(cache_results=False))
-        service.search("kubrick movies")
-        service.search("kubrick movies")
-        snapshot = service.metrics()
-        assert snapshot.executed == 2  # no cache, every call computes
-        assert snapshot.cache_hits == 0
-        assert snapshot.cache_misses == 0
 
     def test_results_match_direct_engine_search(self, mini_engine):
         service = QuestService(mini_engine)
