@@ -384,6 +384,7 @@ def _cold_search(
                 )
             emissions = engine.wrapper.emission_cache_stats
             steiner = engine.schema_graph.steiner_cache.stats
+            counts = engine.wrapper.backend.count_cache.stats
             details[kernelset] = {
                 "cache": {
                     "emission": {
@@ -391,6 +392,7 @@ def _cold_search(
                         "misses": emissions.misses,
                     },
                     "steiner": {"hits": steiner.hits, "misses": steiner.misses},
+                    "count": {"hits": counts.hits, "misses": counts.misses},
                 },
             }
     return {

@@ -3,11 +3,18 @@
 A leaf module with no intra-package dependencies, so the low-level
 consumers (the source wrappers, the schema graph) can use it without
 depending on the orchestration layer. The staged search pipeline
-amortises work across queries through two instances of this cache:
-keyword emission vectors on the source wrapper and top-k Steiner results
-on the schema graph. Both sit on hot paths that may be exercised
+amortises work across queries through three revision-keyed instances of
+this cache: keyword emission vectors on the source wrapper, top-k
+Steiner results on the schema graph, and explanation result counts on
+the storage backend. All three sit on hot paths that may be exercised
 concurrently (the multi-source executor fans per-source searches out
 over threads), so every operation takes an internal lock.
+
+The two data-derived caches (emissions and counts) share one
+invalidation mechanism, :meth:`LRUCache.sync`: each read folds the
+revision stamp it observed into its key, and the cache drops its
+entries when a stamp moves forward, so entries of older revisions never
+linger once writes have moved on.
 
 Counters are cumulative over the cache's lifetime. Callers that want
 *exact* per-operation deltas install a :class:`CacheRecorder` for the
@@ -24,6 +31,7 @@ global counters would interleave.
 from __future__ import annotations
 
 import contextvars
+import operator
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -152,6 +160,8 @@ class LRUCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        #: The newest revision stamp :meth:`sync` has seen (None = none).
+        self._stamp: tuple[int, ...] | None = None
         # PreforkServer forks while sibling threads may sit inside this
         # lock; forked children get a fresh one (see repro.forksafe).
         register_lock_holder(self, _reset_cache_lock)
@@ -177,6 +187,31 @@ class LRUCache:
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
+
+    def sync(self, stamp: tuple[int, ...]) -> tuple[int, ...]:
+        """Adopt the revision *stamp* a read observed; returns it.
+
+        *stamp* is a tuple of monotonic counters the cached values are
+        derived from (a data version, a lexicon version). When any of
+        them moves forward the cache is cleared, so write-heavy traffic
+        keeps no dead entries. The caller folds the returned stamp into
+        the keys of the read that observed it: a value computed from
+        pre-write data but *stored* after a concurrent write (and after
+        another thread's sync cleared the cache) lands under the old
+        stamp's key, where no reader that starts after the write can
+        find it, so the clear-then-stale-put race cannot poison the
+        cache. Only forward moves are adopted (component-wise maximum):
+        a thread resuming with a stale read must not move a counter
+        backwards and trigger clear ping-pong.
+        """
+        with self._lock:
+            current = self._stamp
+            if stamp != current and (
+                current is None or any(map(operator.gt, stamp, current))
+            ):
+                self._data.clear()
+                self._stamp = stamp if current is None else tuple(map(max, stamp, current))
+        return stamp
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""

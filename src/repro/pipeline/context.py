@@ -50,6 +50,9 @@ class SearchTrace:
         stages: one :class:`StageReport` per executed stage, in order.
         emission_cache: emission-vector cache hits/misses during this run.
         steiner_cache: Steiner-result cache hits/misses during this run.
+        count_cache: result-count cache hits/misses during this run (the
+            storage backend's; ``size``/``maxsize`` stay zero for a
+            wrapper without one, such as a hidden source).
         steiner_subset_cache: always zero. The engine has no Steiner
             subset-row cache; the field stays because ``perfbench``'s
             span export still reads it.
@@ -84,6 +87,7 @@ class SearchTrace:
     stages: list[StageReport] = field(default_factory=list)
     emission_cache: CacheStats = field(default_factory=CacheStats)
     steiner_cache: CacheStats = field(default_factory=CacheStats)
+    count_cache: CacheStats = field(default_factory=CacheStats)
     steiner_subset_cache: CacheStats = field(default_factory=CacheStats)
     notes: list[str] = field(default_factory=list)
     degraded: bool = False
@@ -110,6 +114,7 @@ class SearchTrace:
         return (
             f"{self.query!r}: {stages} | "
             f"emissions[{self.emission_cache}] steiner[{self.steiner_cache}] "
+            f"counts[{self.count_cache}] "
             f"explain[skipped {self.provably_empty} provably empty]"
         )
 

@@ -43,10 +43,20 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 __all__ = ["SearchPipeline"]
 
 
-def _cache_stats(cache: object) -> CacheStats:
-    """Stats snapshot of an ``LRUCache``-like object (empty when absent)."""
-    stats = getattr(cache, "stats", None)
-    return stats if isinstance(stats, CacheStats) else CacheStats()
+def _run_stats(recorder: CacheRecorder, cache: object, label: str) -> CacheStats:
+    """One run's hits/misses on *cache*, with its size at completion.
+
+    Hits and misses are the recorder's exact per-run counts for the
+    cache's label (*label* when the cache is absent); size and maxsize
+    describe the shared ``LRUCache``-like object (zero when absent).
+    """
+    delta = recorder.stats(getattr(cache, "label", label))
+    now = getattr(cache, "stats", None)
+    if not isinstance(now, CacheStats):
+        now = CacheStats()
+    return CacheStats(
+        hits=delta.hits, misses=delta.misses, size=now.size, maxsize=now.maxsize
+    )
 
 
 class SearchPipeline:
@@ -112,13 +122,16 @@ class SearchPipeline:
 
         Cache attribution is exact per run: a context-local
         :class:`~repro.cache.CacheRecorder` is installed around the
-        stages, so each lookup on the shared emission/Steiner caches is
+        stages, so each lookup on the shared emission/Steiner/count caches is
         credited to the run that issued it — concurrent runs on one
         engine (or one wrapper shared by several engines) cannot leak
         counts into each other's traces.
         """
         emission_cache = getattr(engine.wrapper, "emission_cache", None)
         steiner_cache = getattr(engine.schema_graph, "steiner_cache", None)
+        count_cache = getattr(
+            getattr(engine.wrapper, "backend", None), "count_cache", None
+        )
         recorder = CacheRecorder()
         with recording(recorder):
             for stage in self.stages:
@@ -132,24 +145,10 @@ class SearchPipeline:
                         candidates=stage.candidates(context),
                     )
                 )
-        # Hits/misses are the recorder's exact per-run counts; size and
-        # maxsize describe the shared cache at completion time.
-        emission_now = _cache_stats(emission_cache)
-        steiner_now = _cache_stats(steiner_cache)
-        emission_delta = recorder.stats(getattr(emission_cache, "label", "emission"))
-        steiner_delta = recorder.stats(getattr(steiner_cache, "label", "steiner"))
-        context.trace.emission_cache = CacheStats(
-            hits=emission_delta.hits,
-            misses=emission_delta.misses,
-            size=emission_now.size,
-            maxsize=emission_now.maxsize,
-        )
-        context.trace.steiner_cache = CacheStats(
-            hits=steiner_delta.hits,
-            misses=steiner_delta.misses,
-            size=steiner_now.size,
-            maxsize=steiner_now.maxsize,
-        )
+        trace = context.trace
+        trace.emission_cache = _run_stats(recorder, emission_cache, "emission")
+        trace.steiner_cache = _run_stats(recorder, steiner_cache, "steiner")
+        trace.count_cache = _run_stats(recorder, count_cache, "count")
         return context
 
     @staticmethod

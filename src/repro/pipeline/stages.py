@@ -381,7 +381,11 @@ class ExplainStage(PipelineStage):
     keyword's list already decides it, so a count costs work
     proportional to the matching postings, not to the table size. The
     SQLite backend compiles each count once per query shape and binds
-    the keywords as parameters.
+    the keywords as parameters. Each backend caches its counts per
+    (query, data version), so a query counted again before the next
+    write — by a later search, or by another engine on the same
+    backend — reaches the store only once (the exactness argument is
+    in :mod:`repro.storage.base`).
 
     Before any of that, when counts run and at least one row is
     required, each configuration is checked with a

@@ -151,6 +151,6 @@ class MemoryBackend(StorageBackend):
         """Run *query*, narrowing CONTAINS predicates to their postings."""
         return execute(self.database, query, self._postings)
 
-    def result_count(self, query: SelectQuery) -> int:
+    def _count_rows(self, query: SelectQuery) -> int:
         """Count *query*'s rows without materialising them."""
         return result_count(self.database, query, self._postings)

@@ -40,7 +40,10 @@ constants share one text: the backend renders it once per
 backend, filled lazily by the first query of each shape) and binds each
 query's values, and the connection's ``cached_statements`` (set well
 above the shape count, on every connect) keeps SQLite from compiling it
-again. ``execute`` and ``result_count`` share this path.
+again. ``execute`` and ``_count_rows`` share this path. A count the
+backend's count cache already holds for the current version (see
+:meth:`~repro.storage.base.StorageBackend.result_count`) skips all of
+it: no shape, no narrowing, no statement.
 
 CONTAINS is index-driven: each predicate is preceded by one
 ``_quest_pos IN (posting list)`` conjunct per distinct keyword token,
@@ -997,7 +1000,7 @@ class SQLiteBackend(StorageBackend):
         ]
         return ResultSet(statement.columns, rows)
 
-    def result_count(self, query: SelectQuery) -> int:
+    def _count_rows(self, query: SelectQuery) -> int:
         """Count results engine-side — no rows cross the boundary."""
         statement, params = self._statement(query)
 

@@ -19,7 +19,6 @@ per query in the pipeline's ``SearchTrace``.
 from __future__ import annotations
 
 import abc
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -29,15 +28,11 @@ from repro.db.executor import ResultSet
 from repro.db.query import SelectQuery
 from repro.db.schema import ColumnRef, Schema
 from repro.cache import CacheStats, LRUCache
-from repro.forksafe import register_lock_holder
 from repro.hmm.states import StateSpace
 from repro.wrapper.ontology import SchemaOntology
 
 __all__ = ["SourceWrapper"]
 
-
-def _reset_wrapper_lock(wrapper: "SourceWrapper") -> None:
-    wrapper._emission_sync_lock = threading.Lock()
 
 #: Default emission-cache capacity: comfortably above the distinct-keyword
 #: count of any benchmark workload while bounding memory on open vocabularies.
@@ -62,12 +57,9 @@ class SourceWrapper(abc.ABC):
     ) -> None:
         self.schema = schema
         #: Scores schema terms; its lexicon's version is part of the
-        #: emission-cache stamp (see :meth:`_cache_sync`).
+        #: emission-cache stamp (see :meth:`~repro.cache.LRUCache.sync`).
         self._ontology = ontology if ontology is not None else SchemaOntology(schema)
         self._emission_cache = LRUCache(emission_cache_size, label="emission")
-        self._emission_version = self._emission_stamp()
-        self._emission_sync_lock = threading.Lock()
-        register_lock_holder(self, _reset_wrapper_lock)
 
     def _source_version(self) -> int:
         """Mutation counter of the underlying source (0 when static).
@@ -134,30 +126,6 @@ class SourceWrapper(abc.ABC):
         """``(source version, lexicon version)``: what emissions are read from."""
         return (self._source_version(), self.lexicon_version)
 
-    def _cache_sync(self) -> tuple[int, int]:
-        """The observed emission stamp, dropping cached vectors on mutation.
-
-        The returned stamp is folded into the cache keys of the read
-        that observed it: a vector computed from pre-mutation data or
-        vocabulary but *stored* after a concurrent mutation (and after
-        another thread's sync cleared the cache) lands under the old
-        stamp's key, where no post-mutation reader can find it — the
-        clear-then-stale-put race cannot poison the cache.
-        """
-        version = self._emission_stamp()
-        with self._emission_sync_lock:
-            # Adopt only *forward* moves (both counters are monotonic):
-            # a thread resuming with a stale read must not write a
-            # counter backwards and trigger clear ping-pong.
-            current = self._emission_version
-            if version[0] > current[0] or version[1] > current[1]:
-                self._emission_cache.clear()
-                self._emission_version = (
-                    max(version[0], current[0]),
-                    max(version[1], current[1]),
-                )
-        return version
-
     def emission_scores(self, keyword: str, states: StateSpace) -> np.ndarray:
         """Cached emission vector for *keyword* over *states*.
 
@@ -168,9 +136,9 @@ class SourceWrapper(abc.ABC):
         identical content *and order* (a foreign feedback model may
         legally carry a same-length space with different ordering — see
         ``Quest.set_feedback_model``) — plus the source and lexicon
-        versions observed at lookup time (see :meth:`_cache_sync`).
+        versions observed at lookup time (see :meth:`~repro.cache.LRUCache.sync`).
         """
-        version = self._cache_sync()
+        version = self._emission_cache.sync(self._emission_stamp())
         key = (keyword, states.key, version)
         cached = self._emission_cache.get(key)
         if cached is not None:
@@ -194,7 +162,7 @@ class SourceWrapper(abc.ABC):
         :meth:`emission_scores` returns (and are cached as such), so the
         batched and per-keyword paths are bit-identical.
         """
-        version = self._cache_sync()
+        version = self._emission_cache.sync(self._emission_stamp())
         key_states = states.key
         vectors: dict[str, np.ndarray] = {}
         misses: list[str] = []

@@ -111,13 +111,14 @@ class TestConcurrentEngineIdentity:
             expected[text] = (
                 (trace.emission_cache.hits, trace.emission_cache.misses),
                 (trace.steiner_cache.hits, trace.steiner_cache.misses),
+                (trace.count_cache.hits, trace.count_cache.misses),
             )
         jobs = [text for text in stress_texts for _ in range(THREADS)]
         contexts = _run_threaded(
             lambda text: stress_engine.search_context(text), jobs
         )
         for text, context in zip(jobs, contexts):
-            emission_expected, steiner_expected = expected[text]
+            emission_expected, steiner_expected, count_expected = expected[text]
             trace = context.trace
             assert (
                 trace.emission_cache.hits,
@@ -127,9 +128,11 @@ class TestConcurrentEngineIdentity:
                 trace.steiner_cache.hits,
                 trace.steiner_cache.misses,
             ) == steiner_expected
+            assert (trace.count_cache.hits, trace.count_cache.misses) == count_expected
             # Warm caches: a concurrent run must never observe a miss.
             assert trace.emission_cache.misses == 0
             assert trace.steiner_cache.misses == 0
+            assert trace.count_cache.misses == 0
 
     def test_cold_attribution_partitions_global_counters(
         self, stress_engine, stress_texts
@@ -141,6 +144,7 @@ class TestConcurrentEngineIdentity:
         recorder partitions them."""
         emissions_before = stress_engine.wrapper.emission_cache_stats
         steiner_before = stress_engine.schema_graph.steiner_cache.stats
+        counts_before = stress_engine.wrapper.backend.count_cache.stats
         contexts = _run_threaded(
             lambda text: stress_engine.search_context(text), stress_texts
         )
@@ -150,7 +154,10 @@ class TestConcurrentEngineIdentity:
         steiner = stress_engine.schema_graph.steiner_cache.stats.since(
             steiner_before
         )
+        counts = stress_engine.wrapper.backend.count_cache.stats.since(counts_before)
         traces = [context.trace for context in contexts]
+        assert sum(t.count_cache.hits for t in traces) == counts.hits
+        assert sum(t.count_cache.misses for t in traces) == counts.misses
         assert sum(t.emission_cache.hits for t in traces) == emissions.hits
         assert sum(t.emission_cache.misses for t in traces) == emissions.misses
         assert sum(t.steiner_cache.hits for t in traces) == steiner.hits

@@ -400,12 +400,19 @@ def test_has_postings_is_a_nonempty_posting_list(scenario):
 
 
 class _CountingWrapper:
-    """Records a wrapper's ``result_count`` SQL and ``has_postings`` calls."""
+    """Records a wrapper's counts and ``has_postings`` calls.
+
+    ``counted`` is the SQL the explain stage asks ``result_count`` for;
+    ``reached`` is the SQL that reaches the store's uncached
+    ``_count_rows`` (empty for a source without an endpoint).
+    """
 
     def __init__(self, wrapper) -> None:
         self.counted: list[str] = []
+        self.reached: list[str] = []
         self.lookups = 0
         count = wrapper.result_count
+        self.store = getattr(wrapper, "backend", None) or wrapper._remote
 
         def result_count(query):
             self.counted.append(str(query))
@@ -418,6 +425,21 @@ class _CountingWrapper:
 
         wrapper.result_count = result_count
         wrapper.has_postings = has_postings
+        if self.store is not None:
+            count_rows = self.store._count_rows
+
+            def _count_rows(query):
+                self.reached.append(str(query))
+                return count_rows(query)
+
+            self.store._count_rows = _count_rows
+
+    def cold(self) -> None:
+        """Forget the recorded SQL and empty the store's count cache."""
+        self.counted.clear()
+        self.reached.clear()
+        if self.store is not None:
+            self.store.count_cache.clear()
 
 
 @pytest.fixture(scope="module")
@@ -427,14 +449,19 @@ def mondial_texts():
 
 
 def _run(engine: Quest, texts):
-    """Rankings and counted SQL of one pass, with the check on and off."""
+    """Rankings and counted SQL of one pass, with the check on and off.
+
+    Each pass starts from an empty count cache; the counted SQL is what
+    the explain stage asked for, then what reached the store.
+    """
     spy = _CountingWrapper(engine.wrapper)
+    spy.cold()
     got = [_payload(a) for a in engine.search_many(texts, strict=False)]
-    on = list(spy.counted)
-    spy.counted.clear()
+    on = (list(spy.counted), list(spy.reached))
+    spy.cold()
     with reference_kernels(TWIN):
         want = [_payload(a) for a in engine.search_many(texts, strict=False)]
-    return got, want, on, spy.counted, spy
+    return got, want, on, (spy.counted, spy.reached), spy
 
 
 @pytest.mark.parametrize("endpoint", (True, False))
@@ -443,7 +470,9 @@ def test_hidden_sources_count_as_before(mondial_texts, endpoint):
     engine = Quest(HiddenSourceWrapper(db.schema, remote_db=db if endpoint else None))
     got, want, on, off, _spy = _run(engine, texts)
     assert got == want and any(got)
-    assert on == off and on
+    assert on == off and on[0]
+    # With an endpoint every distinct count reaches it; without, none.
+    assert bool(on[1]) is endpoint
     if not endpoint:
         assert all(count is None for answers in got for *_, count in answers)
 
@@ -460,7 +489,7 @@ def test_columns_outside_the_index_count_as_before(mondial_texts):
     engine = Quest(FullAccessWrapper(_Unindexed(db)))
     got, want, on, off, spy = _run(engine, texts)
     assert got == want and any(got)
-    assert on == off
+    assert on == off and on[1]
     assert spy.lookups > 0
 
 

@@ -102,6 +102,35 @@ class TestLRUCache:
         assert cache.stats.lookups == 4 * 200
 
 
+class TestSync:
+    def test_first_stamp_is_adopted(self):
+        cache = LRUCache(4)
+        assert cache.sync((3, 1)) == (3, 1)
+        cache.put("a", 1)
+        cache.sync((3, 1))
+        assert cache.get("a") == 1
+
+    def test_a_forward_move_clears(self):
+        cache = LRUCache(4)
+        cache.sync((3, 1))
+        cache.put("a", 1)
+        cache.sync((3, 2))
+        assert len(cache) == 0
+
+    def test_a_stale_stamp_neither_clears_nor_moves_back(self):
+        cache = LRUCache(4)
+        cache.sync((5, 5))
+        cache.put("a", 1)
+        assert cache.sync((4, 5)) == (4, 5)
+        assert cache.get("a") == 1
+        # Component-wise maximum: (5, 5) then (4, 6) adopts (5, 6), so a
+        # later (5, 6) is no move at all.
+        cache.sync((4, 6))
+        cache.put("b", 2)
+        cache.sync((5, 6))
+        assert cache.get("b") == 2
+
+
 class TestCacheStats:
     def test_since_yields_deltas(self):
         before = CacheStats(hits=5, misses=3, size=4, maxsize=8)

@@ -100,6 +100,13 @@ class TestTrace:
         assert second.emission_cache.hits >= 1
         assert second.steiner_cache.misses == 0
         assert "emissions" in second.summary()
+        # Every count of the warm run was counted by the cold one.
+        assert first.count_cache.misses >= 1
+        assert (second.count_cache.hits, second.count_cache.misses) == (
+            first.count_cache.lookups,
+            0,
+        )
+        assert f"counts[{second.count_cache}]" in second.summary()
 
     def test_unknown_stage_lookup_raises(self, engine):
         trace = engine.search_context("kubrick movies").trace

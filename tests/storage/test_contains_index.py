@@ -140,25 +140,28 @@ def dblp_count_shapes(dblp_1000):
 
     The explain stage's postings check is switched off (its reference
     twin), so every distinct query of the pass is counted, including
-    those the check would skip as provably empty.
+    those the check would skip as provably empty. Shapes are taken where
+    a count reaches the store (the uncached ``_count_rows``), from an
+    emptied count cache, so each distinct query is seen once.
     """
     db, _memory, sqlite, _queries = dblp_1000
     engine = Quest(FullAccessWrapper(sqlite))
     shapes = {}
-    counted = sqlite.result_count
+    counted = sqlite._count_rows
 
     def first_of_each_shape(query):
         statement, params = sqlite._statement(query)
         shapes.setdefault(statement.count, (query, params))
         return counted(query)
 
-    sqlite.result_count = first_of_each_shape
+    sqlite.count_cache.clear()
+    sqlite._count_rows = first_of_each_shape
     try:
         with reference_kernels("repro.wrapper.full.FullAccessWrapper.has_postings"):
             for gold in dblp.workload(db, queries_per_kind=30):
                 engine.search(gold.text, 10)
     finally:
-        del sqlite.result_count
+        del sqlite._count_rows
     return sqlite, shapes
 
 

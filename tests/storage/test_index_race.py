@@ -12,7 +12,10 @@ The test forces frequent thread switches, runs one writer (``add_rows``
 and ``delete_rows`` batches) against two readers whose index-join
 queries build a fresh index per column, and checks that no thread
 raised, that the live-row view is current, and that every built index
-equals one rebuilt from the final rows.
+equals one rebuilt from the final rows. The readers count through the
+backend's result-count cache (a lock on the read path beside the
+writers' locks): once the writers quiesce, every count cached at the
+final version must equal an uncached ``_count_rows``, and the oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from repro.db import Column, Database, Schema, TableSchema
 from repro.db.query import Comparison, JoinCondition, Predicate, SelectQuery, TableRef
 from repro.db.types import DataType
 from repro.storage import MemoryBackend
+from repro.storage.base import _count_key
+from tests.oracle import execute_reference
 
 _NODES = 40
 _EDGES = 3000
@@ -117,8 +122,12 @@ def test_index_builds_racing_writes_stay_exact():
                     done.set()
 
             def read() -> None:
+                # One last pass after the writer finished, so every
+                # query's count is cached at the final version.
                 try:
-                    while not done.is_set():
+                    finished = False
+                    while not finished:
+                        finished = done.is_set()
                         for query in _queries():
                             backend.result_count(query)
                 except Exception as error:  # reported after the join
@@ -143,5 +152,11 @@ def test_index_builds_racing_writes_stay_exact():
             for column in ("src", "dst", "k", "id"):
                 built = {key: list(p) for key, p in edge.ensure_index(column).items() if p}
                 assert built == _rebuilt(db, "edge", column), column
+            cache = backend.count_cache
+            for query in _queries():
+                key = _count_key(query, backend.version)
+                want = len(execute_reference(db, query))
+                assert key in cache
+                assert cache.get(key) == backend._count_rows(query) == want
     finally:
         sys.setswitchinterval(previous)
