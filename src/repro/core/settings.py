@@ -45,8 +45,6 @@ class QuestSettings:
         mutual_information_weights: weigh schema-graph join edges by the
             normalised information distance (needs instance access);
             ``False`` gives uniform weights (ablation E8, hidden sources).
-        prune_supertrees: discard join paths containing an already-found
-            path (QUEST's sub-tree redundancy filter).
         execute_explanations: run the final SQL through the wrapper and
             attach result counts (skipped automatically when the wrapper
             has no endpoint).
@@ -72,7 +70,6 @@ class QuestSettings:
     use_feedback: bool = False
     use_apriori: bool = True
     mutual_information_weights: bool = True
-    prune_supertrees: bool = True
     execute_explanations: bool = True
     min_explanation_results: int = 1
     default_deadline_ms: float | None = None

@@ -212,7 +212,6 @@ class BackwardStage(PipelineStage):
                     engine.schema_graph,
                     terminals,
                     k,
-                    prune_supertrees=engine.settings.prune_supertrees,
                     deadline=deadline,
                 )
             except SteinerError:

@@ -169,8 +169,8 @@ class SchemaGraph:
         self._adjacency: dict[ColumnRef, dict[ColumnRef, SchemaEdge]] = {}
         self._edges: dict[frozenset, SchemaEdge] = {}
         #: Cross-query cache of top-k Steiner enumerations, keyed by
-        #: (frozen terminal set, k, pruning flags); consulted by
-        #: :func:`repro.steiner.topk.top_k_steiner_trees`.
+        #: (frozen terminal set, k, pop cap, search function, revision);
+        #: consulted by :func:`repro.steiner.topk.top_k_steiner_trees`.
         self.steiner_cache = LRUCache(STEINER_CACHE_SIZE, label="steiner")
         #: Monotonic topology revision: bumped whenever derived caches are
         #: invalidated (``add_edge`` / explicit resets). Part of

@@ -1,4 +1,4 @@
-"""Top-k Steiner tree enumeration with sub-tree pruning.
+"""Top-k Steiner tree enumeration over the schema graph.
 
 QUEST's backward step needs not one but the *top-k* join paths per
 configuration. We extend the dynamic-programming-on-(vertex, terminal-set)
@@ -9,20 +9,23 @@ subset ``S`` — are popped from a priority queue in increasing cost and
 grown by edges or merged at shared roots. Keeping up to *k* entries per
 state yields the k cheapest trees.
 
-As in QUEST, trees that duplicate or merely extend an already-emitted tree
-(i.e. contain a previously computed tree as a sub-tree while connecting the
-same terminals) are discarded, so the k results are structurally distinct
-join paths rather than one path plus k-1 padded variants.
+As in QUEST, the k results are structurally distinct join paths, never
+one path plus k-1 padded variants: every emitted tree is *terminal-leaved*
+(each of its leaves is a terminal, see below), and a tree that strictly
+contains another tree spanning the same terminals has a leaf outside it,
+which is no terminal. So no emitted tree extends another, and the
+bitmask search needs no sub-tree redundancy filter; the reference keeps
+QUEST's explicit filter as the specification.
 
 The search runs entirely on integers: nodes, edges and terminals are
 interned through :meth:`~repro.steiner.graph.SchemaGraph.compact`, and
 every tree in flight is a pair of bitmasks (edge set, node set). Growing
-a tree is a bitwise OR, the cycle check is a bit test, merge disjointness
-is ``a & b == 0`` and the sub-tree redundancy filter is
-``prior & sig == prior`` — no frozenset is allocated until a finished tree
-is emitted. The trees accepted at one (root, terminal mask) state form an
-insertion-ordered dict keyed by edge mask, so the duplicate check is one
-hash lookup and the merge scan visits them in acceptance order.
+a tree is a bitwise OR, the cycle check is a bit test and merge
+disjointness is ``a & b == 0`` — no frozenset is allocated until a
+finished tree is emitted. The trees accepted at one (root, terminal mask)
+state form an insertion-ordered dict keyed by edge mask, so the duplicate
+check is one hash lookup and the merge scan visits them in acceptance
+order.
 
 Before searching, the bitmask search peels the terminal-free pendant
 subtrees: it repeatedly removes non-terminal nodes of degree at most one,
@@ -36,20 +39,39 @@ states. Skipping them leaves every other pop, acceptance and emission in
 place: the tiebreak counter stays monotonic, so the remaining states keep
 their relative order.
 
+The bitmask search also stops on the pop that emits the last tree it
+could ever emit. Every state's leaves other than its root are terminals:
+a seed state is one terminal; growth makes the new root a leaf and
+raises the old root's degree; a merge unites two states at their common
+root, whose degrees add. A full-mask state never grows, and it is
+completed either by growing into a terminal (its non-full parent gained
+that terminal's bit) or by a merge, whose root then has degree two or
+more or, when one side is a bare seed, is that terminal. So every
+emitted tree spans the terminals and is terminal-leaved, and
+``seen_results`` makes the emitted trees distinct. Before its pop loop
+the search counts the terminal-leaved trees of the peeled graph
+(:func:`_count_trees`, capped at k); once that many are out, no later
+pop can emit anything, and the pops that would follow only prove it.
+The emitted trees, their costs and their order are therefore unchanged.
+The count is bounded by a step budget (:data:`COUNT_BUDGET`); an overrun
+leaves the count unknown and the search runs until its heap, k or
+``max_pops`` ends it, as it would without the stop.
+
 :func:`top_k_steiner_trees_reference` runs the original frozenset
-formulation, without the peel: the executable specification, called by
-the parity tests and the test-side oracle (``tests/oracle.py``), never by
-the engine. Apart from the inert states it never lets in, the bitmask
-search pops and pushes exactly what the reference does, so both return
+formulation, without the peel, the early stop or the count: the executable
+specification, called by the parity tests and the test-side oracle
+(``tests/oracle.py``), never by the engine. Apart from the inert states it
+never lets in and the pops after its last emission, the bitmask search
+pops and pushes exactly what the reference does, so both return
 identical trees in identical order.
 
 Enumeration results are memoised on the graph itself: a
 :class:`~repro.steiner.graph.SchemaGraph` carries a ``steiner_cache``
-keyed by the frozen terminal set (plus k, the pruning flags and the
-search function, so the two implementations never share entries), so the
-same terminal combination — which recurs both across a query's
-configurations and across queries — is answered without re-running the
-search. Graph mutation invalidates the cache.
+keyed by the frozen terminal set (plus k, the pop cap, the search
+function and the reference's pruning flag, so the two implementations
+never share entries), so the same terminal combination — which recurs
+both across a query's configurations and across queries — is answered
+without re-running the search. Graph mutation invalidates the cache.
 """
 
 from __future__ import annotations
@@ -71,11 +93,18 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 __all__ = ["top_k_steiner_trees", "top_k_steiner_trees_reference"]
 
 
+#: Neighbour visits :func:`_count_trees` may spend before it gives up.
+#: An overrun only costs the early stop: the search then runs as it would
+#: without one, so the budget bounds the counting on dense graphs and never
+#: changes a result. Every count of the write_oltp (seed 7) and of the
+#: mondial, dblp and imdb gold searches takes fewer than 1,000 visits.
+COUNT_BUDGET = 5_000
+
+
 def top_k_steiner_trees(
     graph: SchemaGraph,
     terminals: Sequence[ColumnRef],
     k: int,
-    prune_supertrees: bool = True,
     max_pops: int = 200_000,
     deadline: "Deadline | None" = None,
 ) -> list[SteinerTree]:
@@ -85,13 +114,11 @@ def top_k_steiner_trees(
         graph: the weighted schema graph.
         terminals: attributes to connect (duplicates collapse).
         k: number of trees wanted.
-        prune_supertrees: discard candidates that contain an already
-            emitted tree as a sub-tree (QUEST's redundancy filter); set to
-            ``False`` to enumerate raw k-best trees.
         max_pops: safety valve on queue pops for adversarial graphs. The
-            peeled search pops no inert state, so it reaches the cap later
-            than :func:`top_k_steiner_trees_reference`; the two agree tree
-            for tree whenever neither search reaches it.
+            peeled search pops no inert state and stops on the pop that
+            emits the last tree the peeled graph can yield, so it reaches
+            the cap later than :func:`top_k_steiner_trees_reference`; the
+            two agree tree for tree whenever neither search reaches it.
         deadline: cooperative cancellation point. The pop loop checks
             remaining budget every 64 pops and, on expiry, stops and
             returns the trees emitted so far (possibly none) — best-effort
@@ -101,23 +128,28 @@ def top_k_steiner_trees(
     Returns:
         Trees in increasing weight order (possibly fewer than *k*).
     """
-    return _memoised(
-        _search_interned,
-        graph,
-        terminals,
-        k,
-        prune_supertrees,
-        max_pops,
-        deadline,
-    )
+    return _memoised(_search_interned, graph, terminals, k, max_pops, deadline)
 
 
 def top_k_steiner_trees_reference(
-    graph: SchemaGraph, terminals: Sequence[ColumnRef], k: int, **options
+    graph: SchemaGraph,
+    terminals: Sequence[ColumnRef],
+    k: int,
+    max_pops: int = 200_000,
+    deadline: "Deadline | None" = None,
+    *,
+    prune_supertrees: bool = True,
 ) -> list[SteinerTree]:
     """:func:`top_k_steiner_trees` on the frozenset search (executable
-    specification): same options, same memoisation, identical trees."""
-    return _memoised(_search_reference, graph, terminals, k, **options)
+    specification): same options, same memoisation, identical trees.
+
+    *prune_supertrees* applies QUEST's explicit redundancy filter:
+    discard a candidate that contains an already emitted tree. It never
+    fires (see the module docstring), so ``False`` yields the same trees.
+    """
+    return _memoised(
+        _search_reference, graph, terminals, k, max_pops, deadline, prune_supertrees
+    )
 
 
 def _memoised(
@@ -125,11 +157,15 @@ def _memoised(
     graph: SchemaGraph,
     terminals: Sequence[ColumnRef],
     k: int,
-    prune_supertrees: bool = True,
-    max_pops: int = 200_000,
-    deadline: "Deadline | None" = None,
+    max_pops: int,
+    deadline: "Deadline | None",
+    *options,
 ) -> list[SteinerTree]:
-    """Validate, consult the graph's Steiner cache, run *search*, memoise."""
+    """Validate, consult the graph's Steiner cache, run *search*, memoise.
+
+    *options* are passed on to *search* after its common arguments and
+    are part of the cache key.
+    """
     if k <= 0:
         raise SteinerError(f"k must be positive, got {k}")
     terminal_list = sorted(set(terminals), key=str)
@@ -150,9 +186,9 @@ def _memoised(
     cache_key = (
         terminal_set,
         k,
-        prune_supertrees,
         max_pops,
         search,
+        *options,
         getattr(graph, "version", 0),
     )
     if cache is not None:
@@ -166,7 +202,7 @@ def _memoised(
         raise SteinerError(f"terminals are disconnected: {terminal_list}")
 
     results = search(
-        graph, terminal_list, terminal_set, k, prune_supertrees, max_pops, deadline
+        graph, terminal_list, terminal_set, k, max_pops, deadline, *options
     )
 
     # A run whose deadline died mid-enumeration may be truncated; caching
@@ -182,7 +218,6 @@ def _search_interned(
     terminal_list: list[ColumnRef],
     terminal_set: frozenset,
     k: int,
-    prune_supertrees: bool,
     max_pops: int,
     deadline: "Deadline | None" = None,
 ) -> list[SteinerTree]:
@@ -201,6 +236,13 @@ def _search_interned(
         terminal_bit[node_index[t]] = 1 << i
         terminal_nodes |= 1 << node_index[t]
     inert = _inert_nodes(neighbors, terminal_nodes)
+    # The search ends on the emission that makes ``len(results)`` reach
+    # ``last``: k, or every tree it can yield (module docstring). The
+    # terminals are connected, so 1 <= last <= k.
+    yieldable = _count_trees(
+        neighbors, [node_index[t] for t in terminal_list], inert, k, COUNT_BUDGET
+    )
+    last = k if yieldable is None else yieldable
 
     counter = itertools.count()
     #: heap entries: (cost, tiebreak, root index, terminal mask, edge mask,
@@ -218,11 +260,10 @@ def _search_interned(
         heapq.heappush(heap, (0.0, next(counter), node, 1 << i, 0, 1 << node))
 
     results: list[SteinerTree] = []
-    emitted_signatures: list[int] = []
     seen_results: set[int] = set()
     pops = 0
 
-    while heap and len(results) < k and pops < max_pops:
+    while heap and pops < max_pops:
         if pops & 63 == 0:
             faults.fire("steiner.expand")
             if deadline is not None and deadline.expired():
@@ -248,12 +289,7 @@ def _search_interned(
             # failure — the edge count alone decides it.
             if edges.bit_count() != tree_nodes.bit_count() - 1:
                 continue
-            if prune_supertrees and any(
-                prior & edges == prior for prior in emitted_signatures
-            ):
-                continue
             seen_results.add(edges)
-            emitted_signatures.append(edges)
             results.append(
                 SteinerTree(
                     terminal_set,
@@ -261,6 +297,8 @@ def _search_interned(
                     cost,
                 )
             )
+            if len(results) == last:
+                break
             continue
 
         # Grow: extend the tree along one incident edge. Re-entering a
@@ -337,21 +375,82 @@ def _inert_nodes(neighbors: list[list[tuple[int, float, int]]], terminals: int) 
     return inert
 
 
+def _count_trees(
+    neighbors: list[list[tuple[int, float, int]]],
+    terminals: list[int],
+    inert: int,
+    cap: int,
+    budget: int,
+) -> int | None:
+    """How many terminal-leaved trees span *terminals*, capped at *cap*.
+
+    A terminal-leaved tree is a subtree of the graph whose adjacency
+    lists *neighbors* holds, containing every node index in *terminals*,
+    whose leaves are all terminals. Its nodes avoid the *inert* mask
+    (:func:`_inert_nodes`): the farthest inert node of such a tree would
+    be a non-terminal leaf. Each tree is one sequence of choices, taken in
+    terminal order from the first terminal alone: for each terminal not
+    yet in the tree, one simple path from it to the tree whose interior
+    avoids the tree and *inert* (the interior may pass later terminals).
+    The tree fixes each path, so distinct sequences give distinct trees,
+    and every sequence gives a terminal-leaved tree.
+
+    Returns ``min(count, cap)``, or ``None`` once more than *budget*
+    neighbour visits were spent: the count is then unknown, never partial.
+    """
+    steps = 0
+    found = 0
+
+    def attach(tree: int, i: int) -> bool:
+        """Count the trees that grow *tree* from terminal *i* on; ``True``
+        once the cap or the budget is hit."""
+        nonlocal steps, found
+        while i < len(terminals) and tree >> terminals[i] & 1:
+            i += 1
+        if i == len(terminals):
+            found += 1
+            return found >= cap
+        start = terminals[i]
+        #: depth-first over simple paths from *start*: (path node mask,
+        #: the last node's neighbours not yet tried)
+        stack = [(1 << start, iter(neighbors[start]))]
+        while stack:
+            path, untried = stack[-1]
+            for neighbour, _weight, _edge_position in untried:
+                steps += 1
+                if steps > budget:
+                    return True
+                if tree >> neighbour & 1:
+                    if attach(tree | path, i + 1):
+                        return True
+                elif not (path | inert) >> neighbour & 1:
+                    stack.append((path | 1 << neighbour, iter(neighbors[neighbour])))
+                    break
+            else:
+                stack.pop()
+        return False
+
+    attach(1 << terminals[0], 1)
+    return None if steps > budget else min(found, cap)
+
+
 def _search_reference(
     graph: SchemaGraph,
     terminal_list: list[ColumnRef],
     terminal_set: frozenset,
     k: int,
-    prune_supertrees: bool,
     max_pops: int,
-    deadline: "Deadline | None" = None,
+    deadline: "Deadline | None",
+    prune_supertrees: bool,
 ) -> list[SteinerTree]:
     """The frozenset DPBF search (executable specification).
 
     Kept verbatim as the parity oracle for :func:`_search_interned`. It
     does not peel terminal-free pendant subtrees, so it also pops the
-    inert states the bitmask search never queues; every other pop comes
-    in the same order, so the emitted trees match tree for tree.
+    inert states the bitmask search never queues, and it does not stop
+    on its last possible emission, so it pops on until k trees, its heap
+    or ``max_pops`` end it; every other pop comes in the same order, so
+    the emitted trees match tree for tree.
     """
     full_mask = (1 << len(terminal_list)) - 1
     terminal_bit = {t: 1 << i for i, t in enumerate(terminal_list)}

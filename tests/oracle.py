@@ -23,8 +23,10 @@ production engine.
 The Steiner search's optimality oracle lives here too:
 :func:`exact_steiner_tree_reference` (Dreyfus-Wagner over per-node
 Dijkstra maps, :func:`shortest_paths`) gives the minimum tree weight the
-top-k search's first tree must reach, and :func:`connected_reference`
-is the breadth-first twin of the schema graph's component labels.
+top-k search's first tree must reach, :func:`connected_reference`
+is the breadth-first twin of the schema graph's component labels, and
+:func:`terminal_leaved_tree_count_reference` is the brute-force twin of
+the count that ends the top-k search early (``topk._count_trees``).
 
 :func:`execute_reference` is the memory executor's twin: every local
 predicate scans, and every join hash-builds on the whole candidate
@@ -55,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
+import itertools
 import math
 from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -151,6 +154,40 @@ def connected_reference(graph: SchemaGraph, nodes: Iterable[ColumnRef]) -> bool:
                 seen.add(neighbour)
                 frontier.append(neighbour)
     return nodes <= seen
+
+
+def terminal_leaved_tree_count_reference(
+    graph: SchemaGraph, terminals: Iterable[ColumnRef]
+) -> int:
+    """How many edge subsets of *graph* form a tree that contains every
+    terminal and whose leaves are all terminals.
+
+    Tries every subset (a lone terminal is the one edge-free tree), so it
+    is for graphs of a dozen edges.
+    """
+    terminal_set = set(terminals)
+    edges = graph.edges
+    count = 0
+    for size in range(len(edges) + 1):
+        for subset in itertools.combinations(edges, size):
+            ends = Counter(node for edge in subset for node in (edge.left, edge.right))
+            nodes = set(ends) or set(terminal_set)
+            if len(nodes) != size + 1 or not terminal_set <= nodes:
+                continue
+            if any(degree == 1 and node not in terminal_set for node, degree in ends.items()):
+                continue
+            # size + 1 nodes and size edges: a tree exactly when connected.
+            parent = {node: node for node in nodes}
+
+            def root(node: ColumnRef) -> ColumnRef:
+                while parent[node] != node:
+                    node = parent[node]
+                return node
+
+            for edge in subset:
+                parent[root(edge.left)] = root(edge.right)
+            count += len({root(node) for node in nodes}) == 1
+    return count
 
 
 def shortest_paths(

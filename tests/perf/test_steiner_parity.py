@@ -2,13 +2,15 @@
 
 Random weighted graphs (including tie-heavy weight pools) must yield
 identical results from the bitmask top-k enumeration and the frozenset
-reference search — tree for tree, float for float.
+reference search — tree for tree, float for float — also on sparse graphs
+where the bitmask search stops early, on its last possible emission.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +25,14 @@ from repro.steiner import (
     top_k_steiner_trees,
     top_k_steiner_trees_reference,
 )
+from repro.steiner import topk
 
 from tests.oracle import shortest_paths
+from tests.steiner.test_topk import recorded_pops
 
 
-def _random_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
-    """A random connected-ish weighted graph plus a random terminal set."""
-    rng = random.Random(seed)
-    n = rng.randint(3, 10)
+def _edgeless_graph(n: int, name: str) -> SchemaGraph:
+    """A schema graph on the *n* columns ``t.c0`` .. ``t.c{n-1}``, no edges."""
     schema = Schema(
         tables=[
             TableSchema(
@@ -41,9 +43,16 @@ def _random_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
                 ("c0",),
             )
         ],
-        name="random",
+        name=name,
     )
-    graph = SchemaGraph(schema)
+    return SchemaGraph(schema)
+
+
+def _random_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
+    """A random connected-ish weighted graph plus a random terminal set."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 10)
+    graph = _edgeless_graph(n, "random")
     nodes = list(graph.nodes)
     # Random spanning chain first (so most terminal sets connect), then
     # extra random edges; tie-heavy weights exercise the determinism rule.
@@ -62,9 +71,19 @@ def _random_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
     return graph, terminals
 
 
+def _assert_same_trees(fast, slow) -> None:
+    assert len(fast) == len(slow)
+    for fast_tree, slow_tree in zip(fast, slow):
+        assert fast_tree.signature() == slow_tree.signature()
+        assert fast_tree.weight == slow_tree.weight  # bit identity
+        assert fast_tree.terminals == slow_tree.terminals
+
+
 def _assert_topk_parity(graph, terminals, k: int, prune: bool) -> None:
+    """The bitmask search against the reference, whose supertree filter
+    is on or off by *prune* (it never fires, so both must agree)."""
     try:
-        fast = top_k_steiner_trees(graph, terminals, k, prune_supertrees=prune)
+        fast = top_k_steiner_trees(graph, terminals, k)
     except SteinerError:
         graph.steiner_cache.clear()
         with pytest.raises(SteinerError):
@@ -72,11 +91,7 @@ def _assert_topk_parity(graph, terminals, k: int, prune: bool) -> None:
         return
     graph.steiner_cache.clear()
     slow = top_k_steiner_trees_reference(graph, terminals, k, prune_supertrees=prune)
-    assert len(fast) == len(slow)
-    for fast_tree, slow_tree in zip(fast, slow):
-        assert fast_tree.signature() == slow_tree.signature()
-        assert fast_tree.weight == slow_tree.weight  # bit identity
-        assert fast_tree.terminals == slow_tree.terminals
+    _assert_same_trees(fast, slow)
 
 
 @settings(max_examples=120, deadline=None)
@@ -107,19 +122,7 @@ def _pendant_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
     n_isolated = rng.randint(0, 2)
     n_second = rng.choice([0, 2, 3])
     n = n_core + sum(tree_sizes) + sum(chain_sizes) + n_isolated + n_second
-    schema = Schema(
-        tables=[
-            TableSchema(
-                "t",
-                tuple(
-                    Column(f"c{i}", DataType.TEXT, nullable=False) for i in range(n)
-                ),
-                ("c0",),
-            )
-        ],
-        name="pendant",
-    )
-    graph = SchemaGraph(schema)
+    graph = _edgeless_graph(n, "pendant")
     fresh = iter(list(graph.nodes))
     core = [next(fresh) for _ in range(n_core)]
     rng.shuffle(core)
@@ -162,6 +165,54 @@ def test_topk_matches_reference_on_pendant_graphs(seed: int):
     _assert_topk_parity(
         graph, terminals, rng.choice([1, 3, rng.randint(1, 10), 10]), bool(seed % 3)
     )
+
+
+def _sparse_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
+    """A random recursive tree on 4-12 nodes plus at most two chords, and
+    2-4 terminals: few trees span the terminals, so at k up to 12 most
+    searches yield fewer than k and the early stop has work to cut."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    graph = _edgeless_graph(n, "sparse")
+    nodes = list(graph.nodes)
+    weight_pool = [0.5, 1.0, 1.5] if seed % 2 else None
+
+    def weight() -> float:
+        return rng.choice(weight_pool) if weight_pool else rng.uniform(0.1, 2.0)
+
+    for i in range(1, n):
+        graph.add_edge(nodes[rng.randrange(i)], nodes[i], weight(), "intra")
+    for _ in range(rng.randint(0, 2)):
+        left, right = rng.sample(nodes, 2)
+        if graph.edge_between(left, right) is None:
+            graph.add_edge(left, right, weight(), "intra")
+    return graph, rng.sample(nodes, rng.randint(2, min(4, n)))
+
+
+def test_early_stop_matches_reference_on_sparse_graphs():
+    """The search that stops on its last possible emission returns the
+    reference's trees, and those of the same search with the count
+    switched off (``COUNT_BUDGET = 0``); the stop must fire somewhere."""
+    saved_pops: list[int] = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def check(seed: int) -> None:
+        graph, terminals = _sparse_graph(seed)
+        k = random.Random(seed + 1).randint(1, 12)
+        _assert_topk_parity(graph, terminals, k, bool(seed % 2))
+        graph.steiner_cache.clear()
+        with recorded_pops() as stopped_pops:
+            stopped = top_k_steiner_trees(graph, terminals, k)
+        graph.steiner_cache.clear()
+        with recorded_pops() as all_pops, mock.patch.object(topk, "COUNT_BUDGET", 0):
+            unstopped = top_k_steiner_trees(graph, terminals, k)
+        _assert_same_trees(stopped, unstopped)
+        assert len(stopped_pops) <= len(all_pops)
+        saved_pops.append(len(all_pops) - len(stopped_pops))
+
+    check()
+    assert sum(saved > 0 for saved in saved_pops) >= 10
 
 
 def _two_path_graph(order: str) -> SchemaGraph:

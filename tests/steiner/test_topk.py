@@ -1,7 +1,17 @@
 """Tests for top-k Steiner tree enumeration."""
 
-import pytest
+import contextlib
+import heapq
+import random
+from types import SimpleNamespace
+from typing import Iterator
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bits import iter_bits
 from repro.db import Catalog, Column, ColumnRef, Schema, TableSchema
 from repro.db.types import DataType
 from repro.errors import SteinerError
@@ -9,10 +19,15 @@ from repro.steiner import (
     SchemaGraph,
     build_schema_graph,
     top_k_steiner_trees,
+    top_k_steiner_trees_reference,
 )
-from repro.steiner.topk import _inert_nodes
+from repro.steiner import topk
+from repro.steiner.topk import _count_trees, _inert_nodes
 
-from tests.oracle import exact_steiner_tree_reference
+from tests.oracle import (
+    exact_steiner_tree_reference,
+    terminal_leaved_tree_count_reference,
+)
 
 
 class TestBasics:
@@ -92,7 +107,9 @@ class TestDiversity:
         table_sets = {tuple(sorted(t.tables)) for t in trees}
         assert len(table_sets) >= 2
 
-    def test_supertree_pruning_reduces_redundancy(self, mondial_db):
+    def test_supertree_filter_never_fires(self, mondial_db):
+        """Emitted trees are terminal-leaved, so none contains another:
+        the reference's explicit filter removes nothing."""
         graph = build_schema_graph(
             mondial_db.schema, Catalog.from_database(mondial_db)
         )
@@ -100,21 +117,19 @@ class TestDiversity:
             ColumnRef("country", "name"),
             ColumnRef("city", "name"),
         ]
-        pruned = top_k_steiner_trees(
+        pruned = top_k_steiner_trees_reference(
             graph, terminals, 8, prune_supertrees=True
         )
-        raw = top_k_steiner_trees(
+        raw = top_k_steiner_trees_reference(
             graph, terminals, 8, prune_supertrees=False
         )
-        # Pruned results never contain one another.
-        for i, outer in enumerate(pruned):
-            for j, inner in enumerate(pruned):
+        assert [(t.signature(), t.weight) for t in pruned] == [
+            (t.signature(), t.weight) for t in raw
+        ]
+        for i, outer in enumerate(raw):
+            for j, inner in enumerate(raw):
                 if i != j:
                     assert not outer.contains_tree(inner)
-        # Pruning can only remove or keep results, never invent them.
-        assert {t.signature() for t in pruned} <= {
-            t.signature() for t in raw
-        } or len(raw) == 8
 
     def test_prefix_property(self, mondial_db):
         graph = build_schema_graph(
@@ -131,27 +146,34 @@ class TestDiversity:
         ]
 
 
+def _letter_graph(edges: list[str], letters: str) -> SchemaGraph:
+    """A unit-weight graph on the one-letter nodes *letters*; each of
+    *edges* is a two-letter string ("ab" joins a and b)."""
+    columns = sorted(letters)
+    schema = Schema(
+        tables=[
+            TableSchema(
+                "t",
+                tuple(Column(c, DataType.TEXT, nullable=False) for c in columns),
+                (columns[0],),
+            )
+        ],
+        name="letters",
+    )
+    graph = SchemaGraph(schema)
+    for left, right in edges:
+        graph.add_edge(ColumnRef("t", left), ColumnRef("t", right), 1.0, "intra")
+    return graph
+
+
 def _peeled(edges: list[str], terminals: str, isolated: str = "") -> str:
     """The nodes the pendant peel removes, for a graph on one-letter nodes.
 
     *edges* are two-letter strings ("ab" joins a and b); *terminals* and
     *isolated* list node letters.
     """
-    letters = sorted(set("".join(edges)) | set(terminals) | set(isolated))
-    schema = Schema(
-        tables=[
-            TableSchema(
-                "t",
-                tuple(Column(c, DataType.TEXT, nullable=False) for c in letters),
-                (letters[0],),
-            )
-        ],
-        name="peel",
-    )
-    graph = SchemaGraph(schema)
-    for left, right in edges:
-        graph.add_edge(ColumnRef("t", left), ColumnRef("t", right), 1.0, "intra")
-    compact = graph.compact()
+    letters = set("".join(edges)) | set(terminals) | set(isolated)
+    compact = _letter_graph(edges, "".join(letters)).compact()
     terminal_mask = 0
     for letter in terminals:
         terminal_mask |= 1 << compact.index[ColumnRef("t", letter)]
@@ -183,3 +205,100 @@ class TestPendantPeel:
 
     def test_isolated_terminal_is_kept(self):
         assert _peeled(["ab", "bc", "ca"], terminals="ai", isolated="i") == ""
+
+
+@contextlib.contextmanager
+def recorded_pops() -> Iterator[list]:
+    """Record every heap entry the top-k searches inside the block pop."""
+    popped: list = []
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        popped.append(entry)
+        return entry
+
+    with mock.patch.object(
+        topk, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+    ):
+        yield popped
+
+
+class TestEarlyStop:
+    def test_search_ends_on_the_pop_that_emits_its_last_tree(self, mondial_db):
+        """country, river and city names at k=10 yield 4 trees: the
+        search stops on the pop that emits the 4th, with the trees and
+        order of the reference, which runs until its heap is empty."""
+        graph = build_schema_graph(
+            mondial_db.schema, Catalog.from_database(mondial_db)
+        )
+        terminals = [
+            ColumnRef("country", "name"),
+            ColumnRef("river", "name"),
+            ColumnRef("city", "name"),
+        ]
+        with recorded_pops() as popped:
+            trees = top_k_steiner_trees(graph, terminals, 10)
+        graph.steiner_cache.clear()
+        # An unknown count gives no early stop.
+        with recorded_pops() as unstopped_pops, mock.patch.object(
+            topk, "COUNT_BUDGET", 0
+        ):
+            unstopped = top_k_steiner_trees(graph, terminals, 10)
+
+        assert len(trees) == 4
+        cost, _tie, _root, mask, edges, _nodes = popped[-1]
+        edge_list = graph.compact().edge_list
+        assert mask == 0b111
+        assert frozenset(edge_list[i] for i in iter_bits(edges)) == trees[-1].edges
+        assert cost == trees[-1].weight
+        assert len(unstopped_pops) > len(popped)
+
+        graph.steiner_cache.clear()
+        reference = top_k_steiner_trees_reference(graph, terminals, 10)
+        for found in (trees, unstopped):
+            assert [(t.signature(), t.weight) for t in found] == [
+                (t.signature(), t.weight) for t in reference
+            ]
+
+
+def _small_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
+    """At most 10 nodes and 12 edges: a random recursive tree (whose
+    branches make pendant subtrees) plus up to 3 chords (cycles), and 2-4
+    terminals anywhere in it."""
+    rng = random.Random(seed)
+    letters = "abcdefghij"[: rng.randint(3, 10)]
+    edges = [letters[rng.randrange(i)] + letters[i] for i in range(1, len(letters))]
+    for _ in range(rng.randint(0, min(3, 13 - len(letters)))):
+        pair = "".join(rng.sample(letters, 2))
+        if pair not in edges and pair[::-1] not in edges:
+            edges.append(pair)
+    terminals = rng.sample(letters, rng.randint(2, min(4, len(letters))))
+    return _letter_graph(edges, letters), [ColumnRef("t", c) for c in terminals]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_tree_count_matches_brute_force(seed: int):
+    """``_count_trees`` counts the terminal-leaved trees exactly, with or
+    without the peel and in any terminal order; a cap caps it, and a
+    budget overrun answers "unknown", never a partial count."""
+    graph, terminals = _small_graph(seed)
+    expected = terminal_leaved_tree_count_reference(graph, terminals)
+    assert expected >= 1  # the terminals are connected
+    compact = graph.compact()
+    nodes = [compact.index[t] for t in terminals]
+    inert = _inert_nodes(compact.neighbors, sum(1 << node for node in nodes))
+    rng = random.Random(seed + 1)
+    unlimited = 10**9
+
+    assert _count_trees(compact.neighbors, nodes, inert, unlimited, unlimited) == expected
+    rng.shuffle(nodes)
+    assert _count_trees(compact.neighbors, nodes, 0, unlimited, unlimited) == expected
+    cap = rng.randint(1, 12)
+    assert _count_trees(compact.neighbors, nodes, inert, cap, unlimited) == min(expected, cap)
+    assert _count_trees(compact.neighbors, nodes, inert, cap, 0) is None
+    budget = rng.randint(1, 80)
+    assert _count_trees(compact.neighbors, nodes, inert, cap, budget) in (
+        None,
+        min(expected, cap),
+    )
