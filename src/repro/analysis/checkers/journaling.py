@@ -16,6 +16,11 @@ exact for the straight-line mutation paths this codebase uses. The
 ``_apply_*`` definitions themselves are exempt (they are the apply
 side); the recovery replay path re-applies *already-journaled* records
 and carries an inline disable explaining exactly that.
+
+The version must move only after a write commits, or the result-count
+cache is not exact (``storage/base.py``). So inside a backend class
+``self._version`` is assigned only in ``_write`` (SQLite's one write
+transaction) and ``__init__``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from repro.analysis.findings import Finding
 
 RULE = "journal-discipline"
 
+#: The methods allowed to assign ``self._version`` in a backend class.
+_VERSION_WRITERS = frozenset({"_write", "__init__"})
+
 
 def _is_backend_class(cls: ast.ClassDef) -> bool:
     if "Backend" in cls.name:
@@ -43,11 +51,29 @@ def _is_backend_class(cls: ast.ClassDef) -> bool:
     return False
 
 
+def _assigns_version(node: ast.AST) -> bool:
+    """Whether *node* assigns ``self._version`` (``=``, ``+=`` or annotated)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(target, ast.Attribute)
+        and target.attr == "_version"
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+        for target in targets
+    )
+
+
 class JournalDisciplineChecker(Checker):
     rule = RULE
     description = (
         "storage-backend methods must journal (validate -> journal -> "
-        "apply) before invoking self._apply_* helpers"
+        "apply) before invoking self._apply_* helpers, and only _write "
+        "may move self._version"
     )
 
     def check_module(self, module: ModuleInfo) -> list[Finding]:
@@ -56,6 +82,18 @@ class JournalDisciplineChecker(Checker):
             if not isinstance(node, ast.ClassDef) or not _is_backend_class(node):
                 continue
             for method in class_functions(node):
+                if method.name not in _VERSION_WRITERS:
+                    findings.extend(
+                        module.finding(
+                            RULE,
+                            statement,
+                            f"{node.name}.{method.name} assigns self._version "
+                            "outside _write — the version must move only "
+                            "after the write commits, in one place",
+                        )
+                        for statement in ast.walk(method)
+                        if _assigns_version(statement)
+                    )
                 if method.name.startswith("_apply_"):
                     continue
                 findings.extend(self._check_method(module, node, method))

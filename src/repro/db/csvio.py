@@ -62,7 +62,7 @@ def load_database(schema: Schema, directory: str | Path) -> Database:
                     f"expected {sorted(table_schema.column_names)}, "
                     f"got {sorted(header)}"
                 )
-            rows = ({name: value for name, value in zip(header, row)} for row in reader)
-            db.insert_many(table_schema.name, rows)
+            rows = [dict(zip(header, row)) for row in reader]
+            db.insert_rows(table_schema.name, rows)
     db.check_integrity()
     return db

@@ -8,7 +8,7 @@ probabilities.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.db.schema import ColumnRef, Schema
 from repro.db.table import MutationCounter, Row, Table
@@ -79,12 +79,6 @@ class Database:
     def insert(self, table: str, values: Mapping[str, Any] | Sequence[Any]) -> Row:
         """Insert one row into *table*."""
         return self.table(table).insert(values)
-
-    def insert_many(
-        self, table: str, rows: Iterable[Mapping[str, Any] | Sequence[Any]]
-    ) -> int:
-        """Bulk-insert rows into *table*; returns the number inserted."""
-        return self.table(table).insert_many(iter(rows))
 
     def insert_rows(
         self, table: str, rows: Sequence[Mapping[str, Any] | Sequence[Any]]

@@ -614,13 +614,13 @@ class FullTextIndex:
         return self._mmapped
 
     def refresh(self) -> None:
-        """Index rows inserted since the last build.
+        """Index rows inserted, and unindex rows deleted, since the last build.
 
-        Tables are append-only (the substrate supports no delete/update),
-        so refreshing reduces to scanning each table's tail — O(new rows),
-        not O(all rows). Safe to call at any time and from any thread
-        (wrappers are shared across threaded engines): the build is
-        serialised, and a second caller finds no unindexed tail left.
+        Physical row lists are append-only (deletes are tombstones), so
+        refreshing reduces to each table's deletion-log tail and physical
+        tail — O(changed rows), not O(all rows). Safe to call at any time
+        and from any thread (wrappers are shared across threaded engines):
+        the build is serialised, and a second caller finds nothing left.
         """
         with self._lock:
             self._refresh_locked()

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.db.schema import TableSchema
 from repro.db.types import coerce
 from repro.errors import IntegrityError, UnknownColumnError
 from repro.forksafe import register_lock_holder
 
-__all__ = ["MutationCounter", "Table", "Row", "normalise_row"]
+__all__ = ["MutationCounter", "Table", "Row", "normalise_key", "normalise_row", "prepare_rows"]
 
 #: A materialised row: values in column-declaration order.
 Row = tuple[Any, ...]
@@ -66,6 +66,57 @@ def normalise_row(
             raise IntegrityError(f"{schema.name}.{column.name}: NULL not allowed")
         row.append(coerced)
     return tuple(row)
+
+
+def prepare_rows(
+    schema: TableSchema,
+    rows: Sequence[Mapping[str, Any] | Sequence[Any]],
+    stored: Callable[[tuple[Any, ...]], bool],
+) -> list[Row]:
+    """Validate a batch without applying it (the journal's first half).
+
+    Normalises every row and enforces a non-NULL primary key that is
+    unique against the batch itself and against the store, which
+    *stored* asks about one key at a time. The returned rows are
+    guaranteed to apply cleanly — nothing between validation and apply
+    can make the batch fail, so a journal may record the batch first.
+    Shared by :meth:`Table.insert_rows` and every storage backend's
+    ``add_rows``, so batch validation cannot drift between stores.
+    """
+    names = schema.column_names
+    pk_positions = [names.index(name) for name in schema.primary_key]
+    normalised: list[Row] = []
+    seen: set[tuple[Any, ...]] = set()
+    for values in rows:
+        row = normalise_row(schema, values)
+        key = tuple(row[p] for p in pk_positions)
+        if any(part is None for part in key):
+            raise IntegrityError(f"{schema.name}: primary key may not be NULL")
+        if key in seen or stored(key):
+            raise IntegrityError(f"{schema.name}: duplicate primary key {key!r}")
+        seen.add(key)
+        normalised.append(row)
+    return normalised
+
+
+def normalise_key(schema: TableSchema, key: tuple[Any, ...] | Any) -> tuple[Any, ...]:
+    """Coerce *key* to the primary key's declared column types.
+
+    Scalar keys may be passed bare. Journaled keys round-trip through
+    JSON (tuples become lists, dates become ISO strings); coercing them
+    back here makes replay compare keys bit-identically.
+    """
+    if not isinstance(key, tuple):
+        key = tuple(key) if isinstance(key, list) else (key,)
+    primary = schema.primary_key
+    if len(key) != len(primary):
+        raise IntegrityError(
+            f"{schema.name}: primary key takes {len(primary)} values, "
+            f"got {len(key)}"
+        )
+    return tuple(
+        coerce(part, schema.column(name).dtype) for part, name in zip(key, primary)
+    )
 
 
 def _reset_index_lock(table: "Table") -> None:
@@ -156,8 +207,10 @@ class Table:
 
         Values are coerced to the declared column types; NOT NULL and
         primary-key uniqueness are enforced. Returns the stored row tuple.
+        The dataset generators call this once per row, so it keeps its
+        own one-row body instead of wrapping :meth:`insert_rows`.
         """
-        row = self._normalise(values)
+        row = normalise_row(self.schema, values)
         key = tuple(row[p] for p in self._pk_positions)
         if any(part is None for part in key):
             raise IntegrityError(f"{self.name}: primary key may not be NULL")
@@ -173,14 +226,6 @@ class Table:
             self._counter.advance(1)
         return row
 
-    def insert_many(self, rows: Iterator[Mapping[str, Any] | Sequence[Any]]) -> int:
-        """Insert rows in bulk; returns the number inserted."""
-        count = 0
-        for values in rows:
-            self.insert(values)
-            count += 1
-        return count
-
     def insert_rows(
         self, rows: Sequence[Mapping[str, Any] | Sequence[Any]]
     ) -> list[Row]:
@@ -191,35 +236,12 @@ class Table:
         journal may durably record the mutation before a single row
         lands — an acknowledged batch is always replayable in full.
         """
-        normalised = self.prepare_rows(rows)
+        normalised = prepare_rows(self.schema, rows, self._pk_index.__contains__)
         self.apply_prepared(normalised)
         return normalised
 
-    def prepare_rows(
-        self, rows: Sequence[Mapping[str, Any] | Sequence[Any]]
-    ) -> list[Row]:
-        """Validate a batch without applying it (the journal's first half).
-
-        Normalises every row, enforces PK non-NULL and uniqueness against
-        both the stored index and the batch itself. The returned rows are
-        guaranteed to apply cleanly via :meth:`apply_prepared` — nothing
-        between the two calls can make the batch fail.
-        """
-        normalised: list[Row] = []
-        seen: set[tuple[Any, ...]] = set()
-        for values in rows:
-            row = self._normalise(values)
-            key = tuple(row[p] for p in self._pk_positions)
-            if any(part is None for part in key):
-                raise IntegrityError(f"{self.name}: primary key may not be NULL")
-            if key in self._pk_index or key in seen:
-                raise IntegrityError(f"{self.name}: duplicate primary key {key!r}")
-            seen.add(key)
-            normalised.append(row)
-        return normalised
-
     def apply_prepared(self, normalised: Sequence[Row]) -> None:
-        """Apply rows previously validated by :meth:`prepare_rows`."""
+        """Apply rows previously validated by :func:`prepare_rows`."""
         with self._index_lock:
             for row in normalised:
                 key = tuple(row[p] for p in self._pk_positions)
@@ -241,7 +263,7 @@ class Table:
         delete idempotent.
         """
         deleted = 0
-        normalised = [self.normalise_key(key) for key in keys]
+        normalised = [normalise_key(self.schema, key) for key in keys]
         with self._index_lock:
             for key in normalised:
                 position = self._pk_index.pop(key, None)
@@ -258,29 +280,6 @@ class Table:
                         postings.remove(position)
             self._counter.advance(deleted)
         return deleted
-
-    def normalise_key(self, key: tuple[Any, ...] | Any) -> tuple[Any, ...]:
-        """Coerce *key* to the primary key's declared column types.
-
-        Scalar keys may be passed bare. Journaled keys round-trip
-        through JSON (dates become ISO strings), so replay funnels them
-        back through :func:`~repro.db.types.coerce` here.
-        """
-        if not isinstance(key, tuple):
-            key = tuple(key) if isinstance(key, list) else (key,)
-        if len(key) != len(self._pk_positions):
-            raise IntegrityError(
-                f"{self.name}: primary key takes {len(self._pk_positions)} "
-                f"values, got {len(key)}"
-            )
-        columns = self.schema.columns
-        return tuple(
-            coerce(part, columns[p].dtype)
-            for part, p in zip(key, self._pk_positions)
-        )
-
-    def _normalise(self, values: Mapping[str, Any] | Sequence[Any]) -> Row:
-        return normalise_row(self.schema, values)
 
     # -- access -----------------------------------------------------------
 

@@ -29,7 +29,8 @@ served without touching the store. The cache is exact:
   under the table lock once the rows are in place, and the postings the
   count narrows by refresh lazily off that counter under
   ``FullTextIndex._lock``, which the write holds until its refresh is
-  done. On SQLite, ``_version += 1`` runs after ``COMMIT``;
+  done. On SQLite, ``SQLiteBackend._write`` advances ``_version`` after
+  ``COMMIT``, and questlint keeps every version move inside it;
 - the version is read *before* counting, so a reader that starts after
   a write returns asks under the new version, and a count that races a
   write is stored under the version read before it began — a key no
@@ -46,7 +47,8 @@ from __future__ import annotations
 
 import abc
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from functools import partial
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -56,9 +58,7 @@ from repro.db.catalog import Catalog
 from repro.db.executor import ResultSet
 from repro.db.query import SelectQuery
 from repro.db.schema import ColumnRef, Schema
-from repro.db.table import Row, normalise_row
-from repro.db.types import coerce
-from repro.errors import IntegrityError
+from repro.db.table import Row, normalise_key, normalise_row, prepare_rows
 from repro.journal import MutationJournal, MutationRecord
 
 __all__ = ["COUNT_CACHE_SIZE", "StorageBackend"]
@@ -118,8 +118,9 @@ class StorageBackend(abc.ABC):
     - **full-text search** — the keyword-vs-attribute ranking function
       emission probabilities are normalised from;
     - **execution** — running generated :class:`SelectQuery` plans;
-    - **mutation** — inserts plus a refresh hook keeping derived indexes
-      correct, mirroring the Steiner cache's ``add_edge`` invalidation.
+    - **mutation** — journaled batches (:meth:`add_rows`/:meth:`delete_rows`)
+      plus a refresh hook keeping derived indexes correct, mirroring the
+      Steiner cache's ``add_edge`` invalidation.
     """
 
     #: Registry name of the backend ("memory", "sqlite", ...).
@@ -186,31 +187,13 @@ class StorageBackend(abc.ABC):
         return 0
 
     @abc.abstractmethod
-    def insert(self, table: str, values: Mapping[str, Any] | Sequence[Any]) -> Row:
-        """Insert one row into *table*; returns the stored (typed) tuple.
-
-        Implementations keep their full-text structures consistent with
-        the insert, so searches after a mutation see the new rows.
-        """
-
-    def insert_many(
-        self, table: str, rows: Iterable[Mapping[str, Any] | Sequence[Any]]
-    ) -> int:
-        """Bulk-insert rows into *table*; returns the number inserted."""
-        count = 0
-        for values in rows:
-            self.insert(table, values)
-            count += 1
-        return count
-
-    @abc.abstractmethod
     def refresh(self) -> None:
         """Re-derive full-text structures after out-of-band mutation.
 
-        Inserts through the backend never require this; it exists for
-        data that changed behind the backend's back (a shared in-memory
-        ``Database`` mutated directly, a SQLite file written by another
-        process).
+        Writes through :meth:`add_rows`/:meth:`delete_rows` never require
+        this; it exists for data that changed behind the backend's back
+        (a shared in-memory ``Database`` mutated directly, a SQLite file
+        written by another process).
         """
 
     # -- batched, journaled mutation ---------------------------------------
@@ -220,19 +203,23 @@ class StorageBackend(abc.ABC):
     ) -> list[Row]:
         """Insert a batch into *table*, journal-first.
 
-        The write path is **validate → journal → apply**: every row is
-        normalised and checked before anything happens, the whole batch
-        is appended (and fsynced) to the attached mutation journal, and
-        only then applied — so the moment this method returns, the
-        mutation both *happened* and *survives a crash*: replaying the
-        journal after a ``kill -9`` reconstructs exactly the acknowledged
-        state. Without a journal attached the apply runs directly.
+        This is the only way rows enter a backend. The write path is
+        **validate → journal → apply**: every row is normalised and
+        checked (:func:`~repro.db.table.prepare_rows`) before anything
+        happens, the whole batch is appended (and fsynced) to the
+        attached mutation journal, and only then applied — so the moment
+        this method returns, the mutation both *happened* and *survives a
+        crash*: replaying the journal after a ``kill -9`` reconstructs
+        exactly the acknowledged state. Without a journal attached the
+        apply runs directly.
 
         Applies are atomic with respect to concurrent searches:
         implementations publish either the pre-batch or post-batch
         rankings, never a torn intermediate.
         """
-        normalised = self._validate_add_rows(table, rows)
+        normalised = prepare_rows(
+            self.schema.table(table), rows, partial(self._pk_exists, table)
+        )
         seq = self._journal_append("add", table, rows=[list(r) for r in normalised])
         self._apply_add_rows(table, normalised, seq)
         self._applied_seq = seq
@@ -248,7 +235,8 @@ class StorageBackend(abc.ABC):
         idempotent, which is what makes journal replay safe). Returns
         how many rows actually existed.
         """
-        normalised = [self._normalise_key(table, key) for key in keys]
+        schema = self.schema.table(table)
+        normalised = [normalise_key(schema, key) for key in keys]
         seq = self._journal_append(
             "delete", table, keys=[list(k) for k in normalised]
         )
@@ -260,30 +248,6 @@ class StorageBackend(abc.ABC):
         if self._journal is None:
             return self._applied_seq + 1
         return self._journal.append(op, table, **payload)
-
-    def _validate_add_rows(
-        self, table: str, rows: Sequence[Mapping[str, Any] | Sequence[Any]]
-    ) -> list[Row]:
-        """Normalise and fully validate a batch (no application).
-
-        The base implementation normalises and enforces PK non-NULL plus
-        batch-local uniqueness; backends layer their stored-duplicate
-        check on top via :meth:`_pk_exists`.
-        """
-        schema = self.schema.table(table)
-        pk_positions = [schema.column_names.index(n) for n in schema.primary_key]
-        normalised: list[Row] = []
-        seen: set[tuple[Any, ...]] = set()
-        for values in rows:
-            row = normalise_row(schema, values)
-            key = tuple(row[p] for p in pk_positions)
-            if any(part is None for part in key):
-                raise IntegrityError(f"{table}: primary key may not be NULL")
-            if key in seen or self._pk_exists(table, key):
-                raise IntegrityError(f"{table}: duplicate primary key {key!r}")
-            seen.add(key)
-            normalised.append(row)
-        return normalised
 
     def _pk_exists(self, table: str, key: tuple[Any, ...]) -> bool:
         """Whether *key* is already stored in *table* (live rows only)."""
@@ -306,27 +270,6 @@ class StorageBackend(abc.ABC):
     ) -> int:
         """Apply a batch of normalised-key deletes; returns rows removed."""
         raise NotImplementedError
-
-    def _normalise_key(self, table: str, key: tuple[Any, ...] | Any) -> tuple[Any, ...]:
-        """Coerce *key* to the primary key's declared column types.
-
-        Journaled keys round-trip through JSON (tuples become lists,
-        dates become ISO strings); this funnels them back through the
-        shared type coercion so replay compares keys bit-identically.
-        """
-        schema = self.schema.table(table)
-        if not isinstance(key, tuple):
-            key = tuple(key) if isinstance(key, list) else (key,)
-        primary = schema.primary_key
-        if len(key) != len(primary):
-            raise IntegrityError(
-                f"{table}: primary key takes {len(primary)} values, "
-                f"got {len(key)}"
-            )
-        dtypes = {column.name: column.dtype for column in schema.columns}
-        return tuple(
-            coerce(part, dtypes[name]) for part, name in zip(key, primary)
-        )
 
     # -- journal lifecycle -------------------------------------------------
 
@@ -383,10 +326,8 @@ class StorageBackend(abc.ABC):
             rows = [normalise_row(schema, values) for values in record.rows or []]
             self._apply_add_rows(record.table, rows, record.seq)  # questlint: disable=journal-discipline  # recovery replay: the record being applied was already journaled (it came *from* the journal)
         else:
-            keys = [
-                self._normalise_key(record.table, key)
-                for key in record.keys or []
-            ]
+            schema = self.schema.table(record.table)
+            keys = [normalise_key(schema, key) for key in record.keys or []]
             self._apply_delete_rows(record.table, keys, record.seq)  # questlint: disable=journal-discipline  # recovery replay: the record being applied was already journaled (it came *from* the journal)
 
     # -- full-text search --------------------------------------------------

@@ -11,7 +11,7 @@ keeps its exact behaviour (and its object identities: the wrapped
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -57,25 +57,10 @@ class MemoryBackend(StorageBackend):
     def version(self) -> int:
         return self.database.version
 
-    def insert(self, table: str, values: Mapping[str, Any] | Sequence[Any]) -> Row:
-        # The full-text index refreshes lazily off the database's mutation
-        # counter, so no explicit invalidation is needed here.
-        return self.database.insert(table, values)
-
-    def insert_many(
-        self, table: str, rows: Iterable[Mapping[str, Any] | Sequence[Any]]
-    ) -> int:
-        return self.database.insert_many(table, rows)
-
     def refresh(self) -> None:
         self.fulltext.refresh()
 
     # -- batched, journaled mutation ---------------------------------------
-
-    def _validate_add_rows(
-        self, table: str, rows: Sequence[Mapping[str, Any] | Sequence[Any]]
-    ) -> list[Row]:
-        return self.database.table(table).prepare_rows(rows)
 
     def _pk_exists(self, table: str, key: tuple[Any, ...]) -> bool:
         return self.database.table(table).get(key) is not None

@@ -55,9 +55,10 @@ or none; a one-token keyword's posting list already decides it (see
 :meth:`SQLiteBackend._narrow_contains`). The postings are maintained in
 the same transaction as every write through the backend; rows written
 into the file behind its back need :meth:`SQLiteBackend.refresh` before
-CONTAINS (like scoring) sees them. Writes are batched: a bulk load, an
-``add_rows`` batch or a single insert stores its rows, posting rows and
-field counters with one ``executemany`` per statement.
+CONTAINS (like scoring) sees them. Every write is one
+:meth:`SQLiteBackend._write` transaction; a bulk load or an ``add_rows``
+batch stores its rows, posting rows and field counters with one
+``executemany`` per statement.
 The explain stage asks :meth:`SQLiteBackend.has_postings` whether a
 token has any posting row in a column (one primary-key seek) before it
 counts anything: a configuration with an absent token is never counted.
@@ -68,10 +69,11 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
+from contextlib import contextmanager
 import sqlite3
 import threading
 from datetime import date
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.cache import LRUCache
 from repro.db.database import Database
@@ -88,7 +90,7 @@ from repro.db.sqlgen import (
     sqlite_shape,
     sqlite_value,
 )
-from repro.db.table import Row, normalise_row
+from repro.db.table import Row
 from repro.db.types import DataType, coerce
 from repro.errors import ExecutionError, IntegrityError, UnknownTableError
 from repro import faults
@@ -190,7 +192,7 @@ class SQLiteBackend(StorageBackend):
         self._pid = os.getpid()
         #: next insertion position per table (mirrors memory row positions)
         self._positions: dict[str, int] = {}
-        #: bumped on every successful mutation (see StorageBackend.version)
+        #: advanced by _write after every COMMIT (see StorageBackend.version)
         self._version = 0
         #: per-attribute indexed-document counts (the TF normaliser),
         #: mirrored in memory so scoring needs one SQL query, not three.
@@ -383,18 +385,9 @@ class SQLiteBackend(StorageBackend):
                 self._applied_seq = int(row[0])
 
     def _bulk_load(self, database: Database) -> None:
-        with self._lock:
-            cursor = self._connection.cursor()
-            cursor.execute("BEGIN")
-            try:
-                for table in database.tables:
-                    self._insert_rows(cursor, table.schema, table.rows)
-                cursor.execute("COMMIT")
-            except BaseException:
-                cursor.execute("ROLLBACK")
-                self._reload_counters()
-                raise
-            self._version += 1
+        with self._write() as cursor:
+            for table in database.tables:
+                self._insert_rows(cursor, table.schema, table.rows)
 
     # -- UDFs --------------------------------------------------------------
 
@@ -412,64 +405,43 @@ class SQLiteBackend(StorageBackend):
     def version(self) -> int:
         return self._version
 
-    def insert(self, table: str, values: Mapping[str, Any] | Sequence[Any]) -> Row:
-        table_schema = self._table_schema(table)
-        row = self._normalise(table_schema, values)
+    @contextmanager
+    def _write(self) -> Iterator[sqlite3.Cursor]:
+        """One write transaction, yielding its cursor; commits at the end.
+
+        On any error it rolls back and re-reads the in-memory mirrors
+        (:meth:`_reload_counters`). The version advances here only, after
+        ``COMMIT``, which keeps the count cache exact (:mod:`repro.storage.base`).
+        """
         with self._lock:
             cursor = self._connection.cursor()
             cursor.execute("BEGIN")
             try:
-                self._insert_rows(cursor, table_schema, [row])
+                yield cursor
                 cursor.execute("COMMIT")
             except BaseException:
                 cursor.execute("ROLLBACK")
                 self._reload_counters()
                 raise
             self._version += 1
-        return row
-
-    # insert_many: the base class loops ``insert`` row by row, matching
-    # the memory backend's semantics exactly — a mid-batch failure keeps
-    # every row inserted before it. (``from_database`` bulk-loads in one
-    # transaction instead; a failure there discards the whole backend.)
-
-    def _table_schema(self, table: str) -> TableSchema:
-        try:
-            return self.schema.table(table)
-        except Exception:
-            raise UnknownTableError(table) from None
-
-    def _normalise(
-        self, table: TableSchema, values: Mapping[str, Any] | Sequence[Any]
-    ) -> Row:
-        """Coerce and validate one row (same contract as ``Table.insert``)."""
-        row = normalise_row(table, values)
-        by_name = dict(zip((column.name for column in table.columns), row))
-        if any(by_name[name] is None for name in table.primary_key):
-            raise IntegrityError(f"{table.name}: primary key may not be NULL")
-        return row
 
     def _reload_counters(self) -> None:
-        """Restore the in-memory mirrors from SQL after a rollback.
+        """Re-read the in-memory mirrors from the stored tables.
 
-        ``_insert_rows`` advances ``_positions``/``_field_sizes`` as it
-        goes; when its transaction rolls back, the stored tables are the
-        only truth, so the mirrors are re-read from them.
+        Writes advance ``_positions``/``_field_sizes`` as they go; when
+        their transaction rolls back, the stored tables are the only
+        truth. Opening a file and ``refresh`` read them the same way.
         """
         for table in self.schema.tables:
             # MAX(pos) + 1, not COUNT(*): positions are never reused, so
             # after a physical delete the next insert must still land
             # past every position ever handed out (posting lists and the
             # memory backend's append-only physical list speak in them).
-            self._positions[table.name] = (
-                int(
-                    self._connection.execute(
-                        f"SELECT COALESCE(MAX({quote_identifier(_POSITION_COLUMN)}), -1) "
-                        f"FROM {quote_identifier(table.name)}"
-                    ).fetchone()[0]
-                )
-                + 1
-            )
+            (last,) = self._connection.execute(
+                f"SELECT COALESCE(MAX({quote_identifier(_POSITION_COLUMN)}), -1) "
+                f"FROM {quote_identifier(table.name)}"
+            ).fetchone()
+            self._positions[table.name] = int(last) + 1
         for tbl, col, indexed in self._connection.execute(
             'SELECT tbl, col, indexed FROM "_quest_fields"'
         ):
@@ -520,7 +492,7 @@ class SQLiteBackend(StorageBackend):
         """Record ``(column, position, tokens)`` streams of one relation in
         the postings and the per-attribute counters.
 
-        The single indexing path for both the insert route and the
+        The single indexing path for both the ``_insert_rows`` route and the
         ``refresh`` rebuild — the bit-parity guarantee depends on the two
         never diverging. Empty token streams are not indexed.
         """
@@ -555,35 +527,18 @@ class SQLiteBackend(StorageBackend):
     def refresh(self) -> None:
         """Rebuild the inverted index from the stored relations.
 
-        Inserts through the backend maintain the index synchronously;
-        this re-derivation exists for files written by another process.
+        Writes through ``add_rows``/``delete_rows`` maintain the index in
+        their own transaction; this re-derivation exists for files
+        written by another process.
         """
-        with self._lock:
-            cursor = self._connection.cursor()
-            cursor.execute("BEGIN")
-            try:
-                cursor.execute('DELETE FROM "_quest_postings"')
-                cursor.execute('UPDATE "_quest_fields" SET indexed = 0, tokens = 0')
-                for ref in self._field_sizes:
-                    self._field_sizes[ref] = 0
-                for table in self.schema.tables:
-                    self._positions[table.name] = (
-                        int(
-                            cursor.execute(
-                                f"SELECT COALESCE(MAX({quote_identifier(_POSITION_COLUMN)}), -1) "
-                                f"FROM {quote_identifier(table.name)}"
-                            ).fetchone()[0]
-                        )
-                        + 1
-                    )
-                    for column in table.columns:
-                        self._index_column(cursor, table, column.name)
-                cursor.execute("COMMIT")
-            except BaseException:
-                cursor.execute("ROLLBACK")
-                self._reload_counters()
-                raise
-            self._version += 1
+        with self._write() as cursor:
+            cursor.execute('DELETE FROM "_quest_postings"')
+            cursor.execute('UPDATE "_quest_fields" SET indexed = 0, tokens = 0')
+            # Zeroed field sizes, and positions past every stored row.
+            self._reload_counters()
+            for table in self.schema.tables:
+                for column in table.columns:
+                    self._index_column(cursor, table, column.name)
 
     def _index_column(
         self, cursor: sqlite3.Cursor, table: TableSchema, column: str
@@ -605,7 +560,7 @@ class SQLiteBackend(StorageBackend):
     # -- batched, journaled mutation ---------------------------------------
 
     def _pk_exists(self, table: str, key: tuple[Any, ...]) -> bool:
-        schema = self._table_schema(table)
+        schema = self.schema.table(table)
         where = " AND ".join(
             f"{quote_identifier(name)} = ?" for name in schema.primary_key
         )
@@ -626,22 +581,13 @@ class SQLiteBackend(StorageBackend):
     def _apply_add_rows(
         self, table: str, rows: Sequence[Row], seq: int
     ) -> None:
-        table_schema = self._table_schema(table)
-        with self._lock:
-            cursor = self._connection.cursor()
-            cursor.execute("BEGIN")
-            try:
-                self._insert_rows(cursor, table_schema, rows)
-                # The applied sequence number commits with the rows: a
-                # crash either keeps both or neither, so replay resumes
-                # at exactly the right record.
-                self._persist_applied_seq(cursor, seq)
-                cursor.execute("COMMIT")
-            except BaseException:
-                cursor.execute("ROLLBACK")
-                self._reload_counters()
-                raise
-            self._version += 1
+        table_schema = self.schema.table(table)
+        with self._write() as cursor:
+            self._insert_rows(cursor, table_schema, rows)
+            # The applied sequence number commits with the rows: a crash
+            # either keeps both or neither, so replay resumes at exactly
+            # the right record.
+            self._persist_applied_seq(cursor, seq)
 
     def _apply_delete_rows(
         self, table: str, keys: Sequence[tuple[Any, ...]], seq: int
@@ -655,7 +601,7 @@ class SQLiteBackend(StorageBackend):
         to the memory backend's tombstone unindexing. Positions are
         never reused (``_reload_counters`` advances past ``MAX(pos)``).
         """
-        table_schema = self._table_schema(table)
+        table_schema = self.schema.table(table)
         where = " AND ".join(
             f"{quote_identifier(name)} = ?" for name in table_schema.primary_key
         )
@@ -664,52 +610,43 @@ class SQLiteBackend(StorageBackend):
             + [quote_identifier(_POSITION_COLUMN)]
         )
         deleted = 0
-        with self._lock:
-            cursor = self._connection.cursor()
-            cursor.execute("BEGIN")
-            try:
-                for key in keys:
-                    parameters = [sqlite_value(part) for part in key]
-                    row = cursor.execute(
-                        f"SELECT {column_list} FROM {quote_identifier(table)} "
-                        f"WHERE {where}",
-                        parameters,
-                    ).fetchone()
-                    if row is None:  # absent: journaled replay stays idempotent
+        with self._write() as cursor:
+            for key in keys:
+                parameters = [sqlite_value(part) for part in key]
+                row = cursor.execute(
+                    f"SELECT {column_list} FROM {quote_identifier(table)} "
+                    f"WHERE {where}",
+                    parameters,
+                ).fetchone()
+                if row is None:  # absent: journaled replay stays idempotent
+                    continue
+                position = int(row[-1])
+                for column, stored in zip(table_schema.columns, row):
+                    tokens = tokenize_value(coerce(stored, column.dtype))
+                    if not tokens:
                         continue
-                    position = int(row[-1])
-                    for column, stored in zip(table_schema.columns, row):
-                        tokens = tokenize_value(coerce(stored, column.dtype))
-                        if not tokens:
-                            continue
-                        cursor.execute(
-                            'UPDATE "_quest_fields" SET indexed = indexed - 1, '
-                            "tokens = tokens - ? WHERE tbl = ? AND col = ?",
-                            (len(tokens), table, column.name),
-                        )
-                        self._field_sizes[ColumnRef(table, column.name)] -= 1
                     cursor.execute(
-                        'DELETE FROM "_quest_postings" WHERE tbl = ? AND pos = ?',
-                        (table, position),
+                        'UPDATE "_quest_fields" SET indexed = indexed - 1, '
+                        "tokens = tokens - ? WHERE tbl = ? AND col = ?",
+                        (len(tokens), table, column.name),
                     )
-                    cursor.execute(
-                        f"DELETE FROM {quote_identifier(table)} WHERE {where}",
-                        parameters,
-                    )
-                    deleted += 1
-                self._persist_applied_seq(cursor, seq)
-                cursor.execute("COMMIT")
-            except BaseException:
-                cursor.execute("ROLLBACK")
-                self._reload_counters()
-                raise
-            self._version += 1
+                    self._field_sizes[ColumnRef(table, column.name)] -= 1
+                cursor.execute(
+                    'DELETE FROM "_quest_postings" WHERE tbl = ? AND pos = ?',
+                    (table, position),
+                )
+                cursor.execute(
+                    f"DELETE FROM {quote_identifier(table)} WHERE {where}",
+                    parameters,
+                )
+                deleted += 1
+            self._persist_applied_seq(cursor, seq)
         return deleted
 
     # -- row access --------------------------------------------------------
 
     def table_rows(self, table: str) -> list[Row]:
-        table_schema = self._table_schema(table)
+        table_schema = self.schema.table(table)
         column_list = ", ".join(quote_identifier(column.name) for column in table_schema.columns)
         with self._lock:
             fetched = self._connection.execute(
@@ -723,7 +660,7 @@ class SQLiteBackend(StorageBackend):
         ]
 
     def row_count(self, table: str) -> int:
-        self._table_schema(table)
+        self.schema.table(table)
         with self._lock:
             row = self._connection.execute(
                 f"SELECT COUNT(*) FROM {quote_identifier(table)}"
@@ -731,7 +668,7 @@ class SQLiteBackend(StorageBackend):
         return int(row[0])
 
     def column_values(self, ref: ColumnRef) -> list[Any]:
-        dtype = self._table_schema(ref.table).column(ref.column).dtype
+        dtype = self.schema.table(ref.table).column(ref.column).dtype
         with self._lock:
             fetched = self._connection.execute(
                 f"SELECT {quote_identifier(ref.column)} FROM {quote_identifier(ref.table)} "

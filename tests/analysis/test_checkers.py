@@ -324,6 +324,44 @@ def test_journal_discipline_accepts_journal_then_apply(tmp_path):
     )
 
 
+BAD_VERSION = """
+    class SQLiteBackend:
+        def _apply_add_rows(self, table, rows, seq):
+            with self._lock:
+                self._insert(rows)
+                self._version += 1
+"""
+
+GOOD_VERSION = """
+    class SQLiteBackend:
+        def __init__(self):
+            self._version = 0
+
+        def _write(self):
+            yield self._cursor
+            self._version += 1
+
+        def _apply_add_rows(self, table, rows, seq):
+            with self._write() as cursor:
+                self._insert(cursor, rows)
+"""
+
+
+def test_journal_discipline_flags_version_bump_outside_write(tmp_path):
+    findings = run_checker(
+        tmp_path, JournalDisciplineChecker(), {"bad.py": BAD_VERSION}
+    )
+    assert len(findings) == 1
+    assert "_apply_add_rows assigns self._version" in findings[0].message
+
+
+def test_journal_discipline_accepts_version_bump_in_write(tmp_path):
+    assert (
+        run_checker(tmp_path, JournalDisciplineChecker(), {"good.py": GOOD_VERSION})
+        == []
+    )
+
+
 def test_journal_discipline_ignores_non_backend_classes(tmp_path):
     source = """
         class Helper:

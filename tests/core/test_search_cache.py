@@ -118,10 +118,10 @@ class TestColdVsWarm:
             scores = original(keyword, space)
             if keyword == "godzilla" and not tripped:
                 tripped.append(True)
-                backend.insert(
+                backend.add_rows(
                     "movie",
-                    {"id": 99, "title": "Godzilla", "year": 1954,
-                     "director_id": 1, "genre_id": 1},
+                    [{"id": 99, "title": "Godzilla", "year": 1954,
+                      "director_id": 1, "genre_id": 1}],
                 )
                 # A concurrent reader syncs: clears the cache, adopts
                 # the new version — while our stale result is in flight.

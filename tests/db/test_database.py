@@ -70,10 +70,10 @@ class TestIntegrity:
 
     def test_insert_many(self, mini_schema):
         db = Database(mini_schema)
-        count = db.insert_many(
+        rows = db.insert_rows(
             "person", [{"id": i, "name": f"P{i}"} for i in range(10)]
         )
-        assert count == 10
+        assert len(rows) == 10
         assert len(db.table("person")) == 10
 
     def test_repr_mentions_scale(self, mini_db):
@@ -95,7 +95,7 @@ class TestVersion:
         counter = _LockCheckingCounter()
         table = Table(mini_schema.table("genre"), counter=counter)
         table.insert((1, "a"))
-        table.insert_many(iter([(2, "b"), (3, "c")]))
+        table.insert_rows([(2, "b"), (3, "c")])
         table.insert_rows([{"id": 4, "label": "d"}])
         table.delete_rows([1, 99])
         assert counter.value == table.version == 5

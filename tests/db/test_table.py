@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db import Column, Table, TableSchema
+from repro.db.table import prepare_rows
 from repro.db.types import DataType
 from repro.errors import IntegrityError, UnknownColumnError
 
@@ -62,10 +63,8 @@ class TestInsert:
             table.insert((1, "X"))
 
     def test_insert_many_counts(self, table):
-        count = table.insert_many(
-            iter([{"id": i, "title": f"M{i}"} for i in range(5)])
-        )
-        assert count == 5
+        rows = table.insert_rows([{"id": i, "title": f"M{i}"} for i in range(5)])
+        assert len(rows) == 5
         assert len(table) == 5
 
 
@@ -147,14 +146,12 @@ def test_pk_index_finds_every_inserted_row(keys):
 
 class TestTombstones:
     def _seeded(self, table):
-        table.insert_many(
-            iter(
-                [
-                    {"id": 1, "title": "Alien", "year": 1979},
-                    {"id": 2, "title": "Aliens", "year": 1986},
-                    {"id": 3, "title": "Solaris", "year": 1972},
-                ]
-            )
+        table.insert_rows(
+            [
+                {"id": 1, "title": "Alien", "year": 1979},
+                {"id": 2, "title": "Aliens", "year": 1986},
+                {"id": 3, "title": "Solaris", "year": 1972},
+            ]
         )
         return table
 
@@ -207,9 +204,13 @@ class TestTombstones:
         assert [row[0] for row in table.rows] == [2, 3, 4]
 
 
+def _prepare(table, rows):
+    return prepare_rows(table.schema, rows, lambda key: table.get(key) is not None)
+
+
 class TestPrepareApplySplit:
     def test_prepare_validates_without_applying(self, table):
-        normalised = table.prepare_rows([{"id": 1, "title": "X", "year": None}])
+        normalised = _prepare(table, [{"id": 1, "title": "X", "year": None}])
         assert normalised == [(1, "X", None)]
         assert len(table) == 0  # nothing applied yet
         table.apply_prepared(normalised)
@@ -217,7 +218,8 @@ class TestPrepareApplySplit:
 
     def test_prepare_rejects_batch_internal_duplicates(self, table):
         with pytest.raises(IntegrityError):
-            table.prepare_rows(
+            _prepare(
+                table,
                 [
                     {"id": 1, "title": "A", "year": None},
                     {"id": 1, "title": "B", "year": None},
@@ -228,7 +230,7 @@ class TestPrepareApplySplit:
     def test_prepare_rejects_stored_duplicates(self, table):
         table.insert({"id": 1, "title": "A", "year": None})
         with pytest.raises(IntegrityError):
-            table.prepare_rows([{"id": 1, "title": "B", "year": None}])
+            _prepare(table, [{"id": 1, "title": "B", "year": None}])
 
     def test_insert_rows_is_prepare_plus_apply(self, table):
         rows = table.insert_rows(

@@ -220,7 +220,7 @@ def _apply(ops, ids: _Ids, db: Database, memory: MemoryBackend, sqlite: SQLiteBa
             # Behind the index's back: the memory index refreshes lazily.
             row = ids.row("item", payload)
             db.insert("item", row)
-            sqlite.insert("item", row)
+            sqlite.add_rows("item", [row])
         elif op in ("add_rows", "add_tags"):
             table = "item" if op == "add_rows" else "tag"
             rows = [ids.row(table, values) for values in payload]

@@ -189,83 +189,6 @@ class TestStatisticsParity:
             ) == sqlite.catalog.table_cardinality(table)
 
 
-class TestMutation:
-    def test_insert_keeps_search_consistent(self, mini_backends):
-        for backend in mini_backends.values():
-            assert backend.attribute_scores("akerman") == {}
-            backend.insert("person", {"id": 9, "name": "Chantal Akerman"})
-            scores = backend.attribute_scores("akerman")
-            assert scores and ColumnRef("person", "name") in scores
-        memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
-        assert memory.attribute_scores("akerman") == sqlite.attribute_scores(
-            "akerman"
-        )
-        assert memory.table_rows("person") == sqlite.table_rows("person")
-
-    def test_insert_many_counts(self, mini_backends):
-        rows = [
-            {"id": 21, "name": "Greta Gerwig"},
-            {"id": 22, "name": "Wes Anderson"},
-        ]
-        for backend in mini_backends.values():
-            assert backend.insert_many("person", rows) == 2
-            assert backend.row_count("person") == 5
-
-    def test_duplicate_primary_key_raises(self, mini_backends):
-        for backend in mini_backends.values():
-            with pytest.raises(IntegrityError):
-                backend.insert("person", {"id": 1, "name": "Duplicate"})
-
-    def test_not_null_enforced(self, mini_backends):
-        for backend in mini_backends.values():
-            with pytest.raises(IntegrityError):
-                backend.insert("person", {"id": 30, "name": None})
-
-    def test_failed_batch_keeps_prefix_on_both_backends(self, mini_backends):
-        # A mid-batch failure keeps the rows inserted before it — on
-        # every backend — so the stores never silently diverge.
-        rows = [
-            {"id": 60, "name": "Claire Denis"},
-            {"id": 1, "name": "Duplicate Key"},
-        ]
-        for backend in mini_backends.values():
-            with pytest.raises(IntegrityError):
-                backend.insert_many("person", rows)
-        memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
-        assert memory.table_rows("person") == sqlite.table_rows("person")
-        assert memory.row_count("person") == 4  # prefix row landed
-
-    def test_scores_exact_after_failed_insert(self, mini_backends):
-        # A rolled-back insert must not corrupt the TF normalisers.
-        for backend in mini_backends.values():
-            with pytest.raises(IntegrityError):
-                backend.insert("person", {"id": 1, "name": "Kubrick Clone"})
-        memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
-        ref = ColumnRef("person", "name")
-        idf = PostingsReference(memory.database).idf("kubrick")
-        assert sqlite.attribute_scores("kubrick")[ref] == (1 / 3) * idf
-        assert memory.attribute_scores("kubrick") == sqlite.attribute_scores(
-            "kubrick"
-        )
-
-    def test_version_advances_on_insert(self, mini_backends):
-        for backend in mini_backends.values():
-            before = backend.version
-            backend.insert("person", {"id": 40, "name": "Jane Campion"})
-            assert backend.version > before
-
-    def test_live_engine_sees_inserts_without_manual_invalidation(self):
-        # The wrapper's emission LRU is keyed to the backend version, so
-        # emission evidence after a mutation must reflect the new rows
-        # even though the keyword's vector was already cached.
-        for name in BACKENDS:
-            backend = create_backend(name, build_mini_db())
-            engine = Quest(FullAccessWrapper(backend))
-            assert engine.evidence_coverage(["tarkovsky"]) == 0.0
-            backend.insert("person", {"id": 50, "name": "Andrei Tarkovsky"})
-            assert engine.evidence_coverage(["tarkovsky"]) == 1.0, name
-
-
 class TestSQLitePersistence:
     def test_round_trip_through_file(self, tmp_path):
         db = build_mini_db()
@@ -552,17 +475,106 @@ class TestDatasetLoaders:
 
 
 class TestBatchedMutation:
-    """``add_rows``/``delete_rows`` — the journaled batch write path.
-
-    Contrast with ``insert_many`` above: the legacy path keeps the
-    prefix of a failed batch, the batched path validates everything
-    up front and lands all rows or none.
+    """``add_rows``/``delete_rows`` — the only way rows enter or leave a
+    backend. Every batch is validated up front and lands all rows or
+    none, and searches after a write see it without manual refresh.
     """
 
     BATCH = [
         {"id": 60, "name": "Claire Denis"},
         {"id": 61, "name": "Lucrecia Martel"},
     ]
+
+    def test_add_rows_keeps_search_consistent(self, mini_backends):
+        for backend in mini_backends.values():
+            assert backend.attribute_scores("akerman") == {}
+            backend.add_rows("person", [{"id": 9, "name": "Chantal Akerman"}])
+            scores = backend.attribute_scores("akerman")
+            assert scores and ColumnRef("person", "name") in scores
+        memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
+        assert memory.attribute_scores("akerman") == sqlite.attribute_scores(
+            "akerman"
+        )
+        assert memory.table_rows("person") == sqlite.table_rows("person")
+
+    def test_duplicate_primary_key_raises(self, mini_backends):
+        for backend in mini_backends.values():
+            with pytest.raises(IntegrityError):
+                backend.add_rows("person", [{"id": 1, "name": "Duplicate"}])
+
+    def test_not_null_enforced(self, mini_backends):
+        for backend in mini_backends.values():
+            with pytest.raises(IntegrityError):
+                backend.add_rows("person", [{"id": 30, "name": None}])
+
+    def test_scores_exact_after_failed_add(self, mini_backends):
+        # A rejected batch must not corrupt the TF normalisers.
+        for backend in mini_backends.values():
+            with pytest.raises(IntegrityError):
+                backend.add_rows("person", [{"id": 1, "name": "Kubrick Clone"}])
+        memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
+        ref = ColumnRef("person", "name")
+        idf = PostingsReference(memory.database).idf("kubrick")
+        assert sqlite.attribute_scores("kubrick")[ref] == (1 / 3) * idf
+        assert memory.attribute_scores("kubrick") == sqlite.attribute_scores(
+            "kubrick"
+        )
+
+    @pytest.mark.parametrize("write", ["add", "delete"])
+    def test_failed_transaction_rolls_back_every_mirror(
+        self, mini_backends, monkeypatch, write
+    ):
+        # Validation rejects bad batches before BEGIN, so fail inside the
+        # transaction instead: after the rows and postings are written,
+        # before COMMIT. The rollback must restore the stored rows and
+        # every in-memory mirror SQLite keeps beside them.
+        memory, sqlite = mini_backends["memory"], mini_backends["sqlite"]
+
+        def state():
+            return (
+                sqlite.table_rows("person"),
+                [sqlite.attribute_scores(keyword) for keyword in KEYWORDS],
+                dict(sqlite._field_sizes),
+                dict(sqlite._positions),
+                sqlite.applied_seq,
+                sqlite.version,
+            )
+
+        before = state()
+
+        def fail(cursor, seq):
+            raise sqlite3.OperationalError("injected failure before COMMIT")
+
+        monkeypatch.setattr(sqlite, "_persist_applied_seq", fail)
+        with pytest.raises(sqlite3.OperationalError, match="injected"):
+            if write == "add":
+                sqlite.add_rows("person", self.BATCH)
+            else:
+                sqlite.delete_rows("person", [(1,), (2,)])
+        assert state() == before
+        for keyword in KEYWORDS:
+            assert memory.attribute_scores(keyword) == sqlite.attribute_scores(
+                keyword
+            ), keyword
+        monkeypatch.undo()
+        # The backend stays writable, and positions continue unbroken.
+        sqlite.add_rows("person", self.BATCH)
+        memory.add_rows("person", self.BATCH)
+        ref = ColumnRef("person", "name")
+        assert memory.matching_row_positions(
+            "denis", ref
+        ) == sqlite.matching_row_positions("denis", ref)
+
+    def test_live_engine_sees_adds_without_manual_invalidation(self):
+        # The wrapper's emission LRU is keyed to the backend version, so
+        # emission evidence after a mutation must reflect the new rows
+        # even though the keyword's vector was already cached.
+        for name in BACKENDS:
+            backend = create_backend(name, build_mini_db())
+            engine = Quest(FullAccessWrapper(backend))
+            assert engine.evidence_coverage(["tarkovsky"]) == 0.0
+            backend.add_rows("person", [{"id": 50, "name": "Andrei Tarkovsky"}])
+            assert engine.evidence_coverage(["tarkovsky"]) == 1.0, name
 
     def test_add_rows_parity(self, mini_backends):
         for backend in mini_backends.values():
@@ -583,7 +595,7 @@ class TestBatchedMutation:
 
     def test_failed_batch_lands_nothing(self, mini_backends):
         # All-or-nothing: the valid first row must NOT land when a later
-        # row fails validation (unlike insert_many's prefix semantics).
+        # row fails validation.
         rows = [
             {"id": 60, "name": "Claire Denis"},
             {"id": 1, "name": "Duplicate Key"},
