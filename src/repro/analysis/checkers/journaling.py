@@ -17,6 +17,12 @@ exact for the straight-line mutation paths this codebase uses. The
 side); the recovery replay path re-applies *already-journaled* records
 and carries an inline disable explaining exactly that.
 
+Validation reads the stored state (is this key already there?), so two
+batches that validate before either applies can both accept one new
+key. The journal call and the apply call therefore sit inside one
+``with self._writer_lock:`` block. The method must enter it before it
+validates too; validation has no fixed name, so that part is unchecked.
+
 The version must move only after a write commits, or the result-count
 cache is not exact (``storage/base.py``). So inside a backend class
 ``self._version`` is assigned only in ``_write`` (SQLite's one write
@@ -39,6 +45,8 @@ RULE = "journal-discipline"
 
 #: The methods allowed to assign ``self._version`` in a backend class.
 _VERSION_WRITERS = frozenset({"_write", "__init__"})
+#: The per-backend lock held across validate -> journal -> apply.
+_WRITER_LOCK = "_writer_lock"
 
 
 def _is_backend_class(cls: ast.ClassDef) -> bool:
@@ -49,6 +57,16 @@ def _is_backend_class(cls: ast.ClassDef) -> bool:
         if base_name is not None and "Backend" in base_name:
             return True
     return False
+
+
+def _is_writer_lock(expr: ast.expr) -> bool:
+    """Whether *expr* is ``self._writer_lock``."""
+    return (
+        isinstance(expr, ast.Attribute)
+        and expr.attr == _WRITER_LOCK
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    )
 
 
 def _assigns_version(node: ast.AST) -> bool:
@@ -72,8 +90,8 @@ class JournalDisciplineChecker(Checker):
     rule = RULE
     description = (
         "storage-backend methods must journal (validate -> journal -> "
-        "apply) before invoking self._apply_* helpers, and only _write "
-        "may move self._version"
+        "apply, under self._writer_lock) before invoking self._apply_* "
+        "helpers, and only _write may move self._version"
     )
 
     def check_module(self, module: ModuleInfo) -> list[Finding]:
@@ -107,7 +125,13 @@ class JournalDisciplineChecker(Checker):
     ) -> list[Finding]:
         apply_calls: list[ast.Call] = []
         journal_lines: list[int] = []
+        #: (first, last) line of each ``with self._writer_lock:`` block
+        locked: list[tuple[int, int]] = []
         for node in ast.walk(method):
+            if isinstance(node, ast.With) and any(
+                _is_writer_lock(item.context_expr) for item in node.items
+            ):
+                locked.append((node.lineno, node.end_lineno or node.lineno))
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -123,18 +147,29 @@ class JournalDisciplineChecker(Checker):
                 journal_lines.append(node.lineno)
         findings: list[Finding] = []
         for call in apply_calls:
-            if any(line <= call.lineno for line in journal_lines):
-                continue
             func = call.func
             assert isinstance(func, ast.Attribute)
-            findings.append(
-                module.finding(
-                    RULE,
-                    call,
+            journaled = [line for line in journal_lines if line <= call.lineno]
+            if not journaled:
+                message = (
                     f"{cls.name}.{method.name} calls self.{func.attr}() "
                     "without a preceding journal append — applied state "
                     "would not survive crash recovery (validate -> "
-                    "journal -> apply)",
+                    "journal -> apply)"
                 )
-            )
+            elif not any(
+                first <= line and call.lineno <= last
+                for first, last in locked
+                for line in journaled
+            ):
+                message = (
+                    f"{cls.name}.{method.name} journals and calls "
+                    f"self.{func.attr}() outside one `with "
+                    f"self.{_WRITER_LOCK}:` block — a concurrent batch "
+                    "could validate against the same state and journal a "
+                    "write that cannot apply"
+                )
+            else:
+                continue
+            findings.append(module.finding(RULE, call, message))
         return findings

@@ -57,13 +57,48 @@ The count is bounded by a step budget (:data:`COUNT_BUDGET`); an overrun
 leaves the count unknown and the search runs until its heap, k or
 ``max_pops`` ends it, as it would without the stop.
 
+When the count is known and below k, the walk has completed every
+terminal-leaved tree, and it also returns the union of their nodes. The
+search then treats every node outside that union as inert, not only the
+peeled ones (which no such tree holds). This drops, for example, a
+terminal-free cycle hanging off the rest of the graph, which the peel
+keeps. It is exact:
+
+- *Lemma.* Every node of a state lies on a path inside that state
+  between two members of its terminals and its root. A seed is its own
+  terminal. Growth from root r to r' extends each path that ends at r by
+  the new edge, and r' is the new root. A merge at root r unites two
+  states whose paths end at their terminals or at r. The same holds for
+  the cyclic states merges can build.
+- So let the root r of a state lie in some terminal-leaved tree T, and
+  let u be a state node outside T. T holds r and every terminal, so by
+  the lemma u lies on a segment of a state path whose two ends are
+  distinct nodes of T and whose interior avoids T. Add that segment to
+  T and drop one edge e of T's path between its ends. Each side of T
+  without e holds a terminal (a side without one would have a
+  non-terminal leaf of T), and the segment is now the only link
+  between the sides, so u lies on a path between two terminals. Pruning
+  non-terminal leaves thus keeps u and leaves a terminal-leaved tree
+  that holds it: u is in the union.
+- Hence a state that holds a node outside the union is rooted outside
+  it. Growth keeps the node, so every descendant is rooted outside too;
+  such a state merges only with states at its own root, never with one
+  inside the union, and it is never emitted (every emitted tree is a
+  terminal-leaved tree). The states rooted inside the union, their
+  buckets and their pushes are the same with or without the family,
+  and the tiebreak counter stays monotonic, so every other pop,
+  acceptance and emission keeps its order, as with the peel.
+
+At the cap or on a budget overrun the walk stopped early, its union may
+miss trees, and the search keeps the peel mask alone.
+
 :func:`top_k_steiner_trees_reference` runs the original frozenset
-formulation, without the peel, the early stop or the count: the executable
-specification, called by the parity tests and the test-side oracle
-(``tests/oracle.py``), never by the engine. Apart from the inert states it
-never lets in and the pops after its last emission, the bitmask search
-pops and pushes exactly what the reference does, so both return
-identical trees in identical order.
+formulation, without the peel, the union, the early stop or the count:
+the executable specification, called by the parity tests and the
+test-side oracle (``tests/oracle.py``), never by the engine. Apart from
+the inert states it never lets in and the pops after its last emission,
+the bitmask search pops and pushes exactly what the reference does, so
+both return identical trees in identical order.
 
 Enumeration results are memoised on the graph itself: a
 :class:`~repro.steiner.graph.SchemaGraph` carries a ``steiner_cache``
@@ -115,7 +150,8 @@ def top_k_steiner_trees(
         terminals: attributes to connect (duplicates collapse).
         k: number of trees wanted.
         max_pops: safety valve on queue pops for adversarial graphs. The
-            peeled search pops no inert state and stops on the pop that
+            search pops no inert state (peeled or, with fewer than k
+            trees, outside all of them) and stops on the pop that
             emits the last tree the peeled graph can yield, so it reaches
             the cap later than :func:`top_k_steiner_trees_reference`; the
             two agree tree for tree whenever neither search reaches it.
@@ -239,10 +275,14 @@ def _search_interned(
     # The search ends on the emission that makes ``len(results)`` reach
     # ``last``: k, or every tree it can yield (module docstring). The
     # terminals are connected, so 1 <= last <= k.
-    yieldable = _count_trees(
+    yieldable, union = _count_trees(
         neighbors, [node_index[t] for t in terminal_list], inert, k, COUNT_BUDGET
     )
     last = k if yieldable is None else yieldable
+    if last < k:
+        # The walk saw every tree: no state through a node outside their
+        # union can be emitted or feed an emission (module docstring).
+        inert = ((1 << len(compact)) - 1) & ~union
 
     counter = itertools.count()
     #: heap entries: (cost, tiebreak, root index, terminal mask, edge mask,
@@ -381,8 +421,9 @@ def _count_trees(
     inert: int,
     cap: int,
     budget: int,
-) -> int | None:
-    """How many terminal-leaved trees span *terminals*, capped at *cap*.
+) -> tuple[int | None, int]:
+    """How many terminal-leaved trees span *terminals*, capped at *cap*,
+    and the union of their node masks.
 
     A terminal-leaved tree is a subtree of the graph whose adjacency
     lists *neighbors* holds, containing every node index in *terminals*,
@@ -395,20 +436,26 @@ def _count_trees(
     The tree fixes each path, so distinct sequences give distinct trees,
     and every sequence gives a terminal-leaved tree.
 
-    Returns ``min(count, cap)``, or ``None`` once more than *budget*
-    neighbour visits were spent: the count is then unknown, never partial.
+    Returns ``(min(count, cap), union)``, or ``(None, union)`` once more
+    than *budget* neighbour visits were spent: the count is then unknown,
+    never partial. *union* ORs the node masks of the trees the walk
+    completed, so it holds every node of every such tree only when the
+    count is below *cap*; at the cap or on an overrun the walk stopped
+    early and the union may miss trees.
     """
     steps = 0
     found = 0
+    union = 0
 
     def attach(tree: int, i: int) -> bool:
         """Count the trees that grow *tree* from terminal *i* on; ``True``
         once the cap or the budget is hit."""
-        nonlocal steps, found
+        nonlocal steps, found, union
         while i < len(terminals) and tree >> terminals[i] & 1:
             i += 1
         if i == len(terminals):
             found += 1
+            union |= tree
             return found >= cap
         start = terminals[i]
         #: depth-first over simple paths from *start*: (path node mask,
@@ -431,7 +478,7 @@ def _count_trees(
         return False
 
     attach(1 << terminals[0], 1)
-    return None if steps > budget else min(found, cap)
+    return (None if steps > budget else min(found, cap)), union
 
 
 def _search_reference(

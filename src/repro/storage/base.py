@@ -46,6 +46,7 @@ counts are never stored.
 from __future__ import annotations
 
 import abc
+import threading
 from pathlib import Path
 from functools import partial
 from typing import Any, Mapping, Sequence
@@ -59,6 +60,7 @@ from repro.db.executor import ResultSet
 from repro.db.query import SelectQuery
 from repro.db.schema import ColumnRef, Schema
 from repro.db.table import Row, normalise_key, normalise_row, prepare_rows
+from repro.forksafe import register_lock_holder
 from repro.journal import MutationJournal, MutationRecord
 
 __all__ = ["COUNT_CACHE_SIZE", "StorageBackend"]
@@ -106,6 +108,10 @@ def _count_key(query: SelectQuery, version: int) -> tuple[Any, ...]:
     return tuple(key)
 
 
+def _reset_writer_lock(backend: "StorageBackend") -> None:
+    backend._writer_lock = threading.Lock()
+
+
 class StorageBackend(abc.ABC):
     """One engine's view of wherever the relations actually live.
 
@@ -136,6 +142,12 @@ class StorageBackend(abc.ABC):
         self._applied_seq = 0
         #: Result counts by (query, version); see :meth:`result_count`.
         self._counts = LRUCache(COUNT_CACHE_SIZE, label="count")
+        #: Held across validate -> journal -> apply, so two batches never
+        #: validate against the same stored state; taken before the
+        #: table, index and SQLite locks. Forked children get a fresh
+        #: lock (see repro.forksafe).
+        self._writer_lock = threading.Lock()
+        register_lock_holder(self, _reset_writer_lock)
 
     # -- construction ------------------------------------------------------
 
@@ -215,14 +227,20 @@ class StorageBackend(abc.ABC):
 
         Applies are atomic with respect to concurrent searches:
         implementations publish either the pre-batch or post-batch
-        rankings, never a torn intermediate.
+        rankings, never a torn intermediate. Concurrent batches run one
+        at a time, validation included, so a key two of them add is
+        stored by the first and rejected by the second before it is
+        journaled.
         """
-        normalised = prepare_rows(
-            self.schema.table(table), rows, partial(self._pk_exists, table)
-        )
-        seq = self._journal_append("add", table, rows=[list(r) for r in normalised])
-        self._apply_add_rows(table, normalised, seq)
-        self._applied_seq = seq
+        with self._writer_lock:
+            normalised = prepare_rows(
+                self.schema.table(table), rows, partial(self._pk_exists, table)
+            )
+            seq = self._journal_append(
+                "add", table, rows=[list(r) for r in normalised]
+            )
+            self._apply_add_rows(table, normalised, seq)
+            self._applied_seq = seq
         return normalised
 
     def delete_rows(
@@ -237,11 +255,12 @@ class StorageBackend(abc.ABC):
         """
         schema = self.schema.table(table)
         normalised = [normalise_key(schema, key) for key in keys]
-        seq = self._journal_append(
-            "delete", table, keys=[list(k) for k in normalised]
-        )
-        count = self._apply_delete_rows(table, normalised, seq)
-        self._applied_seq = seq
+        with self._writer_lock:
+            seq = self._journal_append(
+                "delete", table, keys=[list(k) for k in normalised]
+            )
+            count = self._apply_delete_rows(table, normalised, seq)
+            self._applied_seq = seq
         return count
 
     def _journal_append(self, op: str, table: str, **payload: Any) -> int:
@@ -310,13 +329,14 @@ class StorageBackend(abc.ABC):
         applied.
         """
         replayed = 0
-        for record in journal.records(after_seq=self._applied_seq):
-            if up_to_seq is not None and record.seq > up_to_seq:
-                break
-            faults.fire("journal.replay")
-            self._replay_record(record)
-            self._applied_seq = record.seq
-            replayed += 1
+        with self._writer_lock:
+            for record in journal.records(after_seq=self._applied_seq):
+                if up_to_seq is not None and record.seq > up_to_seq:
+                    break
+                faults.fire("journal.replay")
+                self._replay_record(record)
+                self._applied_seq = record.seq
+                replayed += 1
         return replayed
 
     def _replay_record(self, record: MutationRecord) -> None:

@@ -301,8 +301,10 @@ BAD_JOURNAL = """
 GOOD_JOURNAL = """
     class MemoryBackend:
         def add_rows(self, table, rows):
-            seq = self._journal_append("add", table, rows)
-            self._apply_add_rows(table, rows, seq)
+            with self._writer_lock:
+                self._validate(rows)
+                seq = self._journal_append("add", table, rows)
+                self._apply_add_rows(table, rows, seq)
 
         def _apply_add_rows(self, table, rows, seq):
             pass
@@ -322,6 +324,32 @@ def test_journal_discipline_accepts_journal_then_apply(tmp_path):
         run_checker(tmp_path, JournalDisciplineChecker(), {"good.py": GOOD_JOURNAL})
         == []
     )
+
+
+BAD_UNLOCKED = """
+    class StorageBackend:
+        def add_rows(self, table, rows):
+            with self._writer_lock:
+                self._validate(rows)
+            seq = self._journal_append("add", table, rows)
+            self._apply_add_rows(table, rows, seq)
+
+        def delete_rows(self, table, keys):
+            seq = self._journal_append("delete", table, keys)
+            with self._writer_lock:
+                self._apply_delete_rows(table, keys, seq)
+"""
+
+
+def test_journal_discipline_flags_journal_and_apply_outside_writer_lock(tmp_path):
+    findings = run_checker(
+        tmp_path, JournalDisciplineChecker(), {"bad.py": BAD_UNLOCKED}
+    )
+    assert sorted(f.message.split(" journals")[0] for f in findings) == [
+        "StorageBackend.add_rows",
+        "StorageBackend.delete_rows",
+    ]
+    assert all("self._writer_lock" in f.message for f in findings)
 
 
 BAD_VERSION = """

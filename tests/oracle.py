@@ -25,8 +25,10 @@ The Steiner search's optimality oracle lives here too:
 Dijkstra maps, :func:`shortest_paths`) gives the minimum tree weight the
 top-k search's first tree must reach, :func:`connected_reference`
 is the breadth-first twin of the schema graph's component labels, and
-:func:`terminal_leaved_tree_count_reference` is the brute-force twin of
-the count that ends the top-k search early (``topk._count_trees``).
+:func:`terminal_leaved_tree_count_reference` and
+:func:`terminal_leaved_tree_union_reference` are the brute-force twins of
+the count that ends the top-k search early and of the node union that
+bounds it when the count is under k (``topk._count_trees``).
 
 :func:`execute_reference` is the memory executor's twin: every local
 predicate scans, and every join hash-builds on the whole candidate
@@ -165,9 +167,27 @@ def terminal_leaved_tree_count_reference(
     Tries every subset (a lone terminal is the one edge-free tree), so it
     is for graphs of a dozen edges.
     """
+    return sum(1 for _nodes in _terminal_leaved_trees(graph, terminals))
+
+
+def terminal_leaved_tree_union_reference(
+    graph: SchemaGraph, terminals: Iterable[ColumnRef]
+) -> frozenset[ColumnRef]:
+    """The nodes of all the trees :func:`terminal_leaved_tree_count_reference`
+    counts, by the same brute force over edge subsets."""
+    union: set[ColumnRef] = set()
+    for nodes in _terminal_leaved_trees(graph, terminals):
+        union |= nodes
+    return frozenset(union)
+
+
+def _terminal_leaved_trees(
+    graph: SchemaGraph, terminals: Iterable[ColumnRef]
+) -> Iterator[set[ColumnRef]]:
+    """The node set of every edge subset of *graph* that is a tree
+    containing every terminal with only terminal leaves."""
     terminal_set = set(terminals)
     edges = graph.edges
-    count = 0
     for size in range(len(edges) + 1):
         for subset in itertools.combinations(edges, size):
             ends = Counter(node for edge in subset for node in (edge.left, edge.right))
@@ -186,8 +206,8 @@ def terminal_leaved_tree_count_reference(
 
             for edge in subset:
                 parent[root(edge.left)] = root(edge.right)
-            count += len({root(node) for node in nodes}) == 1
-    return count
+            if len({root(node) for node in nodes}) == 1:
+                yield nodes
 
 
 def shortest_paths(

@@ -3,7 +3,9 @@
 Random weighted graphs (including tie-heavy weight pools) must yield
 identical results from the bitmask top-k enumeration and the frozenset
 reference search — tree for tree, float for float — also on sparse graphs
-where the bitmask search stops early, on its last possible emission.
+where the bitmask search stops early, on its last possible emission, and
+on graphs with terminal-free cycles hung off the core, where it searches
+only the nodes of the trees it can yield.
 """
 
 from __future__ import annotations
@@ -210,6 +212,91 @@ def test_early_stop_matches_reference_on_sparse_graphs():
         _assert_same_trees(stopped, unstopped)
         assert len(stopped_pops) <= len(all_pops)
         saved_pops.append(len(all_pops) - len(stopped_pops))
+
+    check()
+    assert sum(saved > 0 for saved in saved_pops) >= 10
+
+
+def _lollipop_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
+    """A random core with terminal-free cycles and lollipops hung off it.
+
+    Around a connected core (a shuffled chain plus chords) holding the
+    terminals it hangs cycles that share one node with the core and
+    lollipops (a chain from a core node ending in a cycle). The pendant
+    peel keeps them all, since every node has degree two or more, yet
+    no terminal-leaved tree enters one, because it would have to leave
+    through the node it came in by. Sometimes a terminal sits on a
+    lollipop, so the trees do run into it.
+    """
+    rng = random.Random(seed)
+    weight_pool = [0.5, 1.0, 1.5] if seed % 2 else None
+
+    def weight() -> float:
+        return rng.choice(weight_pool) if weight_pool else rng.uniform(0.1, 2.0)
+
+    n_core = rng.randint(3, 6)
+    cycle_sizes = [rng.randint(2, 4) for _ in range(rng.randint(0, 2))]
+    lollipops = [
+        (rng.randint(1, 2), rng.randint(3, 4)) for _ in range(rng.randint(0, 2))
+    ]
+    if not cycle_sizes and not lollipops:
+        cycle_sizes.append(2)
+    n = n_core + sum(cycle_sizes) + sum(stem + loop for stem, loop in lollipops)
+    graph = _edgeless_graph(n, "lollipop")
+    fresh = iter(list(graph.nodes))
+    core = [next(fresh) for _ in range(n_core)]
+    rng.shuffle(core)
+    for left, right in zip(core, core[1:]):
+        graph.add_edge(left, right, weight(), "intra")
+    for _ in range(rng.randint(0, n_core)):
+        left, right = rng.sample(core, 2)
+        if graph.edge_between(left, right) is None:
+            graph.add_edge(left, right, weight(), "intra")
+    terminals = rng.sample(core, rng.randint(2, min(3, n_core)))
+    for size in cycle_sizes:  # a cycle through one core node
+        cycle = [rng.choice(core)] + [next(fresh) for _ in range(size)]
+        for left, right in zip(cycle, cycle[1:] + cycle[:1]):
+            graph.add_edge(left, right, weight(), "intra")
+    for stem, loop in lollipops:  # a chain from the core into a cycle
+        chain = [rng.choice(core)] + [next(fresh) for _ in range(stem + loop)]
+        for left, right in zip(chain, chain[1:]):
+            graph.add_edge(left, right, weight(), "intra")
+        graph.add_edge(chain[-1], chain[stem], weight(), "intra")
+        if rng.random() < 0.2:
+            terminals.append(rng.choice(chain[1:]))
+    return graph, terminals
+
+
+def test_union_restriction_matches_reference_on_lollipop_graphs():
+    """With fewer than k trees the search grows only through the nodes of
+    those trees; it returns the reference's trees, and those of the
+    search with only the pendant peel, and the restriction must cut pops
+    somewhere."""
+    saved_pops: list[int] = []
+    count_trees = topk._count_trees
+
+    def peel_only(neighbors, terminals, inert, cap, budget):
+        count, _union = count_trees(neighbors, terminals, inert, cap, budget)
+        return count, ~inert
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def check(seed: int) -> None:
+        graph, terminals = _lollipop_graph(seed)
+        rng = random.Random(seed + 1)
+        k = rng.choice([1, 2, 3, rng.randint(1, 12), 12])
+        _assert_topk_parity(graph, terminals, k, bool(seed % 2))
+        graph.steiner_cache.clear()
+        with recorded_pops() as restricted_pops:
+            restricted = top_k_steiner_trees(graph, terminals, k)
+        graph.steiner_cache.clear()
+        with recorded_pops() as peeled_pops, mock.patch.object(
+            topk, "_count_trees", peel_only
+        ):
+            peeled = top_k_steiner_trees(graph, terminals, k)
+        _assert_same_trees(restricted, peeled)
+        assert len(restricted_pops) <= len(peeled_pops)
+        saved_pops.append(len(peeled_pops) - len(restricted_pops))
 
     check()
     assert sum(saved > 0 for saved in saved_pops) >= 10

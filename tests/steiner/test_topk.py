@@ -27,6 +27,7 @@ from repro.steiner.topk import _count_trees, _inert_nodes
 from tests.oracle import (
     exact_steiner_tree_reference,
     terminal_leaved_tree_count_reference,
+    terminal_leaved_tree_union_reference,
 )
 
 
@@ -226,8 +227,9 @@ def recorded_pops() -> Iterator[list]:
 class TestEarlyStop:
     def test_search_ends_on_the_pop_that_emits_its_last_tree(self, mondial_db):
         """country, river and city names at k=10 yield 4 trees: the
-        search stops on the pop that emits the 4th, with the trees and
-        order of the reference, which runs until its heap is empty."""
+        search pops only states inside their nodes and stops on the pop
+        that emits the 4th, with the trees and order of the reference,
+        which runs until its heap is empty."""
         graph = build_schema_graph(
             mondial_db.schema, Catalog.from_database(mondial_db)
         )
@@ -247,11 +249,19 @@ class TestEarlyStop:
 
         assert len(trees) == 4
         cost, _tie, _root, mask, edges, _nodes = popped[-1]
-        edge_list = graph.compact().edge_list
+        compact = graph.compact()
+        edge_list = compact.edge_list
         assert mask == 0b111
         assert frozenset(edge_list[i] for i in iter_bits(edges)) == trees[-1].edges
         assert cost == trees[-1].weight
         assert len(unstopped_pops) > len(popped)
+        # Fewer than k trees: the search never leaves their nodes.
+        tree_nodes = 0
+        for tree in trees:
+            for edge in tree.edges:
+                tree_nodes |= 1 << compact.index[edge.left]
+                tree_nodes |= 1 << compact.index[edge.right]
+        assert all(nodes & ~tree_nodes == 0 for *_entry, nodes in popped)
 
         graph.steiner_cache.clear()
         reference = top_k_steiner_trees_reference(graph, terminals, 10)
@@ -281,24 +291,71 @@ def _small_graph(seed: int) -> tuple[SchemaGraph, list[ColumnRef]]:
 def test_tree_count_matches_brute_force(seed: int):
     """``_count_trees`` counts the terminal-leaved trees exactly, with or
     without the peel and in any terminal order; a cap caps it, and a
-    budget overrun answers "unknown", never a partial count."""
+    budget overrun answers "unknown", never a partial count. Under the
+    cap, the union it returns holds exactly the nodes of those trees."""
     graph, terminals = _small_graph(seed)
     expected = terminal_leaved_tree_count_reference(graph, terminals)
     assert expected >= 1  # the terminals are connected
     compact = graph.compact()
+    expected_union = sum(
+        1 << compact.index[node]
+        for node in terminal_leaved_tree_union_reference(graph, terminals)
+    )
     nodes = [compact.index[t] for t in terminals]
     inert = _inert_nodes(compact.neighbors, sum(1 << node for node in nodes))
     rng = random.Random(seed + 1)
     unlimited = 10**9
 
-    assert _count_trees(compact.neighbors, nodes, inert, unlimited, unlimited) == expected
+    assert _count_trees(compact.neighbors, nodes, inert, unlimited, unlimited) == (
+        expected,
+        expected_union,
+    )
     rng.shuffle(nodes)
-    assert _count_trees(compact.neighbors, nodes, 0, unlimited, unlimited) == expected
+    assert _count_trees(compact.neighbors, nodes, 0, unlimited, unlimited) == (
+        expected,
+        expected_union,
+    )
     cap = rng.randint(1, 12)
-    assert _count_trees(compact.neighbors, nodes, inert, cap, unlimited) == min(expected, cap)
-    assert _count_trees(compact.neighbors, nodes, inert, cap, 0) is None
+    count, union = _count_trees(compact.neighbors, nodes, inert, cap, unlimited)
+    assert count == min(expected, cap)
+    if count < cap:
+        assert union == expected_union
+    else:
+        assert union & ~expected_union == 0
+    assert _count_trees(compact.neighbors, nodes, inert, cap, 0)[0] is None
     budget = rng.randint(1, 80)
-    assert _count_trees(compact.neighbors, nodes, inert, cap, budget) in (
+    assert _count_trees(compact.neighbors, nodes, inert, cap, budget)[0] in (
         None,
         min(expected, cap),
     )
+
+
+def test_states_through_nodes_outside_every_tree_are_rooted_outside():
+    """The lemma behind searching only the union of the terminal-leaved
+    trees: every popped state of the reference search (so every accepted
+    one) that holds a node outside that union is rooted outside it, and
+    no emitted tree holds such a node. Such states must occur."""
+    outside_states: list[int] = []
+
+    def nodes_of(root, edges) -> set:
+        return {root} | {node for edge in edges for node in (edge.left, edge.right)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def check(seed: int) -> None:
+        graph, terminals = _small_graph(seed)
+        k = random.Random(seed + 1).randint(1, 12)
+        union = terminal_leaved_tree_union_reference(graph, terminals)
+        with recorded_pops() as popped:
+            trees = top_k_steiner_trees_reference(graph, terminals, k)
+        outside = 0
+        for _cost, _tie, root, _mask, edges in popped:
+            if not nodes_of(root, edges) <= union:
+                assert root not in union
+                outside += 1
+        for tree in trees:
+            assert nodes_of(terminals[0], tree.edges) <= union
+        outside_states.append(outside)
+
+    check()
+    assert sum(outside > 0 for outside in outside_states) >= 10

@@ -5,8 +5,10 @@ bit-identical full-text scores, identical statistics and identical query
 result counts — so rankings never depend on where the bytes live.
 """
 
+import contextlib
 import math
 import sqlite3
+import threading
 
 import pytest
 
@@ -660,6 +662,54 @@ class TestBatchedMutation:
             backend.delete_rows("person", [(60,)])
             assert backend.applied_seq == 2
             assert [r.seq for r in journal.records()] == [1, 2]
+            journal.close()
+
+    def test_concurrent_adds_of_one_key_store_it_once(self, tmp_path, monkeypatch):
+        """Two threads add the same new key. A barrier in
+        ``_journal_append`` would hold both there at once if validation
+        ran outside the writer lock; under it the barrier times out and
+        the second add fails validation before it journals: one record,
+        ``applied_seq`` 1, one stored row."""
+        from repro.journal import MutationJournal
+
+        row = {"id": 77, "name": "Chantal Akerman"}
+        for name in BACKENDS:
+            backend = create_backend(name, build_mini_db())
+            journal = MutationJournal(tmp_path / f"{name}.journal")
+            backend.attach_journal(journal)
+            barrier = threading.Barrier(2, timeout=0.3)
+            append = backend._journal_append
+
+            def journal_append(*args, **kwargs):
+                with contextlib.suppress(threading.BrokenBarrierError):
+                    barrier.wait()
+                return append(*args, **kwargs)
+
+            monkeypatch.setattr(backend, "_journal_append", journal_append)
+            outcomes: list = []
+
+            def add():
+                try:
+                    backend.add_rows("person", [row])
+                except Exception as error:  # noqa: BLE001 - asserted below
+                    outcomes.append(error)
+                else:
+                    outcomes.append("added")
+
+            threads = [threading.Thread(target=add) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+            assert outcomes.count("added") == 1, (name, outcomes)
+            (error,) = [o for o in outcomes if o != "added"]
+            assert isinstance(error, IntegrityError), (name, error)
+            assert "duplicate primary key" in str(error)
+            assert backend.applied_seq == 1, name
+            assert [r.seq for r in journal.records()] == [1], name
+            ids = [stored[0] for stored in backend.table_rows("person")]
+            assert ids.count(77) == 1, name
             journal.close()
 
     def test_version_advances_on_batched_writes(self, mini_backends):
