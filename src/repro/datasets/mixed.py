@@ -22,8 +22,9 @@ analytics  99 / 1        near-read-only reporting; writes are rare
 Every ``add`` op carries a *probe* keyword that exists nowhere in the
 seed data and lands in a text column of every inserted row. Searching
 for the probe immediately after applying the op is therefore a **fresh
-read** — it can only be answered by the delta layer, never by the sealed
-snapshot — which is exactly the latency the benchmark wants to watch.
+read** — it can only be answered by the index's dicts, never by a
+sealed snapshot — which is exactly the latency the benchmark wants to
+watch.
 Deletes only target rows a previous ``add`` op in the same workload
 inserted, so seed data survives and replaying any prefix of the op list
 is always valid.

@@ -18,17 +18,7 @@ the database's mutation counter first (lazy refresh — the same
 invalidation contract the Steiner cache honours on
 ``SchemaGraph.add_edge``).
 
-Under live mutation the sealed snapshot is not discarded per write:
-refresh records the set of *touched terms* as a *delta* over the
-snapshot. Reads then layer — touched terms are answered from the mutable
-dicts (which always hold the full current state), untouched terms from
-the snapshot arrays with the current field sizes substituted — so every
-score stays bit-identical to a full rebuild while a background merge
-reseals the CSR layout. A delta that outgrows ``DELTA_HARD_LIMIT`` drops
-the snapshot (the next read reseals synchronously, the pre-delta
-behaviour).
-
-Reads have one layout, plus the delta dicts behind it:
+Every read is answered from exactly one of two sources:
 
 * the **columnar snapshot** — a :class:`ColumnarPostings` sealed from
   the dicts: an interned vocabulary plus CSR-style numpy arrays
@@ -37,12 +27,17 @@ Reads have one layout, plus the delta dicts behind it:
   queries are scored in one :meth:`ColumnarPostings.emission_block`
   pass, and the snapshot is immutable — reads run lock-free on it after
   a single version check.
-* the **delta dicts** — term -> {field -> {row -> tf}}, the mutable
-  structure refreshes append into and the snapshot is sealed from. They
-  answer only the terms a write touched since the last seal.
+* the **dicts** — term -> {field -> {row -> tf}}, the mutable structure
+  refreshes append into and the snapshot is sealed from. They always
+  hold the full current state.
 
-Both compute scores from the same integers with the same float
-operations, so a layered read is **bit-identical** to a fresh seal. The
+A current snapshot answers every read. A write that touches a term
+releases the snapshot and records the term in :attr:`delta_terms`; from
+then on the dicts answer every read (under the index lock) until
+:meth:`FullTextIndex.merge`, ``warm`` or ``save`` reseals. A write that
+touches no term leaves a current snapshot current. Both sources compute
+scores from the same integers with the same float operations, so a
+read from the dicts is **bit-identical** to a fresh seal. The
 hypothesis parity suite in ``tests/perf/test_index_parity.py`` holds
 both to a brute-force reference built straight from the table rows
 (``tests/oracle.py``).
@@ -251,7 +246,7 @@ class ColumnarPostings:
       token counts (the TF normaliser), in schema field order.
 
     Scores are computed from the same integers with the same operations
-    as the delta dicts' path (``count / field_size`` then ``* idf``), so
+    as the dicts' path (``count / field_size`` then ``* idf``), so
     every float is bit-identical whichever side answers a term.
     """
 
@@ -422,30 +417,20 @@ class ColumnarPostings:
         # Same expression over the same integers as FullTextIndex._idf.
         return math.log(1.0 + self.n_fields / entry_count)
 
-    def attribute_scores(
-        self, keyword: str, field_sizes: np.ndarray | None = None
-    ) -> dict[ColumnRef, float]:
-        """TF-IDF relevance of *keyword* per attribute (array slicing).
-
-        *field_sizes* substitutes the sealed per-field sizes — the delta
-        layer passes the database's *current* sizes so an untouched
-        term's scores track live mutations bit-identically to a rebuild.
-        """
+    def attribute_scores(self, keyword: str) -> dict[ColumnRef, float]:
+        """TF-IDF relevance of *keyword* per attribute (array slicing)."""
         entries = self._term_entries(keyword.casefold())
         if entries is None:
             return {}
         fields = self.entry_fields[entries]
-        all_sizes = self.field_sizes if field_sizes is None else field_sizes
-        sizes = all_sizes[fields]
         # int64 / int64 -> float64 matches Python's int / int division;
         # the subsequent `* idf` keeps the reference association order.
-        values = (self.entry_counts[entries] / sizes) * self._idf(
-            entries.stop - entries.start
-        )
+        values = (
+            self.entry_counts[entries] / self.field_sizes[fields]
+        ) * self._idf(entries.stop - entries.start)
         return {
             self.fields[int(field)]: float(value)
-            for field, value, size in zip(fields, values, sizes)
-            if size > 0
+            for field, value in zip(fields, values)
         }
 
     def matching_row_positions(self, keyword: str, ref: ColumnRef) -> list[int]:
@@ -461,10 +446,7 @@ class ColumnarPostings:
         return self._entry_of(term, ref) is not None
 
     def emission_block(
-        self,
-        keywords: Sequence[str],
-        refs: Sequence[ColumnRef],
-        field_sizes: np.ndarray | None = None,
+        self, keywords: Sequence[str], refs: Sequence[ColumnRef]
     ) -> np.ndarray:
         """Scores of every keyword against every requested attribute.
 
@@ -476,7 +458,6 @@ class ColumnarPostings:
         ref_ids = np.asarray(
             [self.field_ids.get(ref, -1) for ref in refs], dtype=np.int64
         )
-        all_sizes = self.field_sizes if field_sizes is None else field_sizes
         # Scatter per-keyword field scores into a dense per-field row, then
         # gather the requested columns: O(nnz + len(refs)) per keyword.
         out = np.zeros((len(keywords), len(refs)))
@@ -487,7 +468,7 @@ class ColumnarPostings:
                 continue
             fields = self.entry_fields[entries]
             row[fields] = (
-                self.entry_counts[entries] / all_sizes[fields]
+                self.entry_counts[entries] / self.field_sizes[fields]
             ) * self._idf(entries.stop - entries.start)
             out[i] = row[ref_ids]
             row[fields] = 0.0
@@ -548,14 +529,6 @@ class ColumnarPostings:
 class FullTextIndex:
     """Inverted index mapping terms to per-attribute posting lists."""
 
-    #: Touched-term count past which a background merge reseals the CSR
-    #: snapshot (reads stay layered and lock-held meanwhile).
-    DELTA_SOFT_LIMIT = 256
-    #: Touched-term count past which the snapshot is dropped outright
-    #: and the next read reseals synchronously — layering a huge delta
-    #: would serve most reads from the dicts anyway.
-    DELTA_HARD_LIMIT = 4096
-
     def __init__(self, db: Database) -> None:
         self._db = db
         #: term -> {ColumnRef -> {row_position -> term frequency}} — the
@@ -581,22 +554,18 @@ class FullTextIndex:
         self._indexed_deletions: dict[str, int] = {
             table.name: 0 for table in db.tables
         }
-        #: The sealed columnar layout; None = stale (resealed on demand).
+        #: The sealed columnar layout while it is current; None before
+        #: the first seal and after a write released it.
         self._snapshot: ColumnarPostings | None = None
-        #: Terms whose postings differ from the sealed snapshot. While
-        #: non-empty, reads *layer*: these terms come from the dicts,
-        #: everything else from the snapshot with live field sizes.
+        #: Terms written since the last seal. While non-empty there is no
+        #: snapshot and the dicts answer every read.
         self._delta_terms: set[str] = set()
-        #: Current per-field sizes in snapshot field order (the override
-        #: array layered reads pass); invalidated by every mutation.
-        self._live_sizes: np.ndarray | None = None
-        self._merge_thread: threading.Thread | None = None
         #: Mutation generation the index state corresponds to — the last
         #: applied journal sequence number at save/load time. Purely
         #: bookkeeping for the artifact republish cycle; 0 = unmanaged.
         self.generation = 0
         #: True while the snapshot arrays are np.memmap views of a saved
-        #: artifact (reset when a mutation forces a fresh in-heap seal).
+        #: artifact (reset when a write releases the snapshot).
         self._mmapped = False
         # Built lazily: the first read triggers the initial refresh, so
         # constructing an index (e.g. for an execute-only endpoint that
@@ -628,15 +597,14 @@ class FullTextIndex:
     def merge(self) -> None:
         """Index any unindexed tail and seal it into the columnar snapshot.
 
-        Runs in the background once a delta outgrows ``DELTA_SOFT_LIMIT``
-        (reads stay layered and correct meanwhile); callable directly by
-        anything that wants the CSR layout current *now*. As :meth:`warm`
+        The only way back to snapshot reads after a write: until it (or
+        :meth:`save`) runs, the dicts answer every read. As :meth:`warm`
         it forces the first build: reads do that lazily, and endpoints
         that want the cost paid at setup time call it explicitly.
         """
         with self._lock:
             self._refresh_locked()
-            if self._snapshot is None or self._delta_terms:
+            if self._snapshot is None:
                 self._seal_locked()
 
     #: One body, two names: ``warm`` for the first build, ``merge`` for
@@ -646,7 +614,8 @@ class FullTextIndex:
 
     @property
     def delta_terms(self) -> frozenset[str]:
-        """Terms currently layered over the sealed snapshot."""
+        """Terms written since the last seal (empty while a snapshot is
+        current)."""
         with self._lock:
             return frozenset(self._delta_terms)
 
@@ -667,7 +636,6 @@ class FullTextIndex:
         if version == self._built_version:
             return
         self._hydrate_locked()
-        changed = False
         touched: set[str] = set()
         for table in self._db.tables:
             watermark = self._indexed_rows[table.name]
@@ -677,7 +645,6 @@ class FullTextIndex:
             log = table.deletion_log
             done = self._indexed_deletions.get(table.name, 0)
             if done < len(log):
-                changed = True
                 for position in log[done:]:
                     if position < watermark:
                         self._unindex_position_locked(table, position, touched)
@@ -687,7 +654,6 @@ class FullTextIndex:
             end = len(rows)
             if watermark >= end:
                 continue
-            changed = True
             for column in table.schema.columns:
                 ref = ColumnRef(table.name, column.name)
                 position = table.column_position(column.name)
@@ -708,18 +674,13 @@ class FullTextIndex:
                 self._field_sizes[ref] += indexed
                 self._field_tokens[ref] += tokens_total
             self._indexed_rows[table.name] = end
-        if changed:
-            self._live_sizes = None
-            # With no sealed snapshot there is nothing to layer over: the
-            # next read seals one. Otherwise keep it and layer the delta.
-            if self._snapshot is not None:
-                self._delta_terms |= touched
-                if len(self._delta_terms) > self.DELTA_HARD_LIMIT:
-                    self._snapshot = None  # resealed on the next read
-                    self._mmapped = False  # the reseal materialises in heap
-                    self._delta_terms.clear()
-                else:
-                    self._maybe_merge_in_background_locked()
+        # Before the first seal there is nothing to release: the next read
+        # seals. Otherwise a touched term makes the snapshot stale; drop
+        # it (hydration already ran above) and let the dicts answer.
+        if touched and (self._snapshot is not None or self._delta_terms):
+            self._delta_terms |= touched
+            self._snapshot = None
+            self._mmapped = False
         self._built_version = version
 
     def _unindex_position_locked(
@@ -757,26 +718,14 @@ class FullTextIndex:
                     del self._postings[term]
                 touched.add(term)
 
-    def _maybe_merge_in_background_locked(self) -> None:
-        if len(self._delta_terms) < self.DELTA_SOFT_LIMIT:
-            return
-        thread = self._merge_thread
-        if thread is not None and thread.is_alive():
-            return
-        thread = threading.Thread(
-            target=self.merge, name="fulltext-merge", daemon=True
-        )
-        self._merge_thread = thread
-        thread.start()
-
     def _seal_locked(self) -> None:
-        self._hydrate_locked()
+        # Only called with no snapshot, so the dicts are hydrated: a load
+        # attaches one, and refresh hydrates before a write releases it.
         self._snapshot = ColumnarPostings.from_postings(
             self._postings, self._field_sizes, self._field_tokens
         )
         self._mmapped = False
         self._delta_terms.clear()
-        self._live_sizes = None
 
     # -- read-path plumbing ------------------------------------------------
 
@@ -785,57 +734,29 @@ class FullTextIndex:
 
         Every public read calls this exactly once: the mutation counter is
         compared (and a lazy refresh run) under the lock a single time,
-        and reads then proceed lock-free on the immutable snapshot.
-        Returns ``None`` while a write delta is layered over the snapshot:
-        the caller's :meth:`_reading` block then routes each term to the
-        delta dicts or the snapshot (with live field sizes) per term.
+        and reads then proceed lock-free on the immutable snapshot. The
+        first read seals it. Returns ``None`` after a write released the
+        snapshot: the caller then answers from the dicts inside
+        :meth:`_reading`, until :meth:`merge` reseals.
         """
         with self._lock:
             self._refresh_locked()
-            if self._snapshot is None:
+            if self._snapshot is None and not self._delta_terms:
                 self._seal_locked()
-            if self._delta_terms:
-                return None
             return self._snapshot
 
     @contextmanager
     def _reading(self):
-        """Serialise layered reads against refreshes (lazily refreshing).
+        """Serialise reads of the dicts against refreshes.
 
-        Layered reads iterate the delta dicts a concurrent refresh would
-        mutate, so the whole read holds the lock; the version
-        counter is checked once on entry. Covers both the lazy initial
-        build (_built_version starts at -1, below any real version) and
-        later inserts.
+        Dict reads iterate the structure a concurrent refresh would
+        mutate, so the whole read holds the lock, refreshing once on
+        entry. Callers come here only with no snapshot, so the dicts are
+        hydrated (see :meth:`_seal_locked`).
         """
         with self._lock:
             self._refresh_locked()
-            self._hydrate_locked()
             yield
-
-    def _layered_locked(self, term: str) -> ColumnarPostings | None:
-        """The snapshot to answer *term* from under a write delta.
-
-        ``None`` routes the term to the mutable dicts: either no delta or
-        no snapshot exists, or *term* was touched since the seal.
-        Untouched terms read the snapshot arrays with
-        :meth:`_live_sizes_locked` substituted — bit-identical to a full
-        rebuild because neither the term's postings nor its entry span
-        changed, and the tf denominator is taken from the live counts.
-        """
-        if not self._delta_terms:
-            return None
-        if self._snapshot is None or term in self._delta_terms:
-            return None
-        return self._snapshot
-
-    def _live_sizes_locked(self, snapshot: ColumnarPostings) -> np.ndarray:
-        if self._live_sizes is None:
-            self._live_sizes = np.asarray(
-                [self._field_sizes[ref] for ref in snapshot.fields],
-                dtype=np.int64,
-            )
-        return self._live_sizes
 
     # -- vocabulary --------------------------------------------------------
 
@@ -884,55 +805,27 @@ class FullTextIndex:
             return self._attribute_scores_locked(keyword)
 
     def _attribute_scores_locked(self, keyword: str) -> dict[ColumnRef, float]:
-        term = keyword.casefold()
-        snapshot = self._layered_locked(term)
-        if snapshot is not None:
-            return snapshot.attribute_scores(
-                keyword, field_sizes=self._live_sizes_locked(snapshot)
-            )
-        by_field = self._postings.get(term)
+        by_field = self._postings.get(keyword.casefold())
         if not by_field:
             return {}
         idf = self._idf(by_field)
-        scores: dict[ColumnRef, float] = {}
-        for ref, rows in by_field.items():
-            field_size = self._field_sizes.get(ref, 0)
-            if field_size == 0:
-                continue
-            tf = len(rows) / field_size
-            scores[ref] = tf * idf
-        return scores
+        return {
+            ref: len(rows) / self._field_sizes[ref] * idf
+            for ref, rows in by_field.items()
+        }
 
     def emission_block(
         self, keywords: Sequence[str], refs: Sequence[ColumnRef]
     ) -> np.ndarray:
         """Batched keyword-vs-attribute score matrix (see
-        :meth:`ColumnarPostings.emission_block`); layered under a delta."""
+        :meth:`ColumnarPostings.emission_block`)."""
         snapshot = self._current()
         if snapshot is not None:
             return snapshot.emission_block(keywords, refs)
         out = np.zeros((len(keywords), len(refs)))
         with self._reading():
-            snapshot = self._snapshot
-            if snapshot is not None and self._delta_terms:
-                # Layered batch: untouched keywords in one snapshot pass
-                # (live sizes substituted), touched ones from the dicts.
-                untouched = [
-                    i
-                    for i, keyword in enumerate(keywords)
-                    if keyword.casefold() not in self._delta_terms
-                ]
-                if untouched:
-                    out[untouched] = snapshot.emission_block(
-                        [keywords[i] for i in untouched],
-                        refs,
-                        field_sizes=self._live_sizes_locked(snapshot),
-                    )
-                remaining = set(range(len(keywords))) - set(untouched)
-            else:
-                remaining = set(range(len(keywords)))
-            for i in sorted(remaining):
-                scores = self._attribute_scores_locked(keywords[i])
+            for i, keyword in enumerate(keywords):
+                scores = self._attribute_scores_locked(keyword)
                 if scores:
                     out[i] = [scores.get(ref, 0.0) for ref in refs]
         return out
@@ -945,31 +838,21 @@ class FullTextIndex:
         if snapshot is not None:
             return snapshot.matching_row_positions(keyword, ref)
         with self._reading():
-            term = keyword.casefold()
-            snapshot = self._layered_locked(term)
-            if snapshot is not None:
-                # Positions need no size override: an untouched term's
-                # posting rows are exactly current.
-                return snapshot.matching_row_positions(keyword, ref)
-            by_field = self._postings.get(term, {})
+            by_field = self._postings.get(keyword.casefold(), {})
             return sorted(by_field.get(ref, {}))
 
     def has_postings(self, token: str, ref: ColumnRef) -> bool:
         """Whether some live row's ``ref.column`` holds *token*.
 
         The existence half of :meth:`matching_row_positions`, routed the
-        same way (snapshot, layered snapshot, or the delta dicts) but
-        answered by one entry probe or dict lookup, never by building
-        the position list. Deleted rows are unindexed on refresh, so a
+        same way (snapshot or dicts) but answered by one entry probe or
+        dict lookup, never by building the position list. Deleted rows are unindexed on refresh, so a
         ``False`` here means no live row holds the token.
         """
         snapshot = self._current()
         if snapshot is not None:
             return snapshot.has_postings(token, ref)
         with self._reading():
-            snapshot = self._layered_locked(token)
-            if snapshot is not None:
-                return snapshot.has_postings(token, ref)
             by_field = self._postings.get(token)
             return bool(by_field and by_field.get(ref))
 
@@ -995,7 +878,7 @@ class FullTextIndex:
         path = Path(path)
         with self._lock:
             self._refresh_locked()
-            if self._snapshot is None or self._delta_terms:
+            if self._snapshot is None:
                 self._seal_locked()
             snapshot = self._snapshot
             assert snapshot is not None

@@ -24,6 +24,9 @@ TEST_BACKEND = os.environ.get("QUEST_TEST_BACKEND", "memory")
 #: (the suites that exercise real cross-thread lock interleavings).
 #: ``QUEST_LOCKWATCH=1`` extends it to every test; ``=0`` disables it.
 _LOCKWATCH_MODULES = {"test_concurrent_search", "test_chaos"}
+#: Test modules that install their own watcher (``lockwatch.install``
+#: allows one at a time), so the fixture never installs one for them.
+_OWN_LOCKWATCH_MODULES = {"test_lockwatch"}
 
 
 @pytest.fixture(autouse=True)
@@ -39,7 +42,11 @@ def _lockwatch(request):
     """
     env = os.environ.get("QUEST_LOCKWATCH", "")
     module_name = getattr(request.module, "__name__", "").rpartition(".")[2]
-    enabled = env != "0" and (env == "1" or module_name in _LOCKWATCH_MODULES)
+    enabled = (
+        env != "0"
+        and module_name not in _OWN_LOCKWATCH_MODULES
+        and (env == "1" or module_name in _LOCKWATCH_MODULES)
+    )
     if not enabled:
         yield
         return

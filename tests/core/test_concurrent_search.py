@@ -424,8 +424,9 @@ class TestMutateWhileSearch:
     """Live mutation racing concurrent readers (the durability tier's S3
     contract): every concurrent observation of a mutated batch is all-or-
     nothing — pre-state or post-state, never a torn half-applied batch —
-    and the delta-layered index the readers raced is bit-identical to a
-    sequential rebuild once the dust settles."""
+    and the index the readers raced (answering from its dicts after each
+    write) is bit-identical to a sequential rebuild once the dust
+    settles."""
 
     BATCH = 6
 
@@ -525,9 +526,9 @@ class TestMutateWhileSearch:
             thread.join()
         assert not errors
 
-        # Settled state: the index the readers raced (sealed snapshot +
-        # delta layers + tombstones) scores bit-identically to a from-
-        # scratch sequential rebuild of the same mutation history.
+        # Settled state: the index the readers raced (write delta in the
+        # dicts + tombstones) scores bit-identically to a from-scratch
+        # sequential rebuild of the same mutation history.
         db = mondial.generate(countries=8, seed=31)
         sequential = create_backend("memory", db)
         for op in ops:

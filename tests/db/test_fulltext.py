@@ -1,5 +1,9 @@
 """Tests for the full-text inverted index."""
 
+import threading
+
+import numpy as np
+
 from repro.db import ColumnRef, FullTextIndex
 from repro.db.fulltext import tokenize_value
 
@@ -155,8 +159,9 @@ class TestRefresh:
 
 
 class TestDeltaLayer:
-    """Mutations after a seal layer a write delta over the CSR snapshot
-    (live-mutation tentpole): reads stay bit-identical to a rebuild."""
+    """A write after a seal releases the CSR snapshot and records the
+    touched terms as a delta; the dicts answer every read until a merge
+    reseals, bit-identical to a rebuild throughout."""
 
     KEYWORDS = ("kubrick", "odyssey", "the", "2001", "akerman")
 
@@ -189,7 +194,7 @@ class TestDeltaLayer:
         index.warm()
         mini_db.table("person").delete_rows([(1,)])
         index.refresh()
-        assert index.delta_terms  # the deleted row's terms are layered
+        assert index.delta_terms  # the deleted row's terms are recorded
         self._assert_matches_rebuild(index, mini_db)
 
     def test_merge_reseals_with_identical_scores(self, mini_db):
@@ -220,3 +225,80 @@ class TestDeltaLayer:
             assert loaded.attribute_scores(keyword) == index.attribute_scores(
                 keyword
             )
+
+    def test_growing_delta_reads_from_the_dicts_and_starts_no_thread(
+        self, mini_db
+    ):
+        index = FullTextIndex(mini_db)
+        index.warm()
+        threads = threading.active_count()
+        refs = index.fields()
+        touched: set[str] = set()
+        next_id = 100
+        # Each row adds three fresh terms (its id and two name tokens):
+        # the delta grows past 256 and then past 4096 touched terms.
+        for step_rows in (60, 40, 100, 1200, 10):
+            rows = [
+                {"id": i, "name": f"qx{i} qy{i}"}
+                for i in range(next_id, next_id + step_rows)
+            ]
+            next_id += step_rows
+            mini_db.insert_rows("person", rows)
+            for row in rows:
+                for value in row.values():
+                    touched.update(tokenize_value(value))
+            if step_rows == 40:
+                # A delete among the writes: its row's terms join the delta.
+                mini_db.delete_rows("person", [(1,)])
+                touched.update(("1", "stanley", "kubrick"))
+            keywords = (
+                list(self.KEYWORDS) + sorted(touched)[::97] + ["zzz", "qx101"]
+            )
+            self._assert_bit_identical(index, mini_db, keywords, refs)
+            assert threading.active_count() == threads
+            assert index.delta_terms == touched
+        assert len(touched) > 4096
+        before = {k: index.attribute_scores(k) for k in keywords}
+        index.merge()
+        assert index.delta_terms == frozenset()
+        assert {k: index.attribute_scores(k) for k in keywords} == before
+        self._assert_bit_identical(index, mini_db, keywords, refs)
+        assert threading.active_count() == threads
+
+    def test_write_touching_no_term_keeps_the_snapshot(self, mini_db):
+        index = FullTextIndex(mini_db)
+        index.warm()
+        sealed = index._snapshot
+        version = mini_db.version
+        # Inserted and deleted before the index saw it: nothing to index
+        # or unindex, though the database version moved.
+        mini_db.insert("person", {"id": 9, "name": "Chantal Akerman"})
+        mini_db.delete_rows("person", [(9,)])
+        assert mini_db.version != version
+        self._assert_matches_rebuild(index, mini_db)
+        assert index.delta_terms == frozenset()
+        assert index._snapshot is sealed
+
+    def _assert_bit_identical(self, index, db, keywords, refs):
+        rebuilt = FullTextIndex(db)
+        reference = PostingsReference(db)
+        for keyword in keywords:
+            scores = index.attribute_scores(keyword)
+            assert scores == rebuilt.attribute_scores(keyword), keyword
+            assert scores == reference.attribute_scores(keyword), keyword
+            for ref in refs:
+                positions = index.matching_row_positions(keyword, ref)
+                assert positions == rebuilt.matching_row_positions(keyword, ref)
+                assert positions == reference.matching_row_positions(keyword, ref)
+                exists = index.has_postings(keyword, ref)
+                assert exists == rebuilt.has_postings(keyword, ref)
+                assert exists == reference.has_postings(keyword, ref)
+        block = index.emission_block(keywords, refs)
+        assert block.tobytes() == rebuilt.emission_block(keywords, refs).tobytes()
+        expected = np.array(
+            [
+                [reference.attribute_scores(k).get(ref, 0.0) for ref in refs]
+                for k in keywords
+            ]
+        )
+        assert block.tobytes() == expected.tobytes()

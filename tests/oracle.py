@@ -43,7 +43,7 @@ configuration is built and counted.
 :class:`PostingsReference` is the full-text index's twin: brute-force
 postings read straight from a database's live rows, with the index's
 float expressions. The index-parity tests hold the in-memory
-``FullTextIndex`` (sealed, layered and freshly loaded) and SQLite's
+``FullTextIndex`` (sealed, after writes and freshly loaded) and SQLite's
 ``_quest_postings`` to its scores, row positions and existence answers.
 
 :func:`term_score_reference` is the schema ontology's twin: one

@@ -353,7 +353,7 @@ def test_lookups_are_memoised_per_token_and_column():
 )
 @given(scenario=_scenarios())
 def test_has_postings_is_a_nonempty_posting_list(scenario):
-    """Memory (sealed and layered) and SQLite agree with the lists and
+    """Memory (sealed and after writes) and SQLite agree with the lists and
     with brute-force postings read from the live rows."""
     rows, ops, _configurations = scenario
     db = Database(_schema())

@@ -2,8 +2,8 @@
 
 Three contracts, each asserted as *bit identity*:
 
-- the columnar (CSR numpy) index, sealed or with a write delta layered
-  over it, returns exactly the scores, row positions and existence
+- the columnar (CSR numpy) index, sealed or answering from its dicts
+  after a write, returns exactly the scores, row positions and existence
   answers of brute-force postings read straight from the rows
   (``tests.oracle.PostingsReference``) on any data (hypothesis-generated
   random tables included);
@@ -327,7 +327,7 @@ def test_load_or_build_reopens_a_fresh_build_mapped(mondial_db, tmp_path):
     assert artifact.exists()
 
 
-def test_mutation_after_mmap_load_layers_then_merges_into_heap(tmp_path):
+def test_mutation_after_mmap_load_releases_the_mapped_snapshot(tmp_path):
     db = mondial.generate(countries=6, seed=3)
     artifact = tmp_path / "mut.npz"
     FullTextIndex.load_or_build(artifact, db)
@@ -348,14 +348,16 @@ def test_mutation_after_mmap_load_layers_then_merges_into_heap(tmp_path):
             },
         },
     )
-    # A small mutation layers over the retained mapped snapshot ...
+    # A write releases the mapped snapshot: the dicts (hydrated from it
+    # before the write applied) answer every read ...
     assert mapped.attribute_scores("zzyzxstan")
-    assert mapped.mmapped
+    assert not mapped.mmapped
+    assert mapped._snapshot is None
     assert mapped.delta_terms
     assert mapped.attribute_scores("zzyzxstan") == FullTextIndex(
         db
     ).attribute_scores("zzyzxstan")
-    # ... until a merge reseals the delta into a private in-heap snapshot.
+    # ... until a merge reseals them into a private in-heap snapshot.
     mapped.merge()
     assert not mapped.mmapped
     assert not mapped.delta_terms

@@ -47,7 +47,8 @@ def fresh_backend():
 
 
 def ranking_digest(backend, probes):
-    """Exact layered scores for every probe keyword (bit-identity proxy)."""
+    """Exact scores for every probe keyword (bit-identity proxy), read
+    from the dicts while a write delta is unsealed."""
     return [backend.fulltext.attribute_scores(probe) for probe in probes]
 
 
