@@ -5,9 +5,12 @@ kernels; ``reference`` = their retained pure-Python twins, called directly
 or, for whole searches, swapped in by ``tests.oracle.reference_kernels()``):
 
 * **kernels** — List Viterbi (five keywords, and two: the shape of
-  every serve_http gold query), top-k Steiner and Dempster combination
-  micro-timings. These are storage-backend
-  independent (they never touch the backend) and are measured once.
+  every serve_http gold query), top-k Steiner, Dempster combination and
+  Jaro-Winkler (every gold keyword against every mondial schema
+  identifier, the bit-parallel kernel reading each identifier's cached
+  position masks against the per-position scan) micro-timings. These are
+  storage-backend independent (they never touch the backend) and are
+  measured once.
 * **cold_search** — a fresh-engine ``search_many`` pass per storage
   backend (cold caches), with per-stage trace seconds and cache counters.
 * **index** — full-text index lifecycle on a larger (imdb) instance:
@@ -96,6 +99,8 @@ from repro.dst import combine_scores, rank_hypotheses  # noqa: E402
 from repro.dst.combine import dempster_combine_reference, evidence_bodies  # noqa: E402
 from repro.hmm import list_viterbi, list_viterbi_reference  # noqa: E402
 from repro.pipeline.context import SearchContext  # noqa: E402
+from repro.semantics.similarity import _jaro_winkler, term_features  # noqa: E402
+from repro.semantics.tokenize import tokenize_query  # noqa: E402
 from repro.steiner import (  # noqa: E402
     build_schema_graph,
     top_k_steiner_trees,
@@ -103,7 +108,7 @@ from repro.steiner import (  # noqa: E402
 )
 from repro.storage import create_backend  # noqa: E402
 from repro.wrapper import FullAccessWrapper  # noqa: E402
-from tests.oracle import reference_kernels  # noqa: E402
+from tests.oracle import jaro_winkler_reference, reference_kernels  # noqa: E402
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_e7.json"
 KERNELSETS = ("optimized", "reference")
@@ -233,6 +238,35 @@ def _kernel_measurements(sc) -> dict[str, dict[str, object]]:
     def decode(optimized: bool, rows):
         (list_viterbi if optimized else list_viterbi_reference)(model, rows, 30)
 
+    # The ontology's Jaro-Winkler pairs: casefolded gold keywords against
+    # every schema identifier, whose features (masks included) an
+    # ontology derives once.
+    gold = sorted(
+        {term_features(k).folded for q in sc.workload for k in tokenize_query(q.text)}
+    )
+    identifiers = [
+        term_features(name)
+        for name in sorted(
+            {
+                name
+                for table in sc.db.schema.tables
+                for name in (
+                    table.name,
+                    *table.synonyms,
+                    *(n for c in table.columns for n in (c.name, *c.synonyms)),
+                )
+            }
+        )
+    ]
+
+    def jaro_pairs(optimized: bool):
+        for keyword in gold:
+            for term in identifiers:
+                if optimized:
+                    _jaro_winkler(keyword, term.folded, term.char_masks)
+                else:
+                    jaro_winkler_reference(keyword, term.folded)
+
     return {
         "list-viterbi T=5 k=30": variants(
             lambda optimized: decode(optimized, emissions)
@@ -249,6 +283,7 @@ def _kernel_measurements(sc) -> dict[str, dict[str, object]]:
         "ds-combine frame=400": variants(
             lambda optimized: ds_combine(400, optimized)
         ),
+        "jaro-winkler gold x mondial": variants(jaro_pairs),
     }
 
 

@@ -4,12 +4,19 @@ The forward step (and the hidden-source wrapper especially) needs graded
 similarity between a user keyword and schema vocabulary: exact matches are
 best, then stem matches, then fuzzy matches. All measures here return a
 similarity in ``[0, 1]`` with 1 meaning identical.
+
+Jaro runs bit-parallel over the right string's character positions (as
+in Myers' bit-vector matcher, J. ACM 1999): it computes the same match
+count and transpositions as the per-position window scan and feeds them
+into the same float expression, so each score equals the scan's bit for
+bit (see :func:`_jaro`). The scan is the test twin,
+``tests.oracle.jaro_reference``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet
+from dataclasses import dataclass, field
+from typing import AbstractSet, Mapping
 
 from repro.semantics.stemmer import stem
 from repro.semantics.tokenize import split_identifier
@@ -56,49 +63,78 @@ def edit_similarity(left: str, right: str) -> float:
     return 1.0 - levenshtein(left, right) / longest
 
 
+def _char_masks(text: str) -> dict[str, int]:
+    """Each character of *text* -> the bitmask of its positions in *text*."""
+    masks: dict[str, int] = {}
+    for position, char in enumerate(text):
+        masks[char] = masks.get(char, 0) | 1 << position
+    return masks
+
+
 def jaro(left: str, right: str) -> float:
     """Jaro similarity."""
+    return _jaro(left, right, _char_masks(right))
+
+
+def _jaro(left: str, right: str, right_masks: Mapping[str, int]) -> float:
+    """Jaro similarity, reading *right* through its :func:`_char_masks`.
+
+    Bit-parallel over *right*'s positions: left character ``i`` matches
+    the lowest unmatched position of its character inside ``i``'s window,
+    which is the lowest set bit of ``right_masks[char] & free & window``,
+    the first hit of the classic left-to-right window scan. Walking the
+    matched bits upwards lists *right*'s matched characters in order, so
+    the match count and the transpositions, and with them the float, are
+    those of the scan.
+    """
     if left == right:
         return 1.0
     if not left or not right:
         return 0.0
-    window = max(len(left), len(right)) // 2 - 1
-    window = max(window, 0)
-    left_matched = [False] * len(left)
-    right_matched = [False] * len(right)
-    matches = 0
+    window = max(max(len(left), len(right)) // 2 - 1, 0)
+    # Positions -window..window around 0; shifted left by i and back down
+    # by window, the bits i-window..i+window (clipped at 0).
+    span = (1 << (2 * window + 1)) - 1
+    full = free = (1 << len(right)) - 1
+    matched: list[str] = []
     for i, char in enumerate(left):
-        lo = max(0, i - window)
-        hi = min(len(right), i + window + 1)
-        for j in range(lo, hi):
-            if not right_matched[j] and right[j] == char:
-                left_matched[i] = True
-                right_matched[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    transpositions = 0
-    j = 0
-    for i, matched in enumerate(left_matched):
-        if not matched:
+        bits = right_masks.get(char)
+        if bits is None:
             continue
-        while not right_matched[j]:
-            j += 1
-        if left[i] != right[j]:
+        bits &= free & ((span << i) >> window)
+        if bits:
+            free ^= bits & -bits
+            matched.append(char)
+    if not matched:
+        return 0.0
+    taken = full ^ free
+    transpositions = 0
+    for char in matched:
+        low = taken & -taken
+        if right[low.bit_length() - 1] != char:
             transpositions += 1
-        j += 1
+        taken ^= low
     transpositions //= 2
-    m = float(matches)
+    m = float(len(matched))
     return (m / len(left) + m / len(right) + (m - transpositions) / m) / 3.0
 
 
 def jaro_winkler(left: str, right: str, prefix_scale: float = 0.1) -> float:
     """Jaro-Winkler similarity: Jaro boosted for common prefixes."""
-    base = jaro(left, right)
+    return _jaro_winkler(left, right, _char_masks(right), prefix_scale)
+
+
+def _jaro_winkler(
+    left: str,
+    right: str,
+    right_masks: Mapping[str, int],
+    prefix_scale: float = 0.1,
+) -> float:
+    """:func:`jaro_winkler`, reading *right* through its :func:`_char_masks`."""
+    base = _jaro(left, right, right_masks)
     prefix = 0
-    for l_char, r_char in zip(left, right):
-        if l_char != r_char or prefix == 4:
+    for l_char, r_char in zip(left[:4], right[:4]):
+        if l_char != r_char:
             break
         prefix += 1
     return base + prefix * prefix_scale * (1.0 - base)
@@ -110,8 +146,13 @@ def _trigrams(text: str) -> set[str]:
 
 
 def _jaccard(left: AbstractSet[str], right: AbstractSet[str]) -> float:
-    """``|left & right| / |left | right|`` for a non-empty union."""
-    return len(left & right) / len(left | right)
+    """``|left & right| / |left | right|`` for a non-empty union.
+
+    The union's size is read off the two sizes and the intersection's, so
+    no union set is built: the same integers give the same float.
+    """
+    shared = len(left & right)
+    return shared / (len(left) + len(right) - shared)
 
 
 def trigram_similarity(left: str, right: str) -> float:
@@ -148,9 +189,10 @@ class TermFeatures:
     """Everything the keyword-to-term measures read of one string.
 
     Derived once per string by :func:`term_features`, so scoring one
-    keyword against many schema identifiers stems, splits and trigrams
-    each string once instead of once per pair. Only Jaro-Winkler, which
-    reads both strings together, runs per pair.
+    keyword against many schema identifiers stems, splits, trigrams and
+    position-masks each string once instead of once per pair. Only the
+    Jaro-Winkler match walk, which reads both strings together, runs per
+    pair, and it reads the term's side through :attr:`char_masks`.
     """
 
     #: The string as given.
@@ -168,6 +210,10 @@ class TermFeatures:
     part_stems: frozenset[str]
     #: Padded character trigrams of the folded string.
     trigrams: frozenset[str]
+    #: :func:`_char_masks` of the folded string: each character's positions
+    #: as a bitmask (the bit-parallel Jaro kernel's view of the string).
+    #: Derived from ``folded``, so it takes no part in comparisons.
+    char_masks: Mapping[str, int] = field(compare=False)
 
 
 def term_features(text: str) -> TermFeatures:
@@ -182,6 +228,7 @@ def term_features(text: str) -> TermFeatures:
         folded_stem=stem(folded),
         part_stems=_part_stems(folded),
         trigrams=frozenset(_trigrams(folded.casefold())),
+        char_masks=_char_masks(folded),
     )
 
 
@@ -195,7 +242,7 @@ def feature_similarity(keyword: TermFeatures, term: TermFeatures) -> float:
         return 0.95
     return max(
         _token_set(keyword.part_stems, term.part_stems),
-        jaro_winkler(keyword.folded, term.folded) * 0.9,
+        _jaro_winkler(keyword.folded, term.folded, term.char_masks) * 0.9,
         _jaccard(keyword.trigrams, term.trigrams) * 0.9,
     )
 

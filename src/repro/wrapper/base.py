@@ -37,6 +37,11 @@ __all__ = ["SourceWrapper"]
 #: Default emission-cache capacity: comfortably above the distinct-keyword
 #: count of any benchmark workload while bounding memory on open vocabularies.
 DEFAULT_EMISSION_CACHE_SIZE = 2048
+#: Schema-name similarities below this are treated as noise, not evidence,
+#: by both wrappers. Genuine matches (stems, lexicon synonyms,
+#: identifier-part hits) score >= 0.85; Jaro-Winkler noise between
+#: unrelated short words peaks around 0.6.
+SIMILARITY_CUTOFF = 0.78
 
 
 class SourceWrapper(abc.ABC):

@@ -29,7 +29,11 @@ from repro.db.schema import ColumnRef
 from repro.errors import QuestError
 from repro.hmm.states import StateKind, StateSpace
 from repro.storage import MemoryBackend, StorageBackend, as_backend
-from repro.wrapper.base import DEFAULT_EMISSION_CACHE_SIZE, SourceWrapper
+from repro.wrapper.base import (
+    DEFAULT_EMISSION_CACHE_SIZE,
+    SIMILARITY_CUTOFF,
+    SourceWrapper,
+)
 from repro.wrapper.ontology import SchemaOntology
 
 __all__ = ["FullAccessWrapper"]
@@ -37,10 +41,6 @@ __all__ = ["FullAccessWrapper"]
 #: Schema-term evidence is discounted against instance evidence: a keyword
 #: that literally occurs in the data is stronger proof than a name match.
 _SCHEMA_TERM_SCALE = 0.8
-#: Name similarities below this are treated as noise, not evidence. Genuine
-#: matches (stems, lexicon synonyms, identifier-part hits) score >= 0.85;
-#: Jaro-Winkler noise between unrelated short words peaks around 0.6.
-_SIMILARITY_CUTOFF = 0.78
 
 
 class FullAccessWrapper(SourceWrapper):
@@ -131,11 +131,11 @@ class FullAccessWrapper(SourceWrapper):
                 scores[position] = domain_scores.get(ref, 0.0)
             elif state.kind is StateKind.TABLE:
                 similarity = scorer.table_score(state.table)
-                if similarity >= _SIMILARITY_CUTOFF:
+                if similarity >= SIMILARITY_CUTOFF:
                     scores[position] = similarity * _SCHEMA_TERM_SCALE
             else:  # ATTRIBUTE
                 similarity = scorer.attribute_score(state.table, state.column)
-                if similarity >= _SIMILARITY_CUTOFF:
+                if similarity >= SIMILARITY_CUTOFF:
                     scores[position] = similarity * _SCHEMA_TERM_SCALE
         return scores
 
@@ -188,7 +188,7 @@ class FullAccessWrapper(SourceWrapper):
                     similarity = scorer.table_score(state.table)
                 else:  # ATTRIBUTE
                     similarity = scorer.attribute_score(state.table, state.column)
-                if similarity >= _SIMILARITY_CUTOFF:
+                if similarity >= SIMILARITY_CUTOFF:
                     row[position] = similarity * _SCHEMA_TERM_SCALE
         return matrix
 

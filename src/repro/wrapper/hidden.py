@@ -26,13 +26,15 @@ from repro.errors import AccessDeniedError
 from repro.hmm.states import StateKind, StateSpace
 from repro.semantics.recognizers import shape_score
 from repro.storage import StorageBackend, as_backend
-from repro.wrapper.base import DEFAULT_EMISSION_CACHE_SIZE, SourceWrapper
+from repro.wrapper.base import (
+    DEFAULT_EMISSION_CACHE_SIZE,
+    SIMILARITY_CUTOFF,
+    SourceWrapper,
+)
 from repro.wrapper.ontology import SchemaOntology
 
 __all__ = ["HiddenSourceWrapper"]
 
-#: Below this, a name-similarity score is noise (same cutoff as full access).
-_SIMILARITY_CUTOFF = 0.78
 #: DOMAIN evidence from shape matching is weaker than full-text evidence;
 #: scaled down so schema-name hits still dominate when both are plausible.
 _SHAPE_SCALE = 0.6
@@ -91,11 +93,11 @@ class HiddenSourceWrapper(SourceWrapper):
                 scores[position] = _SHAPE_SCALE * shape * prior
             elif state.kind is StateKind.TABLE:
                 similarity = scorer.table_score(state.table)
-                if similarity >= _SIMILARITY_CUTOFF:
+                if similarity >= SIMILARITY_CUTOFF:
                     scores[position] = similarity
             else:  # ATTRIBUTE
                 similarity = scorer.attribute_score(state.table, state.column)
-                if similarity >= _SIMILARITY_CUTOFF:
+                if similarity >= SIMILARITY_CUTOFF:
                     scores[position] = similarity
         return scores
 

@@ -7,16 +7,19 @@ schema itself, giving a single relatedness oracle between user keywords and
 schema terms.
 
 A keyword's score against a schema identifier reads string features —
-casefolded form, stems, part stems, trigrams
+casefolded form, stems, part stems, trigrams and each character's
+positions as a bitmask
 (:class:`~repro.semantics.similarity.TermFeatures`) — that are derived
 once per string: each schema identifier's (and each of its word parts')
-on first use, each keyword's once per :class:`KeywordScorer`. An emission
-pass makes one scorer per keyword, and the scorer scores each distinct
-identifier once: ``name`` and ``id`` recur across many tables, so a row
-asks for far fewer scores than it has states. Only Jaro-Winkler, which
-reads both strings together, runs per pair, and the lexicon's synonym and
-hypernym tables are read live, so a lexicon mutation shows in the next
-score.
+on first use, so building an ontology scores nothing, and each keyword's
+once per :class:`KeywordScorer`. An emission pass makes one scorer per
+keyword, and the scorer scores each distinct identifier once: ``name``
+and ``id`` recur across many tables, so a row asks for far fewer scores
+than it has states. Only Jaro-Winkler, which reads both strings together,
+runs per pair: its bit-parallel match walk reads the identifier through
+its cached position masks, a few integer operations per keyword
+character. The lexicon's synonym and hypernym tables are read live, so a
+lexicon mutation shows in the next score.
 """
 
 from __future__ import annotations

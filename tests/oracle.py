@@ -49,9 +49,11 @@ float expressions. The index-parity tests hold the in-memory
 :func:`term_score_reference` is the schema ontology's twin: one
 keyword-identifier score computed from the two strings alone, re-stemming,
 re-splitting and re-trigramming both for every pair, as the ontology did
-before it derived each string's features once. The ontology-parity tests
-hold ``term_score``, ``table_score`` and ``attribute_score`` to it bit for
-bit.
+before it derived each string's features once, with Jaro-Winkler by the
+per-position window scan (:func:`jaro_reference`,
+:func:`jaro_winkler_reference`) instead of the bit-parallel kernel. The
+ontology-parity tests hold ``term_score``, ``table_score`` and
+``attribute_score`` to it bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from repro.errors import SteinerError
 from repro.hmm import HiddenMarkovModel, list_viterbi_reference
 from repro.semantics.lexicon import Lexicon
 from repro.semantics.similarity import (
-    jaro_winkler,
     token_set_similarity,
     trigram_similarity,
 )
@@ -565,11 +566,68 @@ def _project(
 # -- the ontology's reference: today's pairwise string formula --------------
 
 
+def jaro_reference(left: str, right: str) -> float:
+    """Jaro similarity by the classic per-position window scan.
+
+    The twin of :func:`repro.semantics.similarity.jaro`: each left
+    character takes the first unmatched equal character of *right* inside
+    its window, then the matched characters are compared in order.
+    """
+    if left == right:
+        return 1.0
+    if not left or not right:
+        return 0.0
+    window = max(len(left), len(right)) // 2 - 1
+    window = max(window, 0)
+    left_matched = [False] * len(left)
+    right_matched = [False] * len(right)
+    matches = 0
+    for i, char in enumerate(left):
+        lo = max(0, i - window)
+        hi = min(len(right), i + window + 1)
+        for j in range(lo, hi):
+            if not right_matched[j] and right[j] == char:
+                left_matched[i] = True
+                right_matched[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i, matched in enumerate(left_matched):
+        if not matched:
+            continue
+        while not right_matched[j]:
+            j += 1
+        if left[i] != right[j]:
+            transpositions += 1
+        j += 1
+    transpositions //= 2
+    m = float(matches)
+    return (m / len(left) + m / len(right) + (m - transpositions) / m) / 3.0
+
+
+def jaro_winkler_reference(
+    left: str, right: str, prefix_scale: float = 0.1
+) -> float:
+    """Jaro-Winkler over :func:`jaro_reference` (the twin of
+    :func:`repro.semantics.similarity.jaro_winkler`)."""
+    base = jaro_reference(left, right)
+    prefix = 0
+    for l_char, r_char in zip(left, right):
+        if l_char != r_char or prefix == 4:
+            break
+        prefix += 1
+    return base + prefix * prefix_scale * (1.0 - base)
+
+
 def term_similarity_reference(keyword: str, term: str) -> float:
     """Keyword-to-term similarity straight from the two strings.
 
     The twin of :func:`repro.semantics.similarity.feature_similarity`:
-    every stem, split and trigram set is recomputed for the pair.
+    every stem, split and trigram set is recomputed for the pair, and
+    Jaro-Winkler runs the per-position scan, not the bit-parallel kernel.
     """
     keyword_folded = keyword.casefold().strip()
     term_folded = term.casefold().strip()
@@ -581,7 +639,7 @@ def term_similarity_reference(keyword: str, term: str) -> float:
         return 0.95
     return max(
         token_set_similarity(keyword_folded, term_folded),
-        jaro_winkler(keyword_folded, term_folded) * 0.9,
+        jaro_winkler_reference(keyword_folded, term_folded) * 0.9,
         trigram_similarity(keyword_folded, term_folded) * 0.9,
     )
 

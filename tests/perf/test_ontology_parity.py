@@ -4,7 +4,8 @@ The ontology derives each string's features (casefolded form, stems, part
 stems, trigrams) once and scores each distinct identifier once per
 keyword. The contract is *bit identity* with
 :func:`tests.oracle.term_score_reference`, which recomputes everything
-from the two strings for every pair: on the mondial, imdb and dblp
+from the two strings for every pair, Jaro-Winkler by the per-position
+window scan rather than the bit-parallel kernel: on the mondial, imdb and dblp
 schemas, for gold keywords, typos of them, quoted phrases and inflected
 words, before and after the lexicon gains a synonym ring and a hypernym.
 """

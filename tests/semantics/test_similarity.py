@@ -1,9 +1,10 @@
 """Tests for string similarity measures."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import dblp, imdb, mondial
 from repro.semantics import (
     edit_similarity,
     jaro_winkler,
@@ -12,10 +13,29 @@ from repro.semantics import (
     token_set_similarity,
     trigram_similarity,
 )
-from repro.semantics.similarity import jaro
+from repro.semantics.similarity import (
+    _jaccard,
+    _jaro_winkler,
+    jaro,
+    term_features,
+)
+from repro.semantics.tokenize import tokenize_query
+
+from tests.oracle import jaro_reference, jaro_winkler_reference
 
 words = st.text(
     alphabet=st.characters(whitelist_categories=("Ll",)), max_size=12
+)
+
+#: Strings for the bit-parallel Jaro kernel against its loop twin: a
+#: small alphabet (so characters repeat and compete for window slots),
+#: letters that casefold to more than one character ("ß" -> "ss",
+#: "İ" -> "i̇"), and lengths up to 80, past one 64-bit word.
+jaro_texts = st.one_of(
+    st.text(alphabet="ab", max_size=80),
+    st.text(alphabet="abcd", max_size=80),
+    st.text(alphabet="aßsİi\u0307x ", max_size=40),
+    st.text(max_size=24),
 )
 
 
@@ -58,6 +78,60 @@ class TestJaro:
     @given(words, words)
     def test_range(self, a, b):
         assert 0.0 <= jaro_winkler(a, b) <= 1.0
+
+
+def _same_bits(got: float, want: float) -> bool:
+    return got.hex() == want.hex()
+
+
+class TestJaroKernelParity:
+    """The bit-parallel kernel against the per-position scan, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(jaro_texts, jaro_texts)
+    def test_matches_loop_twin(self, a, b):
+        assert _same_bits(jaro(a, b), jaro_reference(a, b)), (a, b)
+        assert _same_bits(jaro_winkler(a, b), jaro_winkler_reference(a, b)), (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jaro_texts, jaro_texts)
+    def test_cached_masks_match_loop_twin(self, a, b):
+        # The ontology's path: casefolded strings, the right side read
+        # through the position masks its features carry.
+        left, right = term_features(a), term_features(b)
+        assert _same_bits(
+            _jaro_winkler(left.folded, right.folded, right.char_masks),
+            jaro_winkler_reference(left.folded, right.folded),
+        ), (a, b)
+
+    def test_every_gold_keyword_against_every_identifier(self):
+        generators = (
+            (mondial.generate(countries=8, seed=23), mondial.workload),
+            (imdb.generate(movies=40, seed=7), imdb.workload),
+            (dblp.generate(papers=40, seed=13), dblp.workload),
+        )
+        keywords: set[str] = set()
+        identifiers: set[str] = set()
+        for db, workload in generators:
+            for query in workload(db, queries_per_kind=3):
+                keywords.update(tokenize_query(query.text))
+            for table in db.schema.tables:
+                identifiers.update((table.name, *table.synonyms))
+                for column in table.columns:
+                    identifiers.update((column.name, *column.synonyms))
+        terms = [term_features(identifier) for identifier in sorted(identifiers)]
+        for keyword in sorted(keywords):
+            folded = term_features(keyword).folded
+            for term in terms:
+                assert _same_bits(
+                    _jaro_winkler(folded, term.folded, term.char_masks),
+                    jaro_winkler_reference(folded, term.folded),
+                ), (keyword, term.text)
+
+    @given(st.frozensets(st.text(max_size=2)), st.frozensets(st.text(max_size=2)))
+    def test_jaccard_from_sizes_is_the_union_ratio(self, a, b):
+        if a or b:
+            assert _same_bits(_jaccard(a, b), len(a & b) / len(a | b))
 
 
 class TestTrigram:
