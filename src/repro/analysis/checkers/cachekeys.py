@@ -13,15 +13,15 @@ Heuristics (syntactic by design, see ``checkers.base``):
   ``recv.put(key, ...)`` and the receiver's terminal name contains
   ``cache``, or the receiver is ``self.X`` where the enclosing class
   assigns ``self.X = SomethingCache(...)`` (catches ``self._results =
-  TTLResultCache(...)``).
+  LRUCache(...)``).
 - The key expression passes when any identifier, attribute, keyword or
   string constant inside it contains ``version`` / ``revision`` /
   ``generation``. A bare-``Name`` key is resolved through enclosing
   function scopes (``key = (kw, k, self._engine_version())`` then
   ``cache.get(key)`` passes).
 
-Intentionally version-free caches (the stale-answer cache, sealed
-per-snapshot caches) take an inline
+Intentionally version-free caches (the service's ranking cache, which
+keeps the version in the value, sealed per-snapshot caches) take an inline
 ``# questlint: disable=cache-revision  # reason``.
 """
 

@@ -1,8 +1,8 @@
 """clock-discipline: deadline-aware layers never read the clock directly.
 
 The resilience tier's determinism rests on injected clocks: ``Deadline``,
-the circuit breaker, TTL caches and the prefork supervisor all take a
-``clock`` callable defaulting to ``time.monotonic``, so chaos tests can
+the service's metrics and ranking cache and the prefork supervisor all
+take a ``clock`` callable defaulting to ``time.monotonic``, so chaos tests can
 drive expiry without sleeping. A direct ``time.time()`` /
 ``time.monotonic()`` *call* inside ``pipeline/``, ``resilience/`` or
 ``service/`` bypasses that seam — the test can no longer make that code

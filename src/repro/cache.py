@@ -7,8 +7,8 @@ amortises work across queries through three revision-keyed instances of
 this cache: keyword emission vectors on the source wrapper, top-k
 Steiner results on the schema graph, and explanation result counts on
 the storage backend. All three sit on hot paths that may be exercised
-concurrently (the multi-source executor fans per-source searches out
-over threads), so every operation takes an internal lock.
+concurrently (the serving tier runs searches on executor threads), so
+every operation takes an internal lock.
 
 The two data-derived caches (emissions and counts) share one
 invalidation mechanism, :meth:`LRUCache.sync`: each read folds the

@@ -39,8 +39,8 @@ Injection points:
 
 Fault kinds: ``latency`` (sleep ``delay_s``), ``error`` (raise), ``crash``
 (``os._exit`` — forked workers only), ``flake`` (raise for the first
-``recover_after`` triggered calls, then pass forever — the
-flake-then-recover schedule breaker tests are built on).
+``recover_after`` triggered calls, then pass forever — a transient
+fault that heals on its own).
 """
 
 from __future__ import annotations

@@ -73,9 +73,9 @@ class RetryPolicy:
         """Run *fn*, retrying on *retry_on* up to the attempt budget.
 
         The final failure propagates unwrapped so callers keep their own
-        error-mapping (``ExecutionError`` wrapping, breaker recording).
+        error-mapping (``ExecutionError`` wrapping, failure-window recording).
         *on_retry* is invoked with (exception, attempt index) before each
-        sleep — the storage tier uses it to feed the circuit breaker.
+        sleep — the storage tier uses it to feed its failure window.
         """
         schedule = self.delays()
         attempt = 0

@@ -1,9 +1,10 @@
 """The serving tier: concurrent, latency-bounded query answering.
 
 ``QuestService`` wraps one engine (single- or multi-source) with the
-tiers an interactive deployment needs — TTL'd result caching, in-flight
-request coalescing, admission control with fast-fail shedding, and an
-operator metrics snapshot. See :mod:`repro.service.service` for the
+tiers an interactive deployment needs — one ranking cache (fresh hits
+within a TTL at the current engine version, stale fallback across
+revisions when storage fails), in-flight request coalescing, admission
+control with fast-fail shedding, and an operator metrics snapshot. See :mod:`repro.service.service` for the
 full story.
 
 On top of it sits the network tier: :class:`QuestHttpServer` puts a
@@ -16,10 +17,11 @@ artifact. See :mod:`repro.service.http` and
 Cutting across all three is the resilience tier
 (:mod:`repro.resilience`): per-request deadlines propagated down to the
 Steiner search (``X-Quest-Deadline-Ms`` → 504 or degraded best-so-far
-answers), a circuit breaker that records SQLite read outcomes and
-reports degraded storage through ``/readyz`` (it refuses no call, so
-rankings never depend on it), revision-stale serving when storage fails
-outright, and jittered-exponential worker respawn backoff — all testable
+answers), a window over the last SQLite read outcomes that reports
+failing storage through ``/readyz`` (it refuses no call, so rankings
+never depend on it), revision-stale serving when storage fails outright
+(503 ``storage_unavailable`` when there is nothing to serve), and
+jittered-exponential worker respawn backoff — all testable
 deterministically through :mod:`repro.faults`.
 """
 
@@ -29,13 +31,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.resilience import (
-    BreakerSettings,
-    CircuitBreaker,
-    Deadline,
-    RetryPolicy,
-    process_health,
-)
+from repro.resilience import Deadline, RetryPolicy, process_health
 from repro.service.admission import AdmissionController
 from repro.service.http import HttpServerSettings, QuestHttpServer
 from repro.service.metrics import MetricsSnapshot, ServiceMetrics
@@ -45,14 +41,11 @@ from repro.service.prefork import (
     shared_artifact_engine,
 )
 from repro.service.quota import TenantQuotas
-from repro.service.result_cache import TTLResultCache
 from repro.service.service import QuestService, ServiceResponse, ServiceSettings
 from repro.service.singleflight import SingleFlight
 
 __all__ = [
     "AdmissionController",
-    "BreakerSettings",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceededError",
     "HttpServerSettings",
@@ -69,7 +62,6 @@ __all__ = [
     "ServiceResponse",
     "ServiceSettings",
     "SingleFlight",
-    "TTLResultCache",
     "TenantQuotas",
     "process_health",
     "shared_artifact_engine",

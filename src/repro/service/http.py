@@ -21,12 +21,16 @@ fixed route table:
 Error mapping follows the shedding semantics of the tiers underneath:
 a per-tenant quota refusal (:class:`QuotaExceededError`) is **429** with
 ``Retry-After`` — *you* should back off; a service-wide admission shed
-(:class:`ServiceOverloadedError`) is **503** with ``Retry-After`` — *we*
-are saturated; an exhausted request budget
-(:class:`DeadlineExceededError`) is **504**; an unusable query is 400;
-everything else is 500. Every error body is a structured envelope —
-``{"error": {"code", "message", "request_id", ...}}`` — so clients and
-log pipelines key on stable codes, never on message prose. A request
+(:class:`ServiceOverloadedError`) is **503** ``overloaded`` with
+``Retry-After`` — *we* are saturated; a storage failure with no stale
+ranking to fall back on (:class:`ExecutionError`) is **503**
+``storage_unavailable`` with ``Retry-After`` — the query was fine, the
+data behind it was not reachable; an exhausted request budget
+(:class:`DeadlineExceededError`) is **504**; an unusable query (any
+other :class:`QuestError`) is 400; everything else is 500. Every error
+body is a structured envelope — ``{"error": {"code", "message",
+"request_id", ...}}`` — so clients and log pipelines key on stable
+codes, never on message prose. A request
 budget rides in on the ``X-Quest-Deadline-Ms`` header; degraded and
 revision-stale answers are flagged in the payload (stale ones also
 carry an RFC 7234 ``Warning`` header).
@@ -54,6 +58,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.errors import (
     DeadlineExceededError,
+    ExecutionError,
     QuestError,
     QuotaExceededError,
     ServiceError,
@@ -70,7 +75,7 @@ _MAX_HEAD_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 64 * 1024
 #: Seconds an idle keep-alive connection may sit between requests.
 _KEEPALIVE_TIMEOUT_S = 30.0
-#: ``Retry-After`` seconds advertised on 429/503 sheds.
+#: ``Retry-After`` seconds advertised on 429/503 answers.
 _RETRY_AFTER_S = 1
 
 #: The header tenants identify themselves with (case-insensitive).
@@ -530,6 +535,12 @@ class QuestHttpServer:
             )
         except ServiceOverloadedError as exc:
             return 503, _error("overloaded", str(exc), request_id), retry
+        except ExecutionError as exc:
+            return (
+                503,
+                _error("storage_unavailable", str(exc), request_id),
+                retry,
+            )
         except DeadlineExceededError as exc:
             return (
                 504,

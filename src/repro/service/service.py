@@ -8,10 +8,12 @@ assumes — also needs the traffic-shaping tiers this class layers on
 top of a :class:`~repro.core.engine.Quest` (or
 :class:`~repro.core.multisource.MultiSourceQuest`):
 
-1. **Result cache** — completed rankings are served from a TTL'd LRU
-   keyed on ``(keywords, k, engine version)``; any result-affecting
-   mutation moves the engine version, so stale answers are unreachable
-   by construction.
+1. **Ranking cache** — one LRU of completed rankings keyed on
+   ``(keywords, k)``; each entry carries the engine version it was
+   computed at. A hit is fresh only at the current version, within
+   ``result_ttl_s`` and after the last :meth:`QuestService.invalidate`,
+   so any result-affecting mutation (which moves the engine version)
+   makes the entry unservable as fresh.
 2. **Request coalescing** — identical in-flight ``(keywords, k)``
    requests share one pipeline run through a singleflight map: a burst
    of a hot query costs one computation.
@@ -21,8 +23,9 @@ top of a :class:`~repro.core.engine.Quest` (or
 4. **Metrics** — counters, windowed QPS and p50/p95 latency via
    :meth:`QuestService.metrics`.
 
-When storage fails, a long-TTL stale cache answers with the last good
-ranking (see :meth:`QuestService.search`). Every tier is always on;
+When storage fails, the same entry answers as a revision-stale ranking
+for up to ``stale_ttl_s`` (see :meth:`QuestService.search`). Every tier
+is always on;
 :class:`ServiceSettings` sizes them but switches none of them off.
 
 Requests are tokenised before keying, so ``"capital  Ruritania"`` and
@@ -44,11 +47,11 @@ from repro.errors import (
     QuestError,
     ServiceOverloadedError,
 )
-from repro.resilience import Deadline, process_health
+from repro.cache import LRUCache
+from repro.resilience import Deadline, FailureWindow, process_health
 from repro.semantics.tokenize import tokenize_query
 from repro.service.admission import AdmissionController
 from repro.service.metrics import DEFAULT_WINDOW, MetricsSnapshot, ServiceMetrics
-from repro.service.result_cache import TTLResultCache
 from repro.service.singleflight import SingleFlight
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -71,12 +74,12 @@ class ServiceSettings:
         max_concurrent: searches executing at once.
         max_queue: admitted searches allowed to wait for a slot; the
             next request past ``max_concurrent + max_queue`` is shed.
-        result_ttl_s: seconds a cached ranking stays servable.
-        result_cache_size: rankings retained (LRU beyond that).
+        result_ttl_s: seconds a cached ranking stays servable as fresh.
+        result_cache_size: ``(keywords, k)`` rankings retained (LRU
+            beyond that).
         metrics_window: completed requests kept for quantiles/QPS.
         stale_ttl_s: seconds a ranking stays eligible for stale serving
             (see :meth:`QuestService.search`).
-        stale_cache_size: stale rankings retained (LRU beyond that).
     """
 
     k: int | None = None
@@ -86,7 +89,6 @@ class ServiceSettings:
     result_cache_size: int = 256
     metrics_window: int = DEFAULT_WINDOW
     stale_ttl_s: float = 300.0
-    stale_cache_size: int = 256
 
     def __post_init__(self) -> None:
         if self.k is not None and self.k <= 0:
@@ -115,10 +117,6 @@ class ServiceSettings:
             raise QuestError(
                 f"stale_ttl_s must be positive, got {self.stale_ttl_s}"
             )
-        if self.stale_cache_size <= 0:
-            raise QuestError(
-                f"stale_cache_size must be positive, got {self.stale_cache_size}"
-            )
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,9 @@ class ServiceResponse:
             trace.
         source: ``"engine"`` (this request ran the pipeline),
             ``"coalesced"`` (joined another request's run),
-            ``"cache"`` (TTL result cache) or ``"stale"`` (the
-            revision-stale fallback cache, served because the engine's
-            storage was failing).
+            ``"cache"`` (a fresh ranking-cache hit) or ``"stale"`` (a
+            ranking-cache entry from any revision, served because the
+            engine's storage was failing).
         latency_s: wall time this request spent in the service.
     """
 
@@ -188,6 +186,19 @@ class _Computed:
     trace: "SearchTrace | None"
 
 
+@dataclass(frozen=True)
+class _Entry:
+    """One ranking-cache entry: a ranking and what it was stored under."""
+
+    computed: _Computed
+    #: The engine version the request that computed it started at.
+    version: Any
+    #: Clock reading at store time (both TTLs count from here).
+    stored_at: float
+    #: The service's invalidation epoch at store time.
+    epoch: object
+
+
 class QuestService:
     """Concurrent, latency-bounded query answering over one engine.
 
@@ -213,23 +224,18 @@ class QuestService:
             self.settings.max_concurrent, self.settings.max_queue
         )
         self._flights = SingleFlight()
-        self._results = TTLResultCache(
-            maxsize=self.settings.result_cache_size,
-            ttl=self.settings.result_ttl_s,
-            clock=clock,
-        )
+        #: The last good ranking per (keywords, k). The engine version
+        #: rides in the entry, not the key: a fresh hit must match it,
+        #: while the stale fallback answers across revisions.
+        self._results = LRUCache(self.settings.result_cache_size, label="ranking")
+        #: Replaced by invalidate(): entries stored under an older epoch
+        #: stop being fresh. A new object per call, compared by identity,
+        #: so concurrent invalidate() calls need no lock.
+        self._epoch = object()
         self._metrics = ServiceMetrics(
             window=self.settings.metrics_window, clock=clock
         )
         self._clock = clock
-        #: Long-TTL fallback rankings keyed on (keywords, k) — the engine
-        #: version is deliberately absent: when live storage is failing,
-        #: an answer from an earlier revision beats no answer.
-        self._stale = TTLResultCache(
-            maxsize=self.settings.stale_cache_size,
-            ttl=self.settings.stale_ttl_s,
-            clock=clock,
-        )
         #: When the stale tier last had to answer (degradation signal).
         self._last_stale_at: float | None = None
         search_context = getattr(engine, "search_context", None)
@@ -256,8 +262,9 @@ class QuestService:
         best-so-far answers (``response.degraded``) or, with nothing
         salvageable, raises :class:`DeadlineExceededError` (HTTP 504).
         A storage failure (:class:`ExecutionError`) falls back to the
-        long-TTL stale cache: the last good ranking for the query, from
-        any engine revision. Such a response carries ``source="stale"``
+        ranking cache's entry for the query, from any engine revision,
+        if it is younger than ``stale_ttl_s``. Such a response carries
+        ``source="stale"``
         (the HTTP tier adds a ``Warning`` header) and counts in
         ``metrics().stale_served``; with no stale entry the error
         propagates.
@@ -275,11 +282,18 @@ class QuestService:
             )
             keywords = self._keywords_of(query)
             k = k if k is not None else self._default_k()
-            key = (keywords, k, self._engine_version())
+            version = self._engine_version()
 
-            hit = self._results.get(key)
-            if hit is not None:
-                return self._respond(query, keywords, k, hit, "cache", start)
+            entry = self._cached(keywords, k)
+            if (
+                entry is not None
+                and entry.version == version
+                and entry.epoch is self._epoch
+                and entry.stored_at + self.settings.result_ttl_s > start
+            ):
+                return self._respond(
+                    query, keywords, k, entry.computed, "cache", start
+                )
 
             def compute() -> _Computed:
                 try:
@@ -304,32 +318,29 @@ class QuestService:
                 # a partial answer.
                 degraded = computed.trace is not None and computed.trace.degraded
                 if not degraded:
-                    self._results.put(key, computed)
-                    # Remember the engine revision alongside the ranking,
-                    # so a later stale serve can stamp how far behind the
-                    # answer is (stale responses are auditable in
-                    # /metrics).
-                    self._stale.put(  # questlint: disable=cache-revision  # deliberately version-free: the stale cache exists to answer ACROSS revisions when storage fails; the revision rides in the value and is stamped into the response
-                        (keywords, k), (computed, self._engine_version())
+                    self._results.put(  # questlint: disable=cache-revision  # the version rides in the entry and gates fresh hits; the stale fallback wants the entry across revisions
+                        (keywords, k),
+                        _Entry(computed, version, self._clock(), self._epoch),
                     )
                 return computed
 
             try:
-                computed, shared = self._flights.do(key, compute)
+                computed, shared = self._flights.do((keywords, k, version), compute)
             except ExecutionError:
-                entry = self._stale.get((keywords, k))  # questlint: disable=cache-revision  # deliberately version-free: a stale lookup *wants* the last good answer from any revision (see _stale.put)
-                if entry is None:
+                now = self._clock()
+                entry = self._cached(keywords, k)
+                if entry is None or entry.stored_at + self.settings.stale_ttl_s <= now:
                     raise
-                fallback, revision = entry
+                fallback, revision = entry.computed, entry.version
                 if fallback.trace is not None:
-                    # Stamp a *copy*: _results may share this _Computed,
-                    # and a stale marker must never leak into fresh
-                    # responses for the same key.
+                    # Stamp a *copy*: the cache entry shares this
+                    # _Computed, and a stale marker must never leak into
+                    # fresh responses for the same key.
                     fallback = _Computed(
                         fallback.explanations,
                         replace(fallback.trace, stale_revision=revision),
                     )
-                self._last_stale_at = self._clock()
+                self._last_stale_at = now
                 self._metrics.record_stale_served(revision)
                 return self._respond(
                     query, keywords, k, fallback, "stale", start
@@ -361,8 +372,9 @@ class QuestService:
 
         Aggregates three signals: process-level health marks (e.g. a
         worker that rebuilt its index in-process after finding the
-        shared artifact unusable), the storage
-        circuit breaker's state, and recent stale-cache serving. Returns
+        shared artifact unusable), the read-failure window of every
+        storage backend behind the engine (each source's, for a
+        multi-source engine), and recent stale serving. Returns
         ``{"degraded": bool, "reasons": [str, ...]}`` — an empty reason
         list means fully healthy.
         """
@@ -370,24 +382,23 @@ class QuestService:
             f"{name}: {detail}" if detail else name
             for name, detail in sorted(process_health.reasons().items())
         ]
-        breaker = getattr(
-            getattr(getattr(self.engine, "wrapper", None), "backend", None),
-            "breaker",
-            None,
-        )
-        if breaker is not None and breaker.state != "closed":
-            reasons.append(
-                f"storage circuit {breaker.name!r} {breaker.state}"
-            )
+        for window in self._read_health_windows():
+            counts = window.counts()
+            if counts.failing:
+                reasons.append(
+                    f"storage {window.name!r} failing ({counts.failed} of "
+                    f"{counts.recorded} recent reads)"
+                )
         last = self._last_stale_at
         if last is not None and self._clock() - last < self.settings.stale_ttl_s:
             reasons.append("recently served revision-stale results")
         return {"degraded": bool(reasons), "reasons": reasons}
 
     def invalidate(self) -> None:
-        """Drop every cached ranking (mutations do this implicitly via
-        the engine version; this is the operator's big hammer)."""
-        self._results.clear()
+        """Stop serving every cached ranking as fresh (mutations do this
+        implicitly via the engine version; this is the operator's big
+        hammer). The entries stay eligible for the stale fallback."""
+        self._epoch = object()
 
     # -- internals -----------------------------------------------------------
 
@@ -411,6 +422,25 @@ class QuestService:
 
     def _engine_version(self) -> Any:
         return getattr(self.engine, "version", 0)
+
+    def _cached(self, keywords: tuple[str, ...], k: int) -> "_Entry | None":
+        return self._results.get((keywords, k))  # questlint: disable=cache-revision  # see the put in search(): the entry carries the version
+
+    def _read_health_windows(self) -> list[FailureWindow]:
+        """The read-failure windows of the storage backends behind the
+        engine: its own, or every source engine's when multi-source."""
+        sources = getattr(self.engine, "engines", None)
+        engines = sources.values() if sources is not None else (self.engine,)
+        windows = (
+            getattr(
+                getattr(getattr(engine, "wrapper", None), "backend", None),
+                "read_health",
+                None,
+            )
+            for engine in engines
+        )
+        # Sources sharing one backend report it once.
+        return list(dict.fromkeys(w for w in windows if w is not None))
 
     def _default_deadline_ms(self) -> float | None:
         engine_settings = getattr(self.engine, "settings", None)

@@ -94,7 +94,7 @@ from repro.db.table import Row
 from repro.db.types import DataType, coerce
 from repro.errors import ExecutionError, IntegrityError, UnknownTableError
 from repro import faults
-from repro.resilience import CircuitBreaker, RetryPolicy
+from repro.resilience import FailureWindow, RetryPolicy
 from repro.storage.base import StorageBackend
 
 __all__ = ["SQLiteBackend"]
@@ -153,8 +153,8 @@ class _Statement(NamedTuple):
 
 def _reset_sqlite_lock(backend: "SQLiteBackend") -> None:
     backend._lock = threading.RLock()
-    # The breaker registers its own lock holder (see resilience.breaker),
-    # so its lock is reset independently of ours.
+    # The read_health window registers its own lock holder (see
+    # resilience.window), so its lock is reset independently of ours.
 
 
 class SQLiteBackend(StorageBackend):
@@ -167,21 +167,19 @@ class SQLiteBackend(StorageBackend):
         schema: Schema,
         path: str = ":memory:",
         initialize: bool = True,
-        breaker: CircuitBreaker | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         super().__init__(schema)
         self.path = str(path)
-        #: Records the outcome of every read-path SQL call; its state
-        #: feeds the service's degraded-mode reporting. It refuses
-        #: nothing: reads keep executing (with bounded retry) while it
-        #: is open, and their successes drive half-open recovery.
-        self.breaker = breaker or CircuitBreaker(f"sqlite:{path}")
+        #: Records the outcome of every read-path SQL call, for the
+        #: service's degraded-mode reporting. It refuses nothing: reads
+        #: keep executing (with bounded retry) while it reports failing.
+        self.read_health = FailureWindow(f"sqlite:{path}")
         #: Bounded jittered-exponential retry for transient
         #: OperationalError (busy/locked under WAL writer contention).
         self._retry = retry or RetryPolicy()
-        # One connection guarded by a lock: the threaded multi-source tier
-        # may execute queries from worker threads. Forked children get a
+        # One connection guarded by a lock: concurrent searches (the
+        # serving tier's executor threads) share it. Forked children get a
         # fresh lock (see repro.forksafe) — and a fresh connection too,
         # via the existing per-pid reconnect in _connection().
         self._lock = threading.RLock()
@@ -690,9 +688,9 @@ class SQLiteBackend(StorageBackend):
         point fires first (chaos tests inject latency or
         ``OperationalError`` schedules), transient
         ``sqlite3.OperationalError`` is retried on the bounded
-        jittered-exponential schedule, and every final outcome lands in
-        the circuit breaker — failures push it toward open, successes
-        heal it. Non-transient SQLite errors are wrapped into
+        jittered-exponential schedule, and every outcome (each failed
+        attempt included) lands in the ``read_health`` window.
+        Non-transient SQLite errors are wrapped into
         :class:`ExecutionError`, whose message names *label* and the
         statement *sql*, if given (formatted only then).
         """
@@ -705,13 +703,13 @@ class SQLiteBackend(StorageBackend):
             result = self._retry.call(
                 attempt,
                 retry_on=(sqlite3.OperationalError,),
-                on_retry=lambda _exc, _n: self.breaker.record_failure(),
+                on_retry=lambda _exc, _n: self.read_health.record(False),
             )
         except sqlite3.Error as exc:
-            self.breaker.record_failure()
+            self.read_health.record(False)
             where = label if sql is None else f"{label} {sql!r}"
             raise ExecutionError(f"sqlite error {where}: {exc}") from exc
-        self.breaker.record_success()
+        self.read_health.record(True)
         return result
 
     def attribute_scores(self, keyword: str) -> dict[ColumnRef, float]:

@@ -170,7 +170,7 @@ class TestConcurrentEngineIdentity:
                 HiddenSourceWrapper(stress_db.schema, remote_db=stress_db)
             ),
         }
-        multi = MultiSourceQuest(engines, max_workers=4)
+        multi = MultiSourceQuest(engines)
         expected = {text: multi.search(text) for text in stress_texts[:4]}
         jobs = [text for text in stress_texts[:4] for _ in range(4)]
         results = _run_threaded(lambda text: (text, multi.search(text)), jobs)

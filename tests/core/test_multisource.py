@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import MultiSourceQuest, Quest
-from repro.errors import QuestError
+from repro.errors import ExecutionError, QuestError
 from repro.wrapper import FullAccessWrapper
 
 from tests.conftest import backend_for, build_mini_db
@@ -94,39 +94,24 @@ class TestMultiSource:
         assert all(name == "only" for name, _e in ranked)
 
 
-class TestExecutorLifecycle:
-    def test_pool_recreated_when_width_changes(self, two_sources):
-        # Regression: the lazily created executor used to pin the width
-        # computed at first search, silently ignoring later max_workers
-        # changes (and pools released by close()).
-        multi = MultiSourceQuest(two_sources, max_workers=2)
-        baseline = multi.search("kubrick movies", k=5)
-        assert multi._executor is not None
-        assert multi._executor._max_workers == 2
+class TestSourceFailures:
+    def test_unprocessable_source_is_dropped(self, two_sources, monkeypatch):
+        # A source that cannot process the query contributes nothing;
+        # the other source still answers.
+        def unprocessable(keywords, k):
+            raise QuestError("no configurations for this query")
 
-        multi.max_workers = 4
-        assert multi.search("kubrick movies", k=5) == baseline
-        assert multi._executor._max_workers == 4
+        monkeypatch.setattr(two_sources["beta"], "search_keywords", unprocessable)
+        ranked = MultiSourceQuest(two_sources).search("kubrick movies", k=10)
+        assert ranked
+        assert {name for name, _e in ranked} == {"alpha"}
 
-        multi.max_workers = 3
-        assert multi.search("kubrick movies", k=5) == baseline
-        assert multi._executor._max_workers == 3
-        multi.close()
+    def test_storage_failure_propagates(self, two_sources, monkeypatch):
+        # A source whose storage fails is not dropped: a ranking without
+        # it would pass for a complete answer.
+        def failing(keywords, k):
+            raise ExecutionError("sqlite error: disk I/O error")
 
-    def test_pool_recreated_after_close(self, two_sources):
-        multi = MultiSourceQuest(two_sources, max_workers=2)
-        baseline = multi.search("kubrick movies", k=5)
-        multi.close()
-        assert multi._executor is None
-        assert multi.search("kubrick movies", k=5) == baseline
-        assert multi._executor is not None
-        assert multi._executor._max_workers == 2
-        multi.close()
-
-    def test_stable_width_reuses_the_pool(self, two_sources):
-        multi = MultiSourceQuest(two_sources, max_workers=2)
-        multi.search("kubrick movies", k=5)
-        pool = multi._executor
-        multi.search("movies", k=5)
-        assert multi._executor is pool
-        multi.close()
+        monkeypatch.setattr(two_sources["beta"], "search_keywords", failing)
+        with pytest.raises(ExecutionError, match="disk I/O error"):
+            MultiSourceQuest(two_sources).search("kubrick movies", k=10)

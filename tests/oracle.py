@@ -54,6 +54,13 @@ per-position window scan (:func:`jaro_reference`,
 :func:`jaro_winkler_reference`) instead of the bit-parallel kernel. The
 ontology-parity tests hold ``term_score``, ``table_score`` and
 ``attribute_score`` to it bit for bit.
+
+:class:`TwoCacheServiceReference` is the serving tier's ranking-cache
+twin: ``QuestService`` as it was with two TTL caches — a fresh cache
+keyed on ``(keywords, k, engine version)`` that ``invalidate()``
+clears, and a version-free stale cache answering storage failures. The
+service's one-cache property test holds ``QuestService`` to it request
+by request.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ from repro.db.query import JoinCondition, SelectQuery
 from repro.db.schema import ColumnRef
 from repro.db.table import Row, Table
 from repro.dst.combine import dempster_combine_reference
-from repro.errors import SteinerError
+from repro.errors import ExecutionError, SteinerError
 from repro.hmm import HiddenMarkovModel, list_viterbi_reference
 from repro.semantics.lexicon import Lexicon
 from repro.semantics.similarity import (
@@ -82,7 +89,7 @@ from repro.semantics.similarity import (
     trigram_similarity,
 )
 from repro.semantics.stemmer import same_stem, stem
-from repro.semantics.tokenize import split_identifier
+from repro.semantics.tokenize import split_identifier, tokenize_query
 from repro.steiner import SchemaGraph, SteinerTree, top_k_steiner_trees_reference
 from repro.wrapper.ontology import SchemaOntology
 
@@ -748,3 +755,58 @@ class PostingsReference:
         if ref not in self.field_sizes:
             return None
         return ref in self.postings.get(token, {})
+
+
+class TwoCacheServiceReference:
+    """Sequential twin of the service's ranking cache, as two caches.
+
+    *engine* exposes ``version`` and ``search_context(keywords=, k=)``;
+    *clock* is the same injected clock the service under test reads. The
+    caches are unbounded: the twin models traffic over fewer keys than
+    ``result_cache_size``, where an LRU bound never evicts a live entry.
+    :meth:`search` answers ``(source, explanations, stale_revision)`` with
+    *source* one of ``"engine"``, ``"cache"`` and ``"stale"``, or raises
+    the engine's :class:`ExecutionError` when no stale entry can answer.
+    """
+
+    def __init__(
+        self,
+        engine: Any,
+        result_ttl_s: float,
+        stale_ttl_s: float,
+        clock: Callable[[], float],
+    ) -> None:
+        self.engine = engine
+        self.result_ttl_s = result_ttl_s
+        self.stale_ttl_s = stale_ttl_s
+        self.clock = clock
+        #: (keywords, k, version) -> (expiry, (explanations, trace))
+        self.fresh: dict[tuple, tuple[float, tuple]] = {}
+        #: (keywords, k) -> (expiry, ((explanations, trace), version))
+        self.stale: dict[tuple, tuple[float, tuple]] = {}
+
+    def invalidate(self) -> None:
+        self.fresh.clear()
+
+    def search(self, query: str, k: int) -> tuple[str, tuple, Any]:
+        keywords = tuple(tokenize_query(query))
+        key = (keywords, k, self.engine.version)
+        hit = self.fresh.get(key)
+        if hit is not None and hit[0] > self.clock():
+            return "cache", hit[1][0], None
+        try:
+            context = self.engine.search_context(keywords=list(keywords), k=k)
+        except ExecutionError:
+            entry = self.stale.get((keywords, k))
+            if entry is None or not entry[0] > self.clock():
+                raise
+            (explanations, _trace), revision = entry[1]
+            return "stale", explanations, revision
+        computed = (tuple(context.explanations), context.trace)
+        if not context.trace.degraded:
+            self.fresh[key] = (self.clock() + self.result_ttl_s, computed)
+            self.stale[(keywords, k)] = (
+                self.clock() + self.stale_ttl_s,
+                (computed, self.engine.version),
+            )
+        return "engine", computed[0], None

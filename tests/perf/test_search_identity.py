@@ -109,8 +109,7 @@ def _oracle_rankings(db, texts: list[str], backend: str):
         {
             "full": engine,
             "hidden": Quest(HiddenSourceWrapper(db.schema, remote_db=db)),
-        },
-        max_workers=1,
+        }
     )
     combined = [
         [(name, e.sql, e.probability, e.result_count) for name, e in multi.search(text)]

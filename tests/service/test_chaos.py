@@ -4,8 +4,9 @@ Every scenario here is driven by a deterministic :class:`FaultPlan` (or
 a fake clock), so the schedules replay bit-for-bit: same seed, same
 call sequence, same faults. The suite covers the four resilience
 surfaces end to end — request deadlines (504 vs degraded best-so-far),
-the storage circuit breaker (trip, fallback parity, half-open
-recovery), revision-stale serving with the ``Warning`` header, and the
+the storage failure window (trip, fallback parity, recovery by
+successes), revision-stale serving with the ``Warning`` header (and 503
+when there is nothing to serve), and the
 preforked fleet's crash recovery with backoff — plus unit tests for the
 primitives themselves.
 """
@@ -13,13 +14,14 @@ primitives themselves.
 from __future__ import annotations
 
 import sqlite3
+import sys
 import threading
 import time
 
 import pytest
 
 from repro import faults
-from repro.core import Quest
+from repro.core import MultiSourceQuest, Quest
 from repro.core.settings import QuestSettings
 from repro.errors import (
     DeadlineExceededError,
@@ -29,12 +31,12 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.resilience import (
-    BreakerSettings,
-    CircuitBreaker,
     Deadline,
+    FailureWindow,
     RetryPolicy,
     process_health,
 )
+from repro.resilience.window import MIN_OUTCOMES, WINDOW
 from repro.service import (
     PreforkServer,
     PreforkSettings,
@@ -64,7 +66,7 @@ def _clean_slate():
 
 
 class _FakeClock:
-    """A hand-cranked monotonic clock for breaker/deadline tests."""
+    """A hand-cranked monotonic clock for deadline tests."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -205,104 +207,67 @@ class TestFaultPlan:
 # -- the resilience primitives ------------------------------------------------
 
 
-class TestCircuitBreaker:
-    def _breaker(self, clock, **changes):
-        settings = dict(
-            window=8,
-            min_calls=4,
-            failure_threshold=0.5,
-            reset_timeout_s=1.0,
-            half_open_probes=2,
-            jitter=0.0,
-        )
-        settings.update(changes)
-        return CircuitBreaker(
-            "dep", BreakerSettings(**settings), seed=0, clock=clock
-        )
-
-    def test_stays_closed_below_min_calls(self):
-        breaker = self._breaker(_FakeClock())
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == "closed"
+class TestFailureWindow:
+    def test_stays_healthy_below_min_outcomes(self):
+        window = FailureWindow("dep")
+        for _ in range(MIN_OUTCOMES - 1):
+            window.record(False)
+        assert window.counts() == (MIN_OUTCOMES - 1, MIN_OUTCOMES - 1)
+        assert not window.counts().failing  # every outcome failed, but too few
 
     def test_trips_at_failure_rate(self):
-        breaker = self._breaker(_FakeClock())
-        breaker.record_success()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # 1/3 under threshold
-        breaker.record_failure()
-        breaker.record_failure()  # 3/5 >= 0.5, window >= min_calls
-        assert breaker.state == "open"
-        breaker.record_success()
-        assert breaker.state == "open"  # only the timeout ends an open span
+        window = FailureWindow("dep")
+        for ok in (True, True, True, False, False):
+            window.record(ok)
+        assert not window.counts().failing  # 2/5 under the rate
+        window.record(False)
+        assert window.counts() == (3, 6)
+        assert window.counts().failing  # 3/6 reaches it
 
-    def test_half_open_probes_then_close(self):
-        clock = _FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        assert breaker.state == "open"
-        clock.advance(0.99)
-        assert breaker.state == "open"  # jitter=0: opens for exactly 1s
-        clock.advance(0.02)
-        assert breaker.state == "half-open"
-        # Exactly half_open_probes successes close the circuit.
-        breaker.record_success()
-        assert breaker.state == "half-open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.snapshot()["failures"] == 0  # window cleared on close
+    def test_successes_heal_the_window(self):
+        window = FailureWindow("dep")
+        for _ in range(MIN_OUTCOMES):
+            window.record(False)
+        assert window.counts().failing
+        healed_after = 0
+        while window.counts().failing:
+            window.record(True)
+            healed_after += 1
+        # No timer: the first success that takes the rate under one
+        # half (5 of 11) heals it.
+        assert healed_after == MIN_OUTCOMES + 1
+        for _ in range(WINDOW):
+            window.record(True)
+        assert window.counts() == (0, WINDOW)  # old outcomes roll out
 
-    def test_half_open_failure_reopens(self):
-        clock = _FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        clock.advance(1.01)
-        assert breaker.state == "half-open"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.advance(0.5)
-        assert breaker.state == "open"  # a fresh full timeout applies
+    def test_concurrent_records_keep_the_window_bounded(self):
+        window = FailureWindow("dep")
+        readings = []
 
-    def test_seeded_jitter_is_deterministic(self):
-        def open_span(breaker, clock):
-            for _ in range(4):
-                breaker.record_failure()
-            low, high = 0.0, 10.0
-            for _ in range(40):  # bisect the reopen boundary
-                mid = (low + high) / 2.0
-                clock.now = mid
-                if breaker.state == "half-open":
-                    high = mid
-                    breaker.record_failure()  # re-open, re-jitter? no: reset
-                    return mid
-                low = mid
-            return high
+        def record(ok):
+            for _ in range(500):
+                window.record(ok)
+                readings.append(window.counts())
 
-        spans = []
-        for _ in range(2):
-            clock = _FakeClock()
-            breaker = self._breaker(clock, jitter=0.5)
-            for _ in range(4):
-                breaker.record_failure()
-            # jitter in [0, 0.5] of the 1s timeout, seeded: both runs land
-            # on the same open duration.
-            clock.now = 1.5001
-            spans.append(breaker.state)
-        assert spans[0] == spans[1]
-
-    def test_settings_validation(self):
-        with pytest.raises(QuestError):
-            BreakerSettings(window=0)
-        with pytest.raises(QuestError):
-            BreakerSettings(failure_threshold=0.0)
-        with pytest.raises(QuestError):
-            BreakerSettings(reset_timeout_s=0.0)
-        with pytest.raises(QuestError):
-            BreakerSettings(jitter=1.5)
+        threads = [
+            threading.Thread(target=record, args=(index % 2 == 0,))
+            for index in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # Every reading is one consistent snapshot of a bounded window.
+        assert all(
+            0 <= failed <= recorded <= WINDOW for failed, recorded in readings
+        )
+        assert window.counts().recorded == WINDOW
 
 
 class TestRetryPolicy:
@@ -395,107 +360,82 @@ class TestDeadline:
             QuestSettings(default_deadline_ms=-5.0)
 
 
-# -- storage chaos: breaker trip, fallback parity, recovery -------------------
-
-
-def _fast_breaker(**changes):
-    settings = dict(
-        window=8,
-        min_calls=4,
-        failure_threshold=0.5,
-        reset_timeout_s=0.05,
-        half_open_probes=1,
-        jitter=0.0,
-    )
-    settings.update(changes)
-    return CircuitBreaker("sqlite:chaos", BreakerSettings(**settings), seed=0)
+# -- storage chaos: window trip, fallback parity, recovery -------------------
 
 
 def _fast_retry():
     return RetryPolicy(attempts=2, base_delay_s=0.001, max_delay_s=0.002, seed=1)
 
 
+def _failing_storage(**options):
+    """A plan failing every SQLite read until the block exits."""
+    return FaultPlan(seed=7).inject(
+        "storage.query",
+        kind="error",
+        rate=1.0,
+        error=sqlite3.OperationalError,
+        **options,
+    )
+
+
 class TestStorageChaos:
-    def test_sqlite_failures_open_the_breaker(self, mini_db):
-        breaker = _fast_breaker()
-        backend = SQLiteBackend.from_database(
-            mini_db, breaker=breaker, retry=_fast_retry()
-        )
-        plan = FaultPlan(seed=7).inject(
-            "storage.query",
-            kind="error",
-            rate=1.0,
-            error=sqlite3.OperationalError,
-        )
-        with faults.injected(plan):
+    def test_sqlite_failures_trip_the_window(self, mini_db):
+        backend = SQLiteBackend.from_database(mini_db, retry=_fast_retry())
+        before = backend.read_health.counts()
+        with faults.injected(_failing_storage()):
             for _ in range(3):
                 with pytest.raises(ExecutionError):
                     backend.attribute_scores("kubrick")
-        assert breaker.state == "open"
-        snapshot = breaker.snapshot()
-        assert snapshot["failures"] >= 4
+        # Two attempts per call, each failed attempt recorded.
+        failed, recorded = backend.read_health.counts()
+        assert failed - before.failed == 6
+        assert recorded - before.recorded == 6
+        assert backend.read_health.counts().failing
 
     def test_transient_flake_is_retried_to_success(self, mini_db):
-        breaker = _fast_breaker()
-        backend = SQLiteBackend.from_database(
-            mini_db, breaker=breaker, retry=_fast_retry()
-        )
+        backend = SQLiteBackend.from_database(mini_db, retry=_fast_retry())
         # One injected failure, then the dependency is healthy again: the
         # in-call retry absorbs it and the caller never sees an error.
-        plan = FaultPlan(seed=7).inject(
-            "storage.query",
-            kind="error",
-            rate=1.0,
-            times=1,
-            error=sqlite3.OperationalError,
-        )
-        with faults.injected(plan):
+        with faults.injected(_failing_storage(times=1)):
             scores = backend.attribute_scores("kubrick")
         assert scores  # the retry got the real answer
-        assert breaker.state == "closed"
+        assert backend.read_health.counts().failed == 1
+        assert not backend.read_health.counts().failing
 
-    def test_half_open_recovery_closes_the_breaker(self, mini_db):
-        breaker = _fast_breaker()
-        backend = SQLiteBackend.from_database(
-            mini_db, breaker=breaker, retry=_fast_retry()
-        )
-        plan = FaultPlan(seed=7).inject(
-            "storage.query",
-            kind="error",
-            rate=1.0,
-            times=6,
-            error=sqlite3.OperationalError,
-        )
-        with faults.injected(plan):
+    def test_successes_heal_the_window(self, mini_db):
+        backend = SQLiteBackend.from_database(mini_db, retry=_fast_retry())
+        with faults.injected(_failing_storage(times=6)):
             for _ in range(3):
                 with pytest.raises(ExecutionError):
                     backend.attribute_scores("kubrick")
-            assert breaker.state == "open"
-            time.sleep(0.06)  # the reset timeout elapses
-            assert breaker.state == "half-open"
-            # The dependency healed (times=6 exhausted): the next
-            # mandatory read succeeds and closes the circuit.
-            scores = backend.attribute_scores("kubrick")
-        assert scores
-        assert breaker.state == "closed"
+            assert backend.read_health.counts().failing
+            # The dependency healed (times=6 exhausted): reads succeed
+            # again, and their successes alone take the window back
+            # under the rate — no timer involved.
+            reads = 0
+            while backend.read_health.counts().failing and reads < WINDOW:
+                assert backend.attribute_scores("kubrick")
+                reads += 1
+        assert not backend.read_health.counts().failing
+        assert reads < WINDOW
 
-    def test_open_breaker_rankings_identical_to_reference(self, mini_db):
-        # Trip the breaker, pin it open for the whole test, and prove the
-        # engine still answers — identically to the pure-Python reference
-        # kernels — because the breaker records and reports, never refuses.
-        breaker = _fast_breaker(min_calls=1, window=4, reset_timeout_s=600.0)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        backend = SQLiteBackend.from_database(mini_db, breaker=breaker)
+    def test_failing_window_rankings_identical_to_reference(self, mini_db):
+        # Pin the window failing before every search and prove the
+        # engine still answers — identically to the pure-Python
+        # reference kernels — because the window records and reports,
+        # never refuses.
+        backend = SQLiteBackend.from_database(mini_db)
         degraded = Quest(FullAccessWrapper(backend))
         reference = Quest(FullAccessWrapper(MemoryBackend(mini_db)))
         for query in (_QUERY, "scott scifi", "kubrick horror 1980"):
+            for _ in range(WINDOW):
+                backend.read_health.record(False)
+            assert backend.read_health.counts().failing
             got = degraded.search_context(query=query)
             with reference_kernels():
                 want = reference.search_context(query=query)
             assert _ranking(got) == _ranking(want), query
             assert not got.trace.degraded  # answers are full, not partial
-        assert breaker.state == "open"  # successes alone must not close it
 
 
 # -- deadline enforcement -----------------------------------------------------
@@ -644,9 +584,7 @@ class TestArtifactFallback:
 
 class TestStaleServing:
     def _service(self, mini_db):
-        backend = SQLiteBackend.from_database(
-            mini_db, breaker=_fast_breaker(), retry=_fast_retry()
-        )
+        backend = SQLiteBackend.from_database(mini_db, retry=_fast_retry())
         engine = Quest(FullAccessWrapper(backend))
         return QuestService(engine)
 
@@ -744,6 +682,74 @@ class TestStaleServing:
         )
 
 
+class TestMultiSourceStorageFailure:
+    """A failing source fails the merged answer; it is never dropped."""
+
+    def _service(self, mini_db):
+        multi = MultiSourceQuest(
+            {
+                "mem": Quest(FullAccessWrapper(MemoryBackend(mini_db))),
+                "sqlite": Quest(
+                    FullAccessWrapper(
+                        SQLiteBackend.from_database(mini_db, retry=_fast_retry())
+                    )
+                ),
+            }
+        )
+        return QuestService(multi)
+
+    @staticmethod
+    def _sources(response):
+        return {name for name, _explanation in response.explanations}
+
+    def test_failing_source_serves_stale_then_recovers(self, mini_db):
+        service = self._service(mini_db)
+        healthy = service.search(_QUERY, k=6)
+        assert healthy.source == "engine"
+        assert self._sources(healthy) == {"mem", "sqlite"}
+        assert not service.degradation()["degraded"]
+        service.invalidate()
+        with faults.injected(_failing_storage()):
+            fallback = service.search(_QUERY, k=6)
+        # The merged ranking is the last complete one, flagged stale —
+        # not a mem-only ranking passed off as a fresh answer.
+        assert fallback.source == "stale" and fallback.degraded
+        assert fallback.explanations == healthy.explanations
+        recovered = service.search(_QUERY, k=6)
+        assert recovered.source == "engine"  # nothing partial was cached
+        assert recovered.explanations == healthy.explanations
+
+    def test_failing_source_without_stale_entry_raises(self, mini_db):
+        service = self._service(mini_db)
+        with faults.injected(_failing_storage()):
+            with pytest.raises(ExecutionError):
+                service.search(_QUERY, k=6)
+        assert service.metrics().errors == 1
+        # The failure cached nothing: the healthy retry runs the engine
+        # and merges both sources.
+        response = service.search(_QUERY, k=6)
+        assert response.source == "engine"
+        assert self._sources(response) == {"mem", "sqlite"}
+
+    def test_degradation_reports_the_failing_source(self, mini_db):
+        service = self._service(mini_db)
+        window = service.engine.engines["sqlite"].wrapper.backend.read_health
+        assert not service.degradation()["degraded"]
+        with faults.injected(_failing_storage()):
+            for _ in range(MIN_OUTCOMES):
+                with pytest.raises(ExecutionError):
+                    service.search(_QUERY, k=6)
+        failed, recorded = window.counts()
+        assert failed == 2 * MIN_OUTCOMES  # two attempts per request
+        assert service.degradation() == {
+            "degraded": True,
+            "reasons": [
+                f"storage {window.name!r} failing ({failed} of {recorded} "
+                "recent reads)"
+            ],
+        }
+
+
 # -- the HTTP surface under chaos ---------------------------------------------
 
 
@@ -783,9 +789,7 @@ class TestChaosOverHttp:
     def test_stale_answers_carry_warning_header_and_flags(self, mini_db):
         from test_http import _ServerThread
 
-        backend = SQLiteBackend.from_database(
-            mini_db, breaker=_fast_breaker(), retry=_fast_retry()
-        )
+        backend = SQLiteBackend.from_database(mini_db, retry=_fast_retry())
         service = QuestService(Quest(FullAccessWrapper(backend)))
         with _ServerThread(service) as harness:
             status, primed, _ = harness.get(_SEARCH_PATH)
@@ -812,6 +816,30 @@ class TestChaosOverHttp:
                 status, metrics, _ = harness.get("/metrics")
                 assert metrics["service"]["stale_served"] == 1
                 assert metrics["degradation"]["degraded"] is True
+
+    def test_storage_failure_without_stale_entry_is_503(self, mini_db):
+        from test_http import _ServerThread
+
+        backend = SQLiteBackend.from_database(mini_db, retry=_fast_retry())
+        service = QuestService(Quest(FullAccessWrapper(backend)))
+        with _ServerThread(service) as harness:
+            with faults.injected(_failing_storage()):
+                # No stale entry to fall back on: the outage is a 503
+                # the client may retry, not a 400 blaming its query.
+                for _ in range(MIN_OUTCOMES):
+                    status, payload, headers = harness.get(_SEARCH_PATH)
+                    assert status == 503
+                    assert payload["error"]["code"] == "storage_unavailable"
+                    assert "sqlite error" in payload["error"]["message"]
+                    assert payload["error"]["request_id"]
+                    assert headers.get("Retry-After") == "1"
+                status, ready, _ = harness.get("/readyz")
+                assert status == 200
+                assert ready["status"] == "degraded"
+                assert any("failing" in reason for reason in ready["reasons"])
+            # The outage is over: the same query answers normally.
+            status, payload, _ = harness.get(_SEARCH_PATH)
+            assert status == 200 and payload["source"] == "engine"
 
     def test_unhandled_route_errors_become_structured_500(self, mini_engine):
         from test_http import _ServerThread

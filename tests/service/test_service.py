@@ -1,21 +1,27 @@
 """Unit tests for the serving tier building blocks and ``QuestService``."""
 
+import dataclasses
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MultiSourceQuest, Quest
-from repro.errors import QuestError, ServiceOverloadedError
+from repro.errors import ExecutionError, QuestError, ServiceOverloadedError
+from repro.pipeline.context import SearchTrace
 from repro.service import (
     AdmissionController,
     QuestService,
     ServiceSettings,
     SingleFlight,
-    TTLResultCache,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.wrapper import HiddenSourceWrapper
+
+from tests.oracle import TwoCacheServiceReference
 
 
 class FakeClock:
@@ -138,41 +144,6 @@ class TestSingleFlight:
         for thread in threads:
             thread.join(5)
         assert sorted(outcomes) == [("follower", "boom"), ("leader", "boom")]
-
-
-class TestTTLResultCache:
-    def test_entries_expire_after_ttl(self):
-        clock = FakeClock()
-        cache = TTLResultCache(maxsize=4, ttl=10.0, clock=clock)
-        cache.put("key", "value")
-        assert cache.get("key") == "value"
-        clock.advance(9.999)
-        assert cache.get("key") == "value"
-        clock.advance(0.002)
-        assert cache.get("key") is None
-        assert len(cache) == 0  # expired entry was reaped on access
-
-    def test_lru_eviction_beyond_maxsize(self):
-        cache = TTLResultCache(maxsize=2, ttl=100.0, clock=FakeClock())
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh recency of a
-        cache.put("c", 3)
-        assert cache.get("b") is None  # b was the LRU victim
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-
-    def test_counters_and_validation(self):
-        clock = FakeClock()
-        cache = TTLResultCache(maxsize=2, ttl=1.0, clock=clock)
-        cache.put("key", "value")
-        cache.get("key")
-        cache.get("absent")
-        assert cache.counters == (1, 1)
-        with pytest.raises(ValueError):
-            TTLResultCache(maxsize=0)
-        with pytest.raises(ValueError):
-            TTLResultCache(ttl=0)
 
 
 class TestAdmissionController:
@@ -310,6 +281,17 @@ class TestQuestService:
             with pytest.raises(QuestError):
                 ServiceSettings(**bad)
 
+    def test_settings_have_seven_fields(self):
+        assert [f.name for f in dataclasses.fields(ServiceSettings)] == [
+            "k",
+            "max_concurrent",
+            "max_queue",
+            "result_ttl_s",
+            "result_cache_size",
+            "metrics_window",
+            "stale_ttl_s",
+        ]
+
     def test_non_positive_k_rejected(self, mini_engine):
         service = QuestService(mini_engine)
         with pytest.raises(QuestError):
@@ -425,3 +407,112 @@ class TestQuestService:
         assert list(service.search("kubrick movies").explanations) == (
             mini_engine.search("kubrick movies")
         )
+
+
+# -- the one ranking cache against its two-cache twin --------------------------
+
+
+class _ScriptedEngine:
+    """A stand-in engine: rankings are a pure function of the request and
+    the version, storage failure and deadline degradation are switches."""
+
+    def __init__(self):
+        self.version = 0
+        self.failing = False
+        self.degrade_next = False
+
+    def search_context(self, keywords, k):
+        if self.failing:
+            raise ExecutionError("scripted storage failure")
+        degraded, self.degrade_next = self.degrade_next, False
+        explanations = [
+            (tuple(keywords), self.version, rank) for rank in range(k - degraded)
+        ]
+        trace = SearchTrace(
+            query=" ".join(keywords), keywords=tuple(keywords), degraded=degraded
+        )
+        return SimpleNamespace(explanations=explanations, trace=trace)
+
+
+_RESULT_TTL_S = 5.0
+_STALE_TTL_S = 20.0
+_CACHE_SIZE = 8
+#: Fewer distinct (keywords, k) slots than the cache holds.
+_QUERIES = ("alpha", "beta gamma")
+
+_search = st.tuples(
+    st.just("search"), st.sampled_from(_QUERIES), st.sampled_from((1, 2))
+)
+#: Clock steps landing inside, exactly on and past both TTLs.
+_advance = st.tuples(
+    st.just("advance"),
+    st.sampled_from((0.5, 2.5, _RESULT_TTL_S, 7.5, _STALE_TTL_S, 30.0)),
+)
+_steps = st.one_of(
+    # Searches weigh three times, and clock steps twice, any other step,
+    # so most traces revisit a key after a bump, an invalidation, a
+    # failure or a TTL boundary.
+    _search,
+    _search,
+    _search,
+    _advance,
+    _advance,
+    st.tuples(st.just("bump")),
+    st.tuples(st.just("invalidate")),
+    st.tuples(st.just("storage"), st.booleans()),
+    st.tuples(st.just("degrade")),
+)
+
+
+class TestRankingCacheTwin:
+    @settings(max_examples=500, deadline=None)
+    @given(trace=st.lists(_steps, min_size=3, max_size=40))
+    def test_one_cache_answers_like_the_two_cache_twin(self, trace):
+        clock = FakeClock()
+        engine = _ScriptedEngine()
+        service = QuestService(
+            engine,
+            ServiceSettings(
+                result_ttl_s=_RESULT_TTL_S,
+                stale_ttl_s=_STALE_TTL_S,
+                result_cache_size=_CACHE_SIZE,
+            ),
+            clock=clock,
+        )
+        twin = TwoCacheServiceReference(
+            engine, _RESULT_TTL_S, _STALE_TTL_S, clock
+        )
+        for step in trace:
+            kind = step[0]
+            if kind == "bump":
+                engine.version += 1
+            elif kind == "invalidate":
+                service.invalidate()
+                twin.invalidate()
+            elif kind == "storage":
+                engine.failing = step[1]
+            elif kind == "degrade":
+                engine.degrade_next = True
+            elif kind == "advance":
+                clock.advance(step[1])
+            else:
+                _, query, k = step
+                # The twin's run sees the degradation flag the service's
+                # run saw; an armed flag lasts for this request only.
+                degrade = engine.degrade_next
+                try:
+                    response = service.search(query, k=k)
+                    got = (
+                        response.source,
+                        response.explanations,
+                        response.stale_revision,
+                    )
+                except ExecutionError:
+                    got = "storage error"
+                engine.degrade_next = degrade
+                try:
+                    want = twin.search(query, k)
+                except ExecutionError:
+                    want = "storage error"
+                engine.degrade_next = False
+                assert got == want, (step, trace)
